@@ -15,20 +15,49 @@ Every kernel reproduces the exact floating-point operand order of the
 NumPy path it replaces, so trajectories stay byte-for-byte equal to the
 ``repro.runtime.legacy`` oracle:
 
+* ``repro_residual`` computes ``r = b - A x`` with a CSR row loop: each
+  row's products ``data[k] * x[indices[k]]`` are added in storage order
+  into a sum that starts at ``0.0`` — exactly how ``np.bincount`` sums
+  its weights in ``CSRMatrix.matvec`` — and ``b`` is subtracted last, so
+  the result is bitwise ``b - A.matvec(x)``.
 * ``repro_relax_rank`` mirrors the buffered relax closure: the row-subset
-  SpMV accumulates ``data[k] * lb[indices[k]]`` into its row bin in
-  storage order — exactly how ``np.bincount`` sums its weights — and the
-  elementwise tail ``own + dinv * (b - mv)`` (plus the optional
-  second-order Richardson momentum term) rounds each operation
-  separately.
-* ``repro_commit_rank`` mirrors the commit: ``dx = pend - own``, the
-  ``x[rows]`` store, and the :class:`~repro.matrices.sparse.ColumnScatterPlan`
-  residual update (per-entry products, bin accumulation in storage order,
-  one full-span subtract).
+  SpMV sums ``data[k] * lb[indices[k]]`` per row in storage order (the
+  same ``bincount`` order, held in a register), and the elementwise tail
+  ``own + dinv * (b - mv)`` (plus the optional second-order Richardson
+  momentum term) rounds each operation separately.
+* ``repro_commit_rank`` mirrors the commit: the ``x[rows]`` store,
+  ``dx = pend - own`` and the :class:`~repro.matrices.sparse.ColumnScatterPlan`
+  residual update (per-entry products, bin accumulation in the plan's
+  storage order, one full-span subtract).
 * ``repro_relax_batch`` is the stacked/turbo inner block relax: one call
   relaxes (and optionally commits) a whole admission batch, member by
   member in cursor order — the order the batched NumPy phases are proven
-  equivalent to.
+  equivalent to. It runs the same per-rank relax and commit code.
+
+Compact layout
+--------------
+All three relax/commit kernels read one layout, built once per solver by
+``DistributedJacobi``'s warm plan. The relax loops over the rank's local
+CSR row pointers (int64) with its column indices as int32; the commit
+loops over per-column pointers into the scatter plan's entries with their
+span-local rows as int32. Nothing streams a per-nonzero row id or column
+id any more: per nonzero the relax reads 12 bytes (value + int32 column)
+instead of 24, and the commit 12 instead of 24. :func:`int32_index` builds
+the int32 streams and raises :class:`NativeLayoutError` when a rank's
+local column count or residual span reaches 2^31; there is no silent
+fallback to a wider layout.
+
+What the solver keeps across runs
+---------------------------------
+``DistributedJacobi`` builds these tables on its first native run and
+keeps them for its lifetime (its warm plan; see docs/performance.md):
+the int32 column and span-row copies, the column pointers, the per-rank
+``b``/``dinv`` gathers the relax reads, one zeroed bin scratch per rank
+and the uint64 pointer tables of the batch kernel. They are safe to
+keep because they are functions of ``A``, the partition and the
+solver's private read-only copy of ``b`` alone, and the commit kernels
+leave every bin zeroed when they return. Each run passes its own ``x``,
+``local_x`` scratch, pending buffers and residual vector.
 
 The library is compiled with ``-ffp-contract=off`` so the compiler cannot
 fuse the multiply-add chains into FMAs (which would round differently
@@ -61,96 +90,128 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* One whole-rank scaled (Jacobi / damped Jacobi / Richardson) relax,
- * bit-identical to the simulator's buffered NumPy closure:
- *   lb[:m] = x[rows]                    (own-row gather)
+/* r = b - A x over a CSR matrix, bit-identical to b - A.matvec(x):
+ * each row's products data[k] * x[indices[k]] are added, in storage
+ * order, into a sum that starts at 0.0 (np.bincount's order), and b is
+ * subtracted last. */
+void repro_residual(int64_t n, const int64_t *indptr, const int64_t *indices,
+                    const double *data, const double *x, const double *b,
+                    double *r)
+{
+    int64_t i, k;
+    for (i = 0; i < n; i++) {
+        double acc = 0.0;
+        for (k = indptr[i]; k < indptr[i + 1]; k++) {
+            double g = data[k] * x[indices[k]];
+            acc += g;
+        }
+        r[i] = b[i] - acc;
+    }
+}
+
+/* One whole-rank relax over the rank's compacted local CSR (int64 row
+ * pointers, int32 columns into lb), bit-identical to the simulator's
+ * buffered NumPy closure:
+ *   lb[:m] = x[rows]
  *   mv     = bincount(rowid, data * lb[indices], minlength=m)
  *   pend   = lb[:m] + dinv * (b - mv)
- * plus the optional second-order Richardson momentum tail
+ * plus, when mom_prev is given, the second-order Richardson tail
  *   pend  += beta * (lb[:m] - mom_prev);  mom_prev = lb[:m]
- * Requires -ffp-contract=off: every * and + must round separately. */
-void repro_relax_rank(int64_t m, int64_t nnz,
-                      const double *x, const int64_t *rows,
-                      double *lb,
-                      const double *data, const int64_t *indices,
-                      const int64_t *rowid,
+ * Each row sums in storage order from 0.0, as bincount does. */
+static void relax_one(int64_t m, const double *x, const int64_t *rows,
+                      double *lb, const int64_t *indptr,
+                      const int32_t *indices, const double *data,
                       const double *b_loc, const double *dinv_loc,
-                      double *pend, double *mv,
-                      double beta, double *mom_prev)
+                      double *pend, double beta, double *mom_prev)
 {
     int64_t i, k;
     for (i = 0; i < m; i++)
         lb[i] = x[rows[i]];
-    for (i = 0; i < m; i++)
-        mv[i] = 0.0;
-    for (k = 0; k < nnz; k++) {
-        double g = data[k] * lb[indices[k]];
-        mv[rowid[k]] += g;
-    }
-    if (mom_prev == 0) {
-        for (i = 0; i < m; i++) {
-            double t = b_loc[i] - mv[i];
-            t = dinv_loc[i] * t;
-            pend[i] = lb[i] + t;
+    for (i = 0; i < m; i++) {
+        double own = lb[i], acc = 0.0;
+        for (k = indptr[i]; k < indptr[i + 1]; k++) {
+            double g = data[k] * lb[indices[k]];
+            acc += g;
         }
-    } else {
-        for (i = 0; i < m; i++) {
-            double own = lb[i];
-            double t = b_loc[i] - mv[i];
-            t = dinv_loc[i] * t;
-            double p = own + t;
+        double t = b_loc[i] - acc;
+        t = dinv_loc[i] * t;
+        double p = own + t;
+        if (mom_prev) {
             double d = own - mom_prev[i];
             d = beta * d;
-            pend[i] = p + d;
+            p = p + d;
             mom_prev[i] = own;
         }
+        pend[i] = p;
     }
 }
 
-/* One block commit with incremental-residual maintenance, bit-identical
- * to:  dx = pend - own;  x[rows] = pend;  plan.apply(r_vec, dx)
- * where plan.apply is the ColumnScatterPlan: per-entry products
- * vals[k] * dx[rep_idx[k]] accumulated per local row in storage order,
- * then one full-span subtract from r_vec[base:base+span] (untouched rows
- * subtract 0.0 — an IEEE no-op, exactly like the NumPy bincount path).
- * binc is a caller-owned zeroed scratch of length span; it is re-zeroed
- * before returning. pn == 0 skips the residual update entirely (matching
- * plan.apply's empty-plan early return / residual_mode="full"). */
-void repro_commit_rank(int64_t m, const int64_t *rows,
-                       double *x, const double *own, double *dx,
-                       int64_t pn, const int64_t *rep_idx,
-                       const int64_t *local, const double *vals,
+/* One block commit: x[rows] = pend and, when r_vec is given, the
+ * incremental residual update, bit-identical to
+ *   dx = pend - own;  plan.apply(r_vec, dx)
+ * where plan is the block's ColumnScatterPlan. Column c's entries are
+ * colptr[c]..colptr[c+1] (int32 rows local to the touched span, the
+ * plan's storage order), so bins accumulate exactly as its bincount;
+ * then the whole span is subtracted (untouched rows subtract 0.0, an
+ * IEEE no-op, as in NumPy). binc is a zeroed scratch of length span and
+ * is zeroed again before returning. An empty plan (colptr[m] == 0)
+ * skips the update, like plan.apply's early return. */
+static void commit_one(int64_t m, const int64_t *rows, double *x,
+                       const double *own, const double *pend,
+                       const int64_t *colptr, const int32_t *local,
+                       const double *vals, int64_t base, int64_t span,
+                       double *binc, double *r_vec)
+{
+    int64_t c, i, k;
+    for (c = 0; c < m; c++)
+        x[rows[c]] = pend[c];
+    if (!r_vec || colptr[m] == 0)
+        return;
+    for (c = 0; c < m; c++) {
+        double d = pend[c] - own[c];
+        for (k = colptr[c]; k < colptr[c + 1]; k++) {
+            double s = vals[k] * d;
+            binc[local[k]] += s;
+        }
+    }
+    for (i = 0; i < span; i++)
+        r_vec[base + i] -= binc[i];
+    memset(binc, 0, (size_t) span * sizeof(double));
+}
+
+void repro_relax_rank(int64_t m, const double *x, const int64_t *rows,
+                      double *lb, const int64_t *indptr,
+                      const int32_t *indices, const double *data,
+                      const double *b_loc, const double *dinv_loc,
+                      double *pend, double beta, double *mom_prev)
+{
+    relax_one(m, x, rows, lb, indptr, indices, data, b_loc, dinv_loc, pend,
+              beta, mom_prev);
+}
+
+void repro_commit_rank(int64_t m, const int64_t *rows, double *x,
+                       const double *own, const int64_t *colptr,
+                       const int32_t *local, const double *vals,
                        int64_t base, int64_t span, double *binc,
                        const double *pend, double *r_vec)
 {
-    int64_t i, k;
-    for (i = 0; i < m; i++)
-        dx[i] = pend[i] - own[i];
-    for (i = 0; i < m; i++)
-        x[rows[i]] = pend[i];
-    if (pn > 0) {
-        for (k = 0; k < pn; k++) {
-            double s = vals[k] * dx[rep_idx[k]];
-            binc[local[k]] += s;
-        }
-        for (i = 0; i < span; i++)
-            r_vec[base + i] -= binc[i];
-        memset(binc, 0, (size_t) span * sizeof(double));
-    }
+    commit_one(m, rows, x, own, pend, colptr, local, vals, base, span, binc,
+               r_vec);
 }
 
 /* Stacked batch relax: the turbo timeline engine's (and the stacked
  * block loop's) inner block relax. Processes batch members in admission
  * (cursor) order; members are distinct ranks relaxing disjoint x rows,
  * so the sequential per-member loop is bitwise the batched NumPy phases
- * (per-row bin accumulation order and the elementwise chain are
- * member-local either way). Per-rank arrays arrive as uint64 pointer
- * tables indexed by rank id. pend_cat receives the members' pending
- * values back to back.
+ * (per-row accumulation order and the elementwise chain are member-local
+ * either way). Per-rank arrays arrive as uint64 pointer tables indexed
+ * by rank id. pend_cat receives the members' pending values back to back.
  *
  * mode 0: relax only — pend_cat is filled, nothing is committed (the
  *         stacked block loop commits per member afterwards, because a
@@ -158,73 +219,33 @@ void repro_commit_rank(int64_t m, const int64_t *rows,
  * mode 1: relax + commit + incremental-residual scatter per member (the
  *         turbo engine: batches are never pushed back, observation can
  *         only strike after the last member's residual update).
- * mode 2: relax + commit, no residual scatter (residual_mode="full").
- * Modes 1/2 reuse lb[:m] to stage dx after the own values are consumed;
- * the next use of lb[:m] is the next relax's own-row gather. */
+ * mode 2: relax + commit, no residual scatter (residual_mode="full"). */
 void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
                        double *x, double *r_vec, double *pend_cat,
-                       const int64_t *m_tab, const int64_t *nnz_tab,
-                       const uint64_t *rows_tab, const uint64_t *lb_tab,
-                       const uint64_t *data_tab, const uint64_t *idx_tab,
-                       const uint64_t *rowid_tab,
+                       const int64_t *m_tab, const uint64_t *rows_tab,
+                       const uint64_t *lb_tab, const uint64_t *indptr_tab,
+                       const uint64_t *idx_tab, const uint64_t *data_tab,
                        const uint64_t *b_tab, const uint64_t *dinv_tab,
-                       const int64_t *pn_tab, const uint64_t *rep_tab,
-                       const uint64_t *loc_tab, const uint64_t *val_tab,
-                       const int64_t *base_tab, const int64_t *span_tab,
-                       const uint64_t *binc_tab)
+                       const uint64_t *colptr_tab, const uint64_t *loc_tab,
+                       const uint64_t *val_tab, const int64_t *base_tab,
+                       const int64_t *span_tab, const uint64_t *binc_tab)
 {
-    int64_t bi, i, k, off = 0;
+    int64_t bi, off = 0;
     for (bi = 0; bi < nb; bi++) {
-        int64_t r = members[bi];
-        int64_t m = m_tab[r], nnz = nnz_tab[r];
+        int64_t r = members[bi], m = m_tab[r];
         const int64_t *rows = (const int64_t *) rows_tab[r];
         double *lb = (double *) lb_tab[r];
-        const double *data = (const double *) data_tab[r];
-        const int64_t *indices = (const int64_t *) idx_tab[r];
-        const int64_t *rowid = (const int64_t *) rowid_tab[r];
-        const double *b_loc = (const double *) b_tab[r];
-        const double *dinv_loc = (const double *) dinv_tab[r];
         double *pend = pend_cat + off;
-        for (i = 0; i < m; i++)
-            lb[i] = x[rows[i]];
-        for (i = 0; i < m; i++)
-            pend[i] = 0.0;
-        for (k = 0; k < nnz; k++) {
-            double g = data[k] * lb[indices[k]];
-            pend[rowid[k]] += g;
-        }
-        for (i = 0; i < m; i++) {
-            double t = b_loc[i] - pend[i];
-            t = dinv_loc[i] * t;
-            pend[i] = lb[i] + t;
-        }
-        if (mode != 0) {
-            if (mode == 1) {
-                for (i = 0; i < m; i++) {
-                    double d = pend[i] - lb[i];
-                    x[rows[i]] = pend[i];
-                    lb[i] = d; /* stage dx where own just lived */
-                }
-                int64_t pn = pn_tab[r];
-                if (pn > 0) {
-                    const int64_t *rep = (const int64_t *) rep_tab[r];
-                    const int64_t *loc = (const int64_t *) loc_tab[r];
-                    const double *vals = (const double *) val_tab[r];
-                    double *binc = (double *) binc_tab[r];
-                    int64_t base = base_tab[r], span = span_tab[r];
-                    for (k = 0; k < pn; k++) {
-                        double s = vals[k] * lb[rep[k]];
-                        binc[loc[k]] += s;
-                    }
-                    for (i = 0; i < span; i++)
-                        r_vec[base + i] -= binc[i];
-                    memset(binc, 0, (size_t) span * sizeof(double));
-                }
-            } else {
-                for (i = 0; i < m; i++)
-                    x[rows[i]] = pend[i];
-            }
-        }
+        relax_one(m, x, rows, lb, (const int64_t *) indptr_tab[r],
+                  (const int32_t *) idx_tab[r], (const double *) data_tab[r],
+                  (const double *) b_tab[r], (const double *) dinv_tab[r],
+                  pend, 0.0, 0);
+        if (mode != 0)
+            commit_one(m, rows, x, lb, pend,
+                       (const int64_t *) colptr_tab[r],
+                       (const int32_t *) loc_tab[r],
+                       (const double *) val_tab[r], base_tab[r], span_tab[r],
+                       (double *) binc_tab[r], mode == 1 ? r_vec : 0);
         off += m;
     }
 }
@@ -245,11 +266,34 @@ class NativeBuildError(RuntimeError):
     """Compilation of the native kernel library failed."""
 
 
+class NativeLayoutError(ValueError):
+    """A block is too large for the kernels' int32 index layout."""
+
+
+#: Exclusive bound of the int32 index streams (local columns, span rows).
+INT32_LIMIT = 2**31
+
+
+def int32_index(idx, extent: int, what: str) -> np.ndarray:
+    """``idx`` (indices into ``range(extent)``) as a fresh int32 array.
+
+    Raises :class:`NativeLayoutError` when ``extent`` reaches 2^31, so a
+    block the compact layout cannot address fails loudly instead of
+    wrapping around or switching to another path.
+    """
+    if extent >= INT32_LIMIT:
+        raise NativeLayoutError(
+            f"{what} has {extent} entries; the native kernels index it "
+            f"with int32 (< 2**31)"
+        )
+    return np.asarray(idx).astype(np.int32)
+
+
 class NativeKernels:
     """A loaded native kernel library plus its build provenance."""
 
-    __slots__ = ("lib", "path", "build_ms", "relax_rank", "commit_rank",
-                 "relax_batch")
+    __slots__ = ("lib", "path", "build_ms", "residual_fn", "relax_rank",
+                 "commit_rank", "relax_batch")
 
     def __init__(self, lib: ctypes.CDLL, path: Path, build_ms: float):
         self.lib = lib
@@ -258,20 +302,48 @@ class NativeKernels:
         #: (0.0 when the content-hash cache already held the library).
         self.build_ms = build_ms
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        fn = lib.repro_residual
+        fn.restype = None
+        fn.argtypes = [i64] + [ptr] * 6
+        self.residual_fn = fn
         fn = lib.repro_relax_rank
         fn.restype = None
-        fn.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                       ptr, ptr, dbl, ptr]
+        fn.argtypes = [i64] + [ptr] * 9 + [dbl, ptr]
         self.relax_rank = fn
         fn = lib.repro_commit_rank
         fn.restype = None
-        fn.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64,
-                       i64, ptr, ptr, ptr]
+        fn.argtypes = [i64] + [ptr] * 6 + [i64, i64, ptr, ptr, ptr]
         self.commit_rank = fn
         fn = lib.repro_relax_batch
         fn.restype = None
-        fn.argtypes = [i64, ptr, i64, ptr, ptr, ptr] + [ptr] * 16
+        fn.argtypes = [i64, ptr, i64] + [ptr] * 17
         self.relax_batch = fn
+
+    def residual(self, A, x, b, out) -> np.ndarray:
+        """``out[:] = b - A x``, bit-identical to ``b - A.matvec(x)``.
+
+        ``A`` is a :class:`~repro.matrices.sparse.CSRMatrix`; ``x`` (length
+        ``A.ncols``), ``b`` and ``out`` (length ``A.nrows``) are contiguous
+        float64 vectors, and ``out`` must not overlap ``x`` or ``b``
+        (``ValueError`` otherwise). Returns ``out``.
+        """
+        for name, v, size in (("x", x, A.ncols), ("b", b, A.nrows),
+                              ("out", out, A.nrows)):
+            if (v.dtype != np.float64 or v.shape != (size,)
+                    or not v.flags.c_contiguous):
+                raise ValueError(
+                    f"{name} must be a contiguous float64 vector of length "
+                    f"{size}, got {v.dtype} {v.shape}"
+                )
+        if np.may_share_memory(out, x) or np.may_share_memory(out, b):
+            raise ValueError("out must not overlap x or b")
+        c = np.ascontiguousarray
+        self.residual_fn(
+            A.nrows, c(A.indptr).ctypes.data, c(A.indices).ctypes.data,
+            c(A.data).ctypes.data, x.ctypes.data, b.ctypes.data,
+            out.ctypes.data,
+        )
+        return out
 
 
 def _disabled() -> bool:

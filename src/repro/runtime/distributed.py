@@ -40,6 +40,7 @@ restarts). Per-run recovery telemetry lands in
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time as _time
@@ -63,7 +64,7 @@ from repro.runtime.engine import (
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SingularMatrixError
-from repro.util.norms import relative_residual_norm, vector_norm
+from repro.util.norms import vector_norm
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import check_positive, check_probability, check_vector
 
@@ -125,6 +126,32 @@ class _Rank:
     pending_reads: list = None
     ghost_ver: np.ndarray = None
     read_map: list = None
+
+
+class _WarmPlan:
+    """Run-invariant state of one solver, built on first use and kept.
+
+    Every field is a function of the solver's ``(A, b, partition, method,
+    cluster)`` alone — never of ``x0``, the seed's RNG streams, the delay
+    model or any run option — so warm runs reuse it instead of rebuilding
+    it. ``b`` is the solver's private read-only copy and ``A`` is
+    immutable by convention, so none of it can go stale. The only mutable
+    members are scratch buffers every run fully rewrites before reading
+    (``abs_scratch``) or leaves zeroed on exit (the native ``binc``
+    bins); a solver therefore runs one simulation at a time.
+    :meth:`DistributedJacobi.with_delay` copies share the plan.
+    """
+
+    __slots__ = (
+        "templates", "nrows_loc", "lb_off", "row_off", "nnz_off", "b_loc",
+        "dinv_loc", "b_norm1", "abs_scratch", "put_plan", "cat_rows",
+        "splans", "native", "native_commit", "native_tabs", "stacked",
+        "turbo_edges", "turbo_idx",
+    )
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, None)
 
 
 class DistributedJacobi:
@@ -272,7 +299,10 @@ class DistributedJacobi:
             raise SingularMatrixError("Jacobi requires a nonzero diagonal")
         self.A = A
         self.n = n
-        self.b = check_vector(b, n, "b")
+        # A private read-only copy: the warm plan caches gathers of ``b``,
+        # which must not go stale if the caller later edits its array.
+        self.b = check_vector(b, n, "b").copy()
+        self.b.flags.writeable = False
         self.omega = float(omega)
         self.dinv = self.method.scale(A)
         self.local_sweep = local_sweep
@@ -333,24 +363,36 @@ class DistributedJacobi:
                     f"label array defines {int(labels.max()) + 1} parts, expected {n_ranks}"
                 )
         self.decomposition = DomainDecomposition(A, labels)
-        self._rank_templates = None  # structural compile, built on first use
-        self._splans_cache = None  # observer CSC scatter plans, ditto
+        self._plan = _WarmPlan()  # run-invariant state, built on first use
+
+    def with_delay(self, delay: DelayModel) -> "DistributedJacobi":
+        """This solver with ``delay`` as its delay model, sharing its warm plan.
+
+        Nothing in the warm plan depends on the delay model, so a sweep
+        over delays (``repro.experiments.scale``) builds the per-rank
+        tables, scatter plans and native layouts once. Runs of the copy are
+        bit-identical to runs of a freshly constructed solver.
+        """
+        twin = copy.copy(self)
+        twin.delay = delay
+        return twin
 
     # ------------------------------------------------------------------
     def _compile_ranks(self) -> list:
         """Build per-rank compacted matrices and communication plans.
 
         The structural compile (column compaction, send plans) depends only
-        on the decomposition, so it runs once per solver and is cached;
+        on the decomposition, so it runs once per solver and is kept in the
+        warm plan;
         every call hands out fresh :class:`_Rank` instances — fresh RNG
         streams, zeroed ghost layers and counters — sharing the immutable
         arrays. The send-plan ``slots`` arrays are therefore per-edge
         singletons for the solver's lifetime, which the batched delivery
         path relies on to key its mailboxes.
         """
-        tmpl = self._rank_templates
+        tmpl = self._plan.templates
         if tmpl is None:
-            tmpl = self._rank_templates = self._compile_rank_templates()
+            tmpl = self._plan.templates = self._compile_rank_templates()
         rngs = spawn_rngs(self.seed, self.n_ranks)
         return [
             _Rank(
@@ -411,6 +453,225 @@ class DistributedJacobi:
                 local_rows = local_index[cols]
                 tmpl[p][4].append((q, slots_q, local_rows))
         return tmpl
+
+    def _warm_plan(self, ranks) -> _WarmPlan:
+        """The solver's warm plan with its per-rank tables built.
+
+        ``ranks`` is any run's :meth:`_compile_ranks` output (only its
+        immutable template fields are read).
+        """
+        wp = self._plan
+        if wp.b_loc is not None:
+            return wp
+        n_ranks = self.n_ranks
+        b, dinv = self.b, self.dinv
+        nrows = [rk.rows.size for rk in ranks]
+        offs = np.zeros((3, n_ranks + 1), dtype=np.int64)
+        for rk in ranks:
+            r = rk.rank
+            offs[0, r + 1] = rk.rows.size + rk.ghost_cols.size
+            offs[1, r + 1] = rk.rows.size
+            offs[2, r + 1] = rk.local.nnz
+        np.cumsum(offs, axis=1, out=offs)
+        net = self.cluster.network
+        node_of = [r // self.ranks_per_node for r in range(n_ranks)]
+        # Precompiled puts: (neighbor, its ghost slots, our local rows,
+        # base in-flight time of the message) per send-plan entry.
+        put_plan = [
+            [
+                (q, slots_q, local_rows,
+                 (net.intra_node_latency if node_of[rk.rank] == node_of[q]
+                  else net.latency)
+                 + local_rows.size * net.time_per_value)
+                for q, slots_q, local_rows in rk.send_plan
+            ]
+            for rk in ranks
+        ]
+        wp.cat_rows = [
+            np.concatenate([e[2] for e in plan_r])
+            if plan_r
+            else np.empty(0, dtype=np.int64)
+            for plan_r in put_plan
+        ]
+        wp.put_plan = put_plan
+        wp.nrows_loc = nrows
+        wp.lb_off, wp.row_off, wp.nnz_off = (
+            offs[0].tolist(), offs[1].tolist(), offs[2].tolist()
+        )
+        wp.dinv_loc = [dinv[rk.rows] for rk in ranks]
+        wp.b_norm1 = vector_norm(b, 1)
+        wp.abs_scratch = np.empty(self.n)
+        wp.b_loc = [b[rk.rows] for rk in ranks]
+        return wp
+
+    def _warm_splans(self, ranks) -> list:
+        """Per-rank observer scatter plans (built on the first incremental run)."""
+        wp = self._plan
+        if wp.splans is None:
+            wp.splans = [self.A.column_scatter_plan(rk.rows) for rk in ranks]
+        return wp.splans
+
+    def _warm_native(self, ranks, incremental: bool) -> _WarmPlan:
+        """The compact native layout of every rank, built on first use.
+
+        Relax: the local CSR's int64 row pointers, its columns as int32
+        and the rank's data, ``b`` and ``dinv`` gathers. Commit (first
+        incremental run): per-column pointers into the scatter plan's
+        entries, its span-local rows as int32, and a zeroed bin scratch.
+        ``native_tabs`` holds the same addresses as the uint64 tables the
+        batch kernel reads. Raises :class:`~repro.perf.native.NativeLayoutError`
+        when a rank's local column count or span reaches 2^31.
+        """
+        from repro.perf.native import int32_index
+
+        wp = self._warm_plan(ranks)
+        if wp.native is None:
+            keep, consts = [], []
+            for rk in ranks:
+                loc = rk.local
+                rows = np.ascontiguousarray(rk.rows, dtype=np.int64)
+                idx = int32_index(
+                    loc.indices, loc.ncols, f"rank {rk.rank}'s local columns"
+                )
+                arrs = (rows, np.ascontiguousarray(loc.indptr), idx,
+                        np.ascontiguousarray(loc.data), wp.b_loc[rk.rank],
+                        wp.dinv_loc[rk.rank])
+                keep.append(arrs)
+                consts.append(tuple(a.ctypes.data for a in arrs))
+            wp.native = (keep, consts)
+        if incremental and wp.native_commit is None:
+            keep, consts = [], []
+            for rk, sp in zip(ranks, self._warm_splans(ranks)):
+                colptr = np.zeros(rk.rows.size + 1, dtype=np.int64)
+                np.cumsum(
+                    np.bincount(sp.rep_idx, minlength=rk.rows.size),
+                    out=colptr[1:],
+                )
+                loc = int32_index(
+                    sp.local, sp.span, f"rank {rk.rank}'s residual span"
+                )
+                binc = np.zeros(max(int(sp.span), 1))
+                keep.append((colptr, loc, sp.vals, binc))
+                consts.append((
+                    colptr.ctypes.data, loc.ctypes.data, sp.vals.ctypes.data,
+                    int(sp.base), int(sp.span), binc.ctypes.data,
+                ))
+            wp.native_commit = (keep, consts)
+            wp.native_tabs = None  # rebuilt with the commit columns filled
+        return wp
+
+    def _native_tabs(self, ranks, incremental: bool) -> tuple:
+        """Uint64 pointer tables for the batch kernel, indexed by rank id."""
+        wp = self._warm_native(ranks, incremental)
+        if wp.native_tabs is None:
+            relax = wp.native[1]
+            cols = [np.array([c[j] for c in relax], dtype=np.uint64)
+                    for j in range(6)]
+            m_tab = np.array(wp.nrows_loc, dtype=np.int64)
+            if wp.native_commit is not None:
+                com = wp.native_commit[1]
+                ctabs = [np.array([c[j] for c in com], dtype=np.uint64)
+                         for j in (0, 1, 2)]
+                base_tab = np.array([c[3] for c in com], dtype=np.int64)
+                span_tab = np.array([c[4] for c in com], dtype=np.int64)
+                binc_tab = np.array([c[5] for c in com], dtype=np.uint64)
+            else:
+                # Modes 0 and 2 never read the commit columns.
+                zero = np.zeros(self.n_ranks, dtype=np.uint64)
+                ctabs = [zero] * 3
+                base_tab = span_tab = np.zeros(self.n_ranks, dtype=np.int64)
+                binc_tab = zero
+            wp.native_tabs = (m_tab, *cols, *ctabs, base_tab, span_tab,
+                              binc_tab)
+        return wp.native_tabs
+
+    def _warm_stacked(self, ranks) -> tuple:
+        """Index tables of the stacked block relax, built on first use.
+
+        Per rank: compact columns in ``local_x``-parent coordinates, the
+        data, rows in global-row numbering, own-row parent positions and
+        global-row spans; plus each rank's in-neighbours, in-edge count and
+        concatenated in-edge ghost slots (senders in rank order — the
+        mailbox order).
+        """
+        wp = self._plan
+        if wp.stacked is None:
+            lb_off, row_off, n_ranks = wp.lb_off, wp.row_off, self.n_ranks
+            in_nbrs: list = [[] for _ in range(n_ranks)]
+            in_slots: list = [[] for _ in range(n_ranks)]
+            for p, plan_r in enumerate(wp.put_plan):
+                for q, slots_q, _rows, _mb in plan_r:
+                    in_nbrs[q].append(p)
+                    in_slots[q].append(slots_q)
+            wp.stacked = (
+                [lb_off[rk.rank] + rk.local.indices for rk in ranks],
+                [rk.local.data for rk in ranks],
+                [row_off[rk.rank] + rk.local._row_of_nnz for rk in ranks],
+                [np.arange(lb_off[r], lb_off[r] + wp.nrows_loc[r])
+                 for r in range(n_ranks)],
+                [np.arange(row_off[r], row_off[r + 1])
+                 for r in range(n_ranks)],
+                in_nbrs,
+                [len(sl) for sl in in_slots],
+                [np.concatenate(sl) if sl else None for sl in in_slots],
+            )
+        return wp.stacked
+
+    def _warm_turbo(self, ranks, numpy_relax: bool) -> tuple:
+        """Directed-edge maps of the turbo engine (and its NumPy relax plans).
+
+        ``emap[p][q]`` is p's put index toward q; ``recv_edges[q]`` lists
+        q's in-edges with the slice of the sender's fired row holding the
+        edge's values and the edge's ghost slots in *parent-buffer*
+        coordinates (ghost layers are views into ``loc_parent``, so every
+        member's winner scatter can fuse into one store). With
+        ``numpy_relax`` also the per-rank (rows, parent-pos, global row)
+        and (compact col, global row) stacks, so a batch needs three
+        concatenations, not six.
+        """
+        wp = self._plan
+        if wp.turbo_edges is None:
+            n_ranks = self.n_ranks
+            emap: list = [{} for _ in range(n_ranks)]
+            recv_edges: list = [[] for _ in range(n_ranks)]
+            for p in range(n_ranks):
+                voff = 0
+                for ei, (q, slots_q, lrows, _mb) in enumerate(wp.put_plan[p]):
+                    emap[p][q] = ei
+                    recv_edges[q].append(
+                        (p, ei, wp.lb_off[q] + wp.nrows_loc[q] + slots_q,
+                         voff, voff + lrows.size)
+                    )
+                    voff += lrows.size
+            wp.turbo_edges = (emap, recv_edges)
+        if numpy_relax and wp.turbo_idx is None:
+            st_idx, _dat, st_row, st_pos, st_span = self._warm_stacked(ranks)[:5]
+            wp.turbo_idx = (
+                [np.stack([rk.rows, st_pos[r], st_span[r]])
+                 for r, rk in enumerate(ranks)],
+                [np.stack([st_idx[r], st_row[r]]) for r in range(self.n_ranks)],
+            )
+        return (*wp.turbo_edges, *(wp.turbo_idx or (None, None)))
+
+    def _residual_fn(self):
+        """``(x, out) -> out``: the residual ``b - A x`` written into ``out``.
+
+        Uses the native ``repro_residual`` kernel whenever the library
+        loads, NumPy otherwise; both are bit-identical to
+        ``b - A.matvec(x)``.
+        """
+        from repro.perf.native import native_kernels
+
+        A, b = self.A, self.b
+        nat = native_kernels()
+        if nat is None:
+            def residual(x, out):
+                return np.subtract(b, A.matvec(x), out=out)
+            return residual
+
+        def residual(x, out):
+            return nat.residual(A, x, b, out)
+        return residual
 
     def _slowdown(self, rank: int) -> float:
         if isinstance(self.delay, (StragglerDelay, CompositeDelay)):
@@ -730,17 +991,13 @@ class DistributedJacobi:
         dup_p = self.duplicate_probability
         may_hang = type(self.delay).is_hung is not DelayModel.is_hung
         detect = termination == "detect"
-        # Precompiled puts: (neighbor, its ghost slots, our local rows, base
-        # in-flight time of the message) per send-plan entry.
-        put_plan = [
-            [
-                (q, slots_q, local_rows,
-                 (lat_in if node_of[rk.rank] == node_of[q] else lat)
-                 + local_rows.size * tpv)
-                for q, slots_q, local_rows in rk.send_plan
-            ]
-            for rk in ranks
-        ]
+        # Run-invariant tables (per-rank ``b``/``dinv`` gathers, put plans,
+        # buffer offsets, ||b||_1) come from the solver's warm plan.
+        wp = self._warm_plan(ranks)
+        put_plan = wp.put_plan
+        b_loc, dinv_loc = wp.b_loc, wp.dinv_loc
+        nrows_loc = wp.nrows_loc
+        lb_off, row_off, nnz_off = wp.lb_off, wp.row_off, wp.nnz_off
 
         # Per-rank relax scratch: one ``local_x`` buffer per rank with the
         # ghost layer rebound to its tail. Every ghost write (puts landing,
@@ -748,39 +1005,32 @@ class DistributedJacobi:
         # and a relaxation is one ``take`` of the rank's own rows plus
         # buffered elementwise kernels — the per-iteration
         # ``np.concatenate`` and the ``dinv[rows]``/``b[rows]`` gathers of
-        # the legacy loop are gone.
-        nrows_loc = [rk.rows.size for rk in ranks]
-        # All ranks' ``local_x`` scratch carved from one parent buffer:
-        # per-rank views behave exactly like separate arrays, and the
-        # block-event backend can then gather *across* ranks in one take.
-        lb_off = np.zeros(n_ranks + 1, dtype=np.int64)
-        for rk in ranks:
-            lb_off[rk.rank + 1] = rk.rows.size + rk.ghost_cols.size
-        np.cumsum(lb_off, out=lb_off)
-        loc_parent = np.zeros(int(lb_off[-1]))
+        # the legacy loop are gone. All ranks' ``local_x`` scratch is
+        # carved from one parent buffer: per-rank views behave exactly
+        # like separate arrays, and the block-event backend can then
+        # gather *across* ranks in one take. The other per-rank scratch
+        # is carved the same way, one allocation per kind.
+        loc_parent = np.zeros(lb_off[-1])
+        pend_parent = np.empty(row_off[-1])
+        dx_parent = np.empty(row_off[-1])
+        old_parent = np.empty(row_off[-1])
+        gath_parent = np.empty(nnz_off[-1])
         loc_buf, own_view, gath_buf, pend_buf = [], [], [], []
-        dx_buf, old_buf, b_loc, dinv_loc, rowid_loc = [], [], [], [], []
+        dx_buf, old_buf, rowid_loc = [], [], []
         for rk in ranks:
-            m = rk.rows.size
-            lb = loc_parent[int(lb_off[rk.rank]) : int(lb_off[rk.rank + 1])]
+            r = rk.rank
+            m = nrows_loc[r]
+            lb = loc_parent[lb_off[r] : lb_off[r + 1]]
             rk.ghosts = lb[m:]
             loc_buf.append(lb)
             own_view.append(lb[:m])
-            gath_buf.append(np.empty(rk.local.nnz))
-            pend_buf.append(np.empty(m))
-            dx_buf.append(np.empty(m))
-            old_buf.append(np.empty(m))
-            b_loc.append(b[rk.rows])
-            dinv_loc.append(dinv[rk.rows])
+            gath_buf.append(gath_parent[nnz_off[r] : nnz_off[r + 1]])
+            pend_buf.append(pend_parent[row_off[r] : row_off[r + 1]])
+            dx_buf.append(dx_parent[row_off[r] : row_off[r + 1]])
+            old_buf.append(old_parent[row_off[r] : row_off[r + 1]])
             rowid_loc.append(rk.local._row_of_nnz)
             rk.pending = pend_buf[-1]
-        splans = None
-        if incremental:
-            splans = self._splans_cache
-            if splans is None:
-                splans = self._splans_cache = [
-                    A.column_scatter_plan(rk.rows) for rk in ranks
-                ]
+        splans = self._warm_splans(ranks) if incremental else None
         gauss_seidel = self.local_sweep != "jacobi"
         momentum_m = self.method.kind == "momentum"
         mom_beta = self.method.beta
@@ -817,35 +1067,36 @@ class DistributedJacobi:
                 pend_buf[r] += mom_beta * (own_view[r] - mp)
                 np.copyto(mp, own_view[r])
 
+        # The observer's residual: one buffer for the whole run, recomputed
+        # in place (and, in incremental mode, updated by every commit).
+        residual = self._residual_fn()
+        r_vec = residual(x, np.empty(self.n))
+
         nat_commit_args = None
         if use_native and not gauss_seidel:
-            # Precompiled pointer tuples for the native kernels: every
-            # buffer below is allocated exactly once for the whole run
-            # (``x``, the ``loc_parent`` carve-outs, the per-rank scratch),
-            # so raw addresses are stable and each call is one ctypes
-            # dispatch with no per-event marshalling. The kernels read and
-            # write the same buffers the NumPy closures use — drop-in,
-            # bit-identical replacements (contract in repro.perf.native).
-            # ``r_vec`` is the one rebinding buffer (observe_residual
-            # replaces it); its address is fetched at every call.
-            nat_rows = [
-                np.ascontiguousarray(rk.rows, dtype=np.int64) for rk in ranks
-            ]
-            nat_mv = [np.empty(m) for m in nrows_loc]
+            # Precompiled argument tuples for the native kernels. The
+            # run-invariant half (compact CSR layout, gathers, scatter
+            # columns) comes from the warm plan; the per-run buffers (``x``,
+            # the scratch parents, ``r_vec``) are allocated exactly once
+            # for the whole run, so their raw addresses are stable and each
+            # call is one ctypes dispatch with no per-event marshalling. The
+            # kernels read and write the same buffers the NumPy closures
+            # use — drop-in, bit-identical replacements (contract in
+            # repro.perf.native).
+            self._warm_native(ranks, incremental)
             x_ptr = x.ctypes.data
+            lb0 = loc_parent.ctypes.data
+            pend0 = pend_parent.ctypes.data
+            r_ptr = r_vec.ctypes.data
             nat_beta = float(mom_beta) if momentum_m else 0.0
-            nat_relax_args = []
-            for rk in ranks:
-                r = rk.rank
-                nat_relax_args.append((
-                    nrows_loc[r], rk.local.nnz, x_ptr,
-                    nat_rows[r].ctypes.data, loc_buf[r].ctypes.data,
-                    rk.local.data.ctypes.data, rk.local.indices.ctypes.data,
-                    rowid_loc[r].ctypes.data, b_loc[r].ctypes.data,
-                    dinv_loc[r].ctypes.data, pend_buf[r].ctypes.data,
-                    nat_mv[r].ctypes.data, nat_beta,
-                    mom_prev_loc[r].ctypes.data if momentum_m else None,
-                ))
+            nat_relax_args = [
+                (m, x_ptr, c[0], lb0 + 8 * lo, c[1], c[2], c[3], c[4], c[5],
+                 pend0 + 8 * ro, nat_beta,
+                 mom_prev_loc[r].ctypes.data if momentum_m else None)
+                for r, (m, c, lo, ro) in enumerate(
+                    zip(nrows_loc, wp.native[1], lb_off, row_off)
+                )
+            ]
             nat_relax = nat.relax_rank
 
             def relax(rk: _Rank) -> None:
@@ -856,26 +1107,14 @@ class DistributedJacobi:
                     perf.native_rows_relaxed += nrows_loc[rk.rank]
 
             if incremental:
-                nat_plan_keep = []
-                nat_commit_args = []
-                for rk in ranks:
-                    r = rk.rank
-                    sp = splans[r]
-                    pn = int(sp.vals.size)
-                    rep64 = np.ascontiguousarray(sp.rep_idx, dtype=np.int64)
-                    loc64 = np.ascontiguousarray(sp.local, dtype=np.int64)
-                    val64 = np.ascontiguousarray(sp.vals, dtype=np.float64)
-                    binc = np.zeros(max(int(sp.span), 1))
-                    nat_plan_keep.append((rep64, loc64, val64, binc))
-                    nat_commit_args.append((
-                        nrows_loc[r], nat_rows[r].ctypes.data, x_ptr,
-                        loc_buf[r].ctypes.data, dx_buf[r].ctypes.data,
-                        pn, rep64.ctypes.data, loc64.ctypes.data,
-                        val64.ctypes.data, int(sp.base), int(sp.span),
-                        binc.ctypes.data,
-                    ))
+                nat_commit_args = [
+                    (m, c[0], x_ptr, lb0 + 8 * lo, *cc)
+                    for m, c, cc, lo in zip(
+                        nrows_loc, wp.native[1], wp.native_commit[1], lb_off
+                    )
+                ]
                 nat_commit = nat.commit_rank
-            nat_pend_ptr = [p.ctypes.data for p in pend_buf]
+            nat_pend_ptr = [pend0 + 8 * ro for ro in row_off[:-1]]
 
         def local_residual_norm(rk: _Rank) -> float:
             """Block residual 1-norm from the rank's current (stale) view."""
@@ -988,30 +1227,30 @@ class DistributedJacobi:
 
         down = plan.is_down
 
-        obs_b_norm = vector_norm(b, 1)
+        obs_b_norm = wp.b_norm1
+        abs_scratch = wp.abs_scratch
 
         def relnorm(res_vec) -> float:
-            num = vector_norm(res_vec, 1)
+            # vector_norm(res_vec, 1) without a fresh n-float temporary.
+            num = float(np.sum(np.abs(res_vec, out=abs_scratch)))
             return num / obs_b_norm if obs_b_norm > 0 else num
 
-        # The observer's maintained residual (incremental mode only).
-        r_vec = b - A.matvec(x)
         obs_since_recompute = 0
 
         def observe_residual() -> float:
-            nonlocal r_vec, obs_since_recompute
+            nonlocal obs_since_recompute
             if not incremental:
-                return relative_residual_norm(A, x, b)
+                return relnorm(residual(x, r_vec))
             obs_since_recompute += 1
             if recompute_every and obs_since_recompute >= recompute_every:
-                r_vec = b - A.matvec(x)
+                residual(x, r_vec)
                 obs_since_recompute = 0
                 if perf is not None:
                     perf.full_recomputes += 1
             res = relnorm(r_vec)
             if res < tol:
                 # Confirm the crossing against a drift-free residual.
-                r_vec = b - A.matvec(x)
+                residual(x, r_vec)
                 obs_since_recompute = 0
                 res = relnorm(r_vec)
                 if perf is not None:
@@ -1076,7 +1315,7 @@ class DistributedJacobi:
             for q, _, _ in rk.send_plan:
                 senders[q].add(rk.rank)
         # Termination detection state (rank 0 is the detector).
-        b_norm = float(np.sum(np.abs(b))) or 1.0
+        b_norm = obs_b_norm or 1.0
         reported = np.full(self.n_ranks, np.inf)
         if termination == "detect":
             reported[:] = [local_residual_norm(rk) for rk in ranks]
@@ -1478,7 +1717,7 @@ class DistributedJacobi:
                 # older ones were never observable between reads.
                 fire = []  # per rank: (box, mb, lo, hi) per put entry
                 in_boxes = [[] for _ in range(n_ranks)]
-                cat_rows = []
+                cat_rows = wp.cat_rows
                 for frk in ranks:
                     plan_r = put_plan[frk.rank]
                     entries_r, off = [], 0
@@ -1488,11 +1727,6 @@ class DistributedJacobi:
                         in_boxes[q].append((box, slots_q))
                         off += local_rows.size
                     fire.append(entries_r)
-                    cat_rows.append(
-                        np.concatenate([e[2] for e in plan_r])
-                        if plan_r
-                        else np.empty(0, dtype=np.int64)
-                    )
         while fast and not block_mode and heap and not converged:
             t, s, kind, rid, payload = hpop(heap)
             if kind == _MESSAGE:
@@ -1562,7 +1796,7 @@ class DistributedJacobi:
             if incremental:
                 if nat_commit_args is not None:
                     nat_commit(*nat_commit_args[rid], nat_pend_ptr[rid],
-                               r_vec.ctypes.data)
+                               r_ptr)
                 else:
                     if gauss_seidel:
                         x.take(rows_of[rid], out=own_view[rid])
@@ -1738,101 +1972,37 @@ class DistributedJacobi:
             and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
         )
         if stacked:
-            grow_off = np.zeros(n_ranks + 1, dtype=np.int64)
-            for r in range(n_ranks):
-                grow_off[r + 1] = nrows_loc[r]
-            np.cumsum(grow_off, out=grow_off)
-            n_grows = int(grow_off[-1])
-            st_idx = [lb_off[rk.rank] + rk.local.indices for rk in ranks]
-            st_dat = [rk.local.data for rk in ranks]
-            st_row = [grow_off[rk.rank] + rk.local._row_of_nnz for rk in ranks]
-            st_pos = [
-                np.arange(int(lb_off[r]), int(lb_off[r]) + nrows_loc[r])
-                for r in range(n_ranks)
-            ]
-            st_span = [
-                np.arange(int(grow_off[r]), int(grow_off[r + 1]))
-                for r in range(n_ranks)
-            ]
-            in_nbrs: list[list[int]] = [[] for _ in range(n_ranks)]
-            for rk in ranks:
-                for q, _slots, _rows in rk.send_plan:
-                    in_nbrs[q].append(rk.rank)
+            n_grows = row_off[-1]
+            (st_idx, st_dat, st_row, st_pos, st_span, in_nbrs, n_in,
+             in_slot_cat) = self._warm_stacked(ranks)
             bt_pop: list = [None] * n_ranks  # in-batch pop time per rank
             # Steady-state flush: every in-edge usually has exactly one
-            # qualifying record, so the winner scatter can go through one
-            # precomputed concatenated slot array per rank.
-            n_in = [len(in_boxes[r]) for r in range(n_ranks)]
-            in_slot_cat = [
-                np.concatenate([sl for _box, sl in in_boxes[r]])
-                if in_boxes[r]
-                else None
-                for r in range(n_ranks)
-            ]
+            # qualifying record, so the winner scatter goes through the
+            # rank's concatenated in-edge slot array (``in_slot_cat``).
             if use_native:
                 # Per-rank pointer tables for the batched native kernel:
                 # uint64 arrays of raw addresses indexed by rank id, read
-                # in C as double**/int64_t** equivalents. The originals
-                # stay referenced through the lists captured above, so the
-                # addresses outlive every call.
-                def _ptr64(arrs):
-                    return np.array(
-                        [a.ctypes.data for a in arrs], dtype=np.uint64
-                    )
-
+                # in C as double**/int64_t** equivalents. All but the
+                # ``local_x`` table come from the warm plan, which keeps
+                # the arrays behind them alive.
                 nat_members = np.empty(n_ranks, dtype=np.int64)
                 nat_pend_cat = np.empty(n_grows)
-                nat_m_tab = np.array(nrows_loc, dtype=np.int64)
-                nat_nnz_tab = np.array(
-                    [rk.local.nnz for rk in ranks], dtype=np.int64
+                nat_tabs = self._native_tabs(ranks, incremental)
+                nat_lb_tab = np.array(
+                    [lb0 + 8 * lo for lo in lb_off[:-1]], dtype=np.uint64
                 )
-                nat_rows_tab = _ptr64(nat_rows)
-                nat_lb_tab = _ptr64(loc_buf)
-                nat_data_tab = _ptr64([rk.local.data for rk in ranks])
-                nat_idx_tab = _ptr64([rk.local.indices for rk in ranks])
-                nat_rowid_tab = _ptr64(rowid_loc)
-                nat_b_tab = _ptr64(b_loc)
-                nat_dinv_tab = _ptr64(dinv_loc)
-                if incremental:
-                    nat_pn_tab = np.array(
-                        [int(sp.vals.size) for sp in splans], dtype=np.int64
-                    )
-                    nat_rep_tab = _ptr64([t[0] for t in nat_plan_keep])
-                    nat_loc_tab = _ptr64([t[1] for t in nat_plan_keep])
-                    nat_val_tab = _ptr64([t[2] for t in nat_plan_keep])
-                    nat_base_tab = np.array(
-                        [int(sp.base) for sp in splans], dtype=np.int64
-                    )
-                    nat_span_tab = np.array(
-                        [int(sp.span) for sp in splans], dtype=np.int64
-                    )
-                    nat_binc_tab = _ptr64([t[3] for t in nat_plan_keep])
-                else:
-                    # mode 0/2 never touch the plan tables; zeros suffice.
-                    nat_pn_tab = np.zeros(n_ranks, dtype=np.int64)
-                    nat_rep_tab = np.zeros(n_ranks, dtype=np.uint64)
-                    nat_loc_tab = nat_rep_tab
-                    nat_val_tab = nat_rep_tab
-                    nat_base_tab = nat_pn_tab
-                    nat_span_tab = nat_pn_tab
-                    nat_binc_tab = nat_rep_tab
+                nat_tab_ptrs = [t.ctypes.data for t in nat_tabs]
+                nat_tab_ptrs.insert(2, nat_lb_tab.ctypes.data)
+                nat_head = (x_ptr, r_ptr, nat_pend_cat.ctypes.data)
+                nat_members_ptr = nat_members.ctypes.data
                 nat_batch_fn = nat.relax_batch
 
-                def nat_relax_batch(members, mode, r_ptr) -> None:
+                def nat_relax_batch(members, mode) -> None:
                     """One compiled call per admission batch (modes 0/1/2)."""
                     nbm = len(members)
                     nat_members[:nbm] = members
                     nat_batch_fn(
-                        nbm, nat_members.ctypes.data, mode, x_ptr, r_ptr,
-                        nat_pend_cat.ctypes.data, nat_m_tab.ctypes.data,
-                        nat_nnz_tab.ctypes.data, nat_rows_tab.ctypes.data,
-                        nat_lb_tab.ctypes.data, nat_data_tab.ctypes.data,
-                        nat_idx_tab.ctypes.data, nat_rowid_tab.ctypes.data,
-                        nat_b_tab.ctypes.data, nat_dinv_tab.ctypes.data,
-                        nat_pn_tab.ctypes.data, nat_rep_tab.ctypes.data,
-                        nat_loc_tab.ctypes.data, nat_val_tab.ctypes.data,
-                        nat_base_tab.ctypes.data, nat_span_tab.ctypes.data,
-                        nat_binc_tab.ctypes.data,
+                        nbm, nat_members_ptr, mode, *nat_head, *nat_tab_ptrs
                     )
                     if perf is not None:
                         perf.native_calls += 1
@@ -1868,30 +2038,10 @@ class DistributedJacobi:
                 INF = math.inf
                 npcat = np.concatenate
                 n_e = [len(put_plan[r]) for r in range(n_ranks)]
-                # Directed-edge maps: emap[p][q] is p's put index toward
-                # q; recv_edges[q] lists q's in-edges with the slice of
-                # the sender's fired row holding this edge's values and
-                # the edge's ghost slots in *parent-buffer* coordinates
-                # (ghost layers are views into ``loc_parent``, so every
-                # member's winner scatter can fuse into one store).
-                emap: list = [{} for _ in range(n_ranks)]
-                recv_edges: list = [[] for _ in range(n_ranks)]
-                for p in range(n_ranks):
-                    voff = 0
-                    for ei, (q, slots_q, lrows, _mb) in enumerate(
-                        put_plan[p]
-                    ):
-                        emap[p][q] = ei
-                        recv_edges[q].append(
-                            (
-                                p,
-                                ei,
-                                int(lb_off[q]) + nrows_loc[q] + slots_q,
-                                voff,
-                                voff + lrows.size,
-                            )
-                        )
-                        voff += lrows.size
+                # Directed-edge maps and relax-plan stacks (warm plan).
+                emap, recv_edges, i3, i2 = self._warm_turbo(
+                    ranks, not use_native
+                )
                 # Rank groups by put fan-out: every rank in a group
                 # shares the draw pattern width, so one stacked sweep
                 # per group generates a whole chunk of per-rank
@@ -1924,18 +2074,6 @@ class DistributedJacobi:
                         (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
                          rngs_g)
                     )
-                # Per-rank relax-plan caches: (rows, parent-pos, global
-                # row) int triples and (compact col, global row) pairs
-                # stacked so a batch needs three concatenations, not
-                # six; scatter-plan arrays unpacked out of their slots.
-                i3 = [
-                    np.stack([rows_of[r], st_pos[r], st_span[r]])
-                    for r in range(n_ranks)
-                ]
-                i2 = [
-                    np.stack([st_idx[r], st_row[r]])
-                    for r in range(n_ranks)
-                ]
                 if incremental:
                     sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
                     sp_loc = [splans[r].local for r in range(n_ranks)]
@@ -2233,7 +2371,7 @@ class DistributedJacobi:
                         # member, so the sequential per-member interleaving
                         # is bitwise the phased NumPy path below.
                         nat_relax_batch(
-                            b_r, 1 if incremental else 2, r_vec.ctypes.data
+                            b_r, 1 if incremental else 2
                         )
                         pend_cat = nat_pend_cat
                         seg = None
@@ -2546,7 +2684,7 @@ class DistributedJacobi:
                         # Each member's own rows stay staged in its
                         # ``lb[:m]``, exactly where the per-member native
                         # commit expects them.
-                        nat_relax_batch(rids, 0, 0)
+                        nat_relax_batch(rids, 0)
                         pend_cat = nat_pend_cat
                     else:
                         rows_cat = np.concatenate([rows_of[r] for r in rids])
@@ -2590,7 +2728,7 @@ class DistributedJacobi:
                                 nat_commit(
                                     *nat_commit_args[rid],
                                     nat_pend_cat.ctypes.data + off * 8,
-                                    r_vec.ctypes.data,
+                                    r_ptr,
                                 )
                             else:
                                 x[rows_of[rid]] = pb
@@ -2781,7 +2919,7 @@ class DistributedJacobi:
                 if incremental:
                     if nat_commit_args is not None:
                         nat_commit(*nat_commit_args[rid], nat_pend_ptr[rid],
-                                   r_vec.ctypes.data)
+                                   r_ptr)
                     else:
                         if gauss_seidel:
                             x.take(rows_of[rid], out=own_view[rid])
@@ -3484,13 +3622,24 @@ class DistributedJacobi:
                     comm_l = comm_c.tolist()
                 return comp_l, comm_l
 
-        b_norm = vector_norm(b, 1)
+        wp = self._warm_plan(ranks)
+        b_norm = wp.b_norm1
+        abs_scratch = wp.abs_scratch
+
+        def relnorm(res_vec) -> float:
+            # vector_norm(res_vec, 1) without a fresh n-float temporary.
+            num = float(np.sum(np.abs(res_vec, out=abs_scratch)))
+            return num / b_norm if b_norm > 0 else num
+
         mom_beta = self.method.beta
         mom_prev = x.copy() if self.method.kind == "momentum" else None
         # One SpMV per sweep in the Jacobi branch: the residual driving the
-        # update doubles as the previous sweep's convergence check.
-        r = b - A.matvec(x)
-        res0 = vector_norm(r, 1) / b_norm if b_norm > 0 else vector_norm(r, 1)
+        # update doubles as the previous sweep's convergence check. It is
+        # consumed before the next sweep recomputes it, so one buffer
+        # serves the whole run.
+        residual = self._residual_fn()
+        r = residual(x, np.empty(self.n))
+        res0 = relnorm(r)
         times, residuals, counts = [0.0], [res0], [0]
         t = 0.0
         relaxations = 0
@@ -3530,9 +3679,7 @@ class DistributedJacobi:
                         x[rk.rows] = new
                 relaxations += self.n
                 k += 1
-                r = b - A.matvec(x)
-                num = vector_norm(r, 1)
-                res = num / b_norm if b_norm > 0 else num
+                res = relnorm(residual(x, r))
                 times.append(t)
                 residuals.append(res)
                 counts.append(relaxations)
@@ -3625,9 +3772,7 @@ class DistributedJacobi:
                     x[rk.rows] = new
             relaxations += self.n
             k += 1
-            r = b - A.matvec(x)
-            num = vector_norm(r, 1)
-            res = num / b_norm if b_norm > 0 else num
+            res = relnorm(residual(x, r))
             times.append(t)
             residuals.append(res)
             counts.append(relaxations)
