@@ -12,32 +12,33 @@ archives the speedups in ``benchmarks/results/engine.json``:
   magnitudes spanning the saw-tooth regime), fixed budget per delay;
 * ``fig8`` — the Figure 8 distributed scaling grid (2-D FD Laplacian,
   4..256 ranks, synchronous and asynchronous to a 10x residual
-  reduction); the new arm runs the block-event relax backend
-  (``relax_backend="block"``) and both arms report events-per-second so
-  delivery-bound regressions show up directly, not just in the ratio.
-  When a C toolchain is present a third ``native`` arm runs the
-  compiled relax kernels (``relax_backend="native"``) over the same
-  grid — bit-identical to the other two arms on every rep — and the
-  measured ``native_speedup_vs_block`` is archived to
-  ``benchmarks/results/native.json`` (plus build provenance), so the
-  honest compiled-kernel number lives next to the engine ratios;
+  reduction). The ``new`` arm runs the engine with the native probe
+  disabled in-process (the NumPy kernels) and both arms report
+  events-per-second so delivery-bound regressions show up directly, not
+  just in the ratio. When a C toolchain is present a third ``native``
+  arm runs the engine as shipped (compiled kernels) over the same grid —
+  bit-identical to the other two arms on every rep — and the measured
+  ``native_speedup_vs_block`` (native over the NumPy ``new`` arm) is
+  archived to ``benchmarks/results/native.json`` (plus build
+  provenance), so the honest compiled-kernel number lives next to the
+  engine ratios;
 * ``scaling`` — the size-scaling curve (n = 10^4 -> 10^6 stencil rows,
-  fixed rank count and iteration budget) comparing batched delivery +
-  block relaxes against per-put delivery events; the batching speedup
-  is the machine-independent gated metric, and a ``native`` column
-  (compiled kernels, bit-identical to block) joins when the toolchain
-  probe succeeds. The 10^6 point is full-size locally and smoke-sized
-  (tiny budget, ungated) under ``REPRO_BENCH_SMOKE=1``, which the CI
-  benchmarks job sets.
+  fixed rank count and iteration budget) of the block loop with the
+  NumPy kernels (``block`` columns) and, when the toolchain probe
+  succeeds, the compiled kernels (``native`` columns, bit-identical).
+  The 10^6 point is full-size locally and smoke-sized (tiny budget,
+  ungated) under ``REPRO_BENCH_SMOKE=1``, which the CI benchmarks job
+  sets.
 
-Both arms compute *bit-identical trajectories* (asserted here on every
-rep), so the ratio isolates pure engine overhead: queue, dispatch, RNG
-streaming, and relax/commit buffering. Arms are interleaved round-robin
-and each takes its best-of-N, so slow drift hits both alike; absolute
-times are machine-dependent, only the ratios are gated by
+All arms compute *bit-identical trajectories* (asserted here on every
+rep), so the ratios isolate pure engine and kernel overhead: queue,
+dispatch, RNG streaming, and relax/commit buffering. Arms are interleaved
+round-robin and each takes its best-of-N, so slow drift hits both alike;
+absolute times are machine-dependent, only the ratios are gated by
 ``benchmarks/compare.py``.
 """
 
+import contextlib
 import os
 import time
 
@@ -46,6 +47,7 @@ import numpy as np
 from conftest import publish, publish_json
 
 from repro.experiments.fig3 import DELAYED_ROW, N_ROWS, N_THREADS
+from repro.perf import native
 from repro.perf.native import build_info, native_available
 from repro.matrices.laplacian import fd_laplacian_2d, paper_fd_matrix
 from repro.runtime import KNL
@@ -69,22 +71,50 @@ SCALING_BUDGET = 24  # iterations per rank: identical event count per size
 SCALING_REPS = 3
 
 
+@contextlib.contextmanager
+def _kernels(numpy_only):
+    """Run the body on the NumPy kernels when ``numpy_only`` is set.
+
+    No run option selects a kernel family, so the NumPy arm disables the
+    native probe in-process and re-enables it on exit. Both toggles and
+    the re-probe happen here, outside the timed region.
+    """
+    if not numpy_only:
+        yield
+        return
+    old = os.environ.get("REPRO_NO_NATIVE")
+    os.environ["REPRO_NO_NATIVE"] = "1"
+    native._reset_probe_cache()
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["REPRO_NO_NATIVE"]
+        else:
+            os.environ["REPRO_NO_NATIVE"] = old
+        native._reset_probe_cache()
+        native.native_kernels()
+
+
 def _interleaved_best(runs, reps=REPS):
-    """Best-of-``reps`` for each (name, fn) with round-robin interleaving.
+    """Best-of-``reps`` for each (name, fn, numpy_only) with round-robin
+    interleaving.
 
     Every ``fn`` returns its result object; per-rep results are checked
-    bitwise against the first rep so the two arms provably did the same
-    work.
+    bitwise against the first rep so the arms provably did the same work.
+    ``numpy_only`` arms run with the native probe disabled (:func:`_kernels`).
     """
-    best = {name: float("inf") for name, _ in runs}
+    best = {name: float("inf") for name, _, _ in runs}
     reference = {}
-    for name, fn in runs:
-        fn()  # warm-up: imports, allocator, lazy compile steps
+    for name, fn, numpy_only in runs:
+        with _kernels(numpy_only):
+            fn()  # warm-up: imports, allocator, lazy compile steps
     for _ in range(reps):
-        for name, fn in runs:
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
+        for name, fn, numpy_only in runs:
+            with _kernels(numpy_only):
+                start = time.perf_counter()
+                result = fn()
+                elapsed = time.perf_counter() - start
             best[name] = min(best[name], elapsed)
             key = (
                 result.x.tobytes(),
@@ -129,7 +159,9 @@ def _bench_shared(delays_us):
 
         return fn
 
-    best, ref = _interleaved_best([("new", run(False)), ("legacy", run(True))])
+    best, ref = _interleaved_best(
+        [("new", run(False), False), ("legacy", run(True), False)]
+    )
     _assert_arms_match(ref, "new", "legacy")
     return best
 
@@ -137,12 +169,12 @@ def _bench_shared(delays_us):
 def _bench_fig8():
     """The fig8 grid: sync + async to a 10x reduction, all rank counts.
 
-    The new arm runs batched delivery with the block-event relax backend
-    (whole-rank relaxes); trajectories stay bitwise the legacy oracle's.
-    A third ``native`` arm (compiled relax kernels) joins when the
-    toolchain probe succeeds, bitwise-asserted against the other two on
-    every rep. Returns the best times plus the composite's block-commit
-    event count (identical in all arms), for events-per-second reporting.
+    The new arm runs the engine on the NumPy kernels; trajectories stay
+    bitwise the legacy oracle's. A third ``native`` arm (the engine as
+    shipped, compiled kernels) joins when the toolchain probe succeeds,
+    bitwise-asserted against the other two on every rep. Returns the best
+    times plus the composite's block-commit event count (identical in all
+    arms), for events-per-second reporting.
     """
     A = fd_laplacian_2d(*FIG8_GRID)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
@@ -155,18 +187,17 @@ def _bench_fig8():
 
     events = 0
 
-    def run(legacy, backend="block", count=False):
+    def run(legacy, count=False):
         def fn():
             nonlocal events
             last = None
             for sim, n_ranks, tol in configs:
-                extra = {} if legacy else {"relax_backend": backend}
                 rs = sim.run_sync(
                     tol=tol, max_iterations=5000, legacy_engine=legacy
                 )
                 last = sim.run_async(
                     tol=tol, max_iterations=5000, observe_every=n_ranks,
-                    legacy_engine=legacy, **extra,
+                    legacy_engine=legacy,
                 )
                 if count:
                     events += int(np.sum(rs.iterations))
@@ -176,9 +207,9 @@ def _bench_fig8():
         return fn
 
     run(False, count=True)()  # one counted pass, outside the timing loop
-    arms = [("new", run(False)), ("legacy", run(True))]
+    arms = [("new", run(False), True), ("legacy", run(True), False)]
     if native_available():
-        arms.insert(0, ("native", run(False, backend="native")))
+        arms.insert(0, ("native", run(False), False))
     best, ref = _interleaved_best(arms)
     _assert_arms_match(ref, "new", "legacy")
     if "native" in best:
@@ -187,11 +218,11 @@ def _bench_fig8():
 
 
 def _bench_scaling():
-    """The size-scaling curve: batched+block vs per-put delivery events.
+    """The size-scaling curve of the block loop: NumPy vs native kernels.
 
     Fixed rank count and iteration budget, so every size and both arms
     process the same number of block-commit events; the curve isolates
-    how delivery cost scales with problem size. Under ``SMOKE`` the
+    how per-commit cost scales with problem size. Under ``SMOKE`` the
     10^6-row point shrinks to a tiny budget and publishes no gated
     metrics (compare.py then skips it as absent from the results).
     """
@@ -206,42 +237,28 @@ def _bench_scaling():
             A, b, n_ranks=SCALING_RANKS, partition="contiguous", seed=1
         )
 
-        def run(extra):
-            def fn():
-                return sim.run_async(
-                    tol=TOL_NEVER, max_iterations=budget,
-                    observe_every=SCALING_RANKS, **extra,
-                )
+        def fn():
+            return sim.run_async(
+                tol=TOL_NEVER, max_iterations=budget,
+                observe_every=SCALING_RANKS,
+            )
 
-            return fn
-
-        arms = [
-            ("block", run({"relax_backend": "block"})),
-            ("event", run({"delivery": "event"})),
-        ]
+        arms = [("block", fn, True)]
         if native_available():
-            arms.insert(0, ("native", run({"relax_backend": "native"})))
+            arms.insert(0, ("native", fn, False))
         best, ref = _interleaved_best(arms, reps=1 if smoke_point else SCALING_REPS)
-        _assert_arms_match(ref, "block", "event")
         if "native" in best:
             _assert_arms_match(ref, "native", "block")
         events = SCALING_RANKS * budget
         if smoke_point:
             # Info only — names avoid the _seconds/speedup gating suffixes.
-            out[f"n{n}"] = {
-                "smoke_only": True,
-                "block_wall": best["block"],
-                "event_wall": best["event"],
-            }
+            out[f"n{n}"] = {"smoke_only": True, "block_wall": best["block"]}
             if "native" in best:
                 out[f"n{n}"]["native_wall"] = best["native"]
         else:
             out[f"n{n}"] = {
                 "block_seconds": best["block"],
-                "event_seconds": best["event"],
                 "block_events_per_second": events / best["block"],
-                "event_events_per_second": events / best["event"],
-                "batching_speedup": best["event"] / best["block"],
             }
             if "native" in best:
                 out[f"n{n}"]["native_seconds"] = best["native"]
@@ -294,8 +311,8 @@ def test_engine_speedups(benchmark):
     assert speedup > 1.2, "fig8: engine slower than legacy oracle"
 
     if "native" in best:
-        # Compiled-kernel arm: bit-identical to block (asserted in
-        # _bench_fig8), so the ratio isolates pure relax/commit kernel
+        # Compiled-kernel arm: bit-identical to the NumPy arm (asserted
+        # in _bench_fig8), so the ratio isolates pure relax/commit kernel
         # cost. Archived separately so machines without a toolchain skip
         # the gate (compare.py treats absent metrics as skipped).
         native_vs_block = best["new"] / best["native"]
@@ -305,7 +322,7 @@ def test_engine_speedups(benchmark):
         rows.append(
             f"{'fig8 (native)':>16} {best['native']:>10.4f} "
             f"{best['new']:>10.4f} {native_vs_block:>8.2f}x   "
-            f"({events / best['native']:,.0f} events/s, vs block arm)"
+            f"({events / best['native']:,.0f} events/s, vs NumPy arm)"
         )
         info = build_info()
         publish_json(
@@ -328,7 +345,7 @@ def test_engine_speedups(benchmark):
             },
         )
         assert native_vs_block > 0.9, (
-            "fig8: native kernels slower than the NumPy block backend"
+            "fig8: native kernels slower than the NumPy kernels"
         )
 
     def measured():  # archive the headline number under pytest-benchmark
@@ -355,26 +372,19 @@ def test_engine_scaling(benchmark):
     for key, entry in payload.items():
         if entry.get("smoke_only"):
             rows.append(
-                f"{key:>10} {entry['block_wall']:>10.4f} "
-                f"{entry['event_wall']:>10.4f}    (smoke budget, ungated)"
+                f"{key:>10} {entry['block_wall']:>10.4f}"
+                "    (smoke budget, ungated)"
             )
             continue
         native = (
             f"  native {entry['native_seconds']:.4f}s "
-            f"({entry['native_speedup_vs_block']:.2f}x vs block)"
+            f"({entry['native_speedup_vs_block']:.2f}x vs NumPy)"
             if "native_seconds" in entry
             else ""
         )
         rows.append(
             f"{key:>10} {entry['block_seconds']:>10.4f} "
-            f"{entry['event_seconds']:>10.4f} "
-            f"{entry['batching_speedup']:>8.2f}x "
             f"{entry['block_events_per_second']:>12,.0f} ev/s{native}"
-        )
-        # Batched delivery + block relaxes must never lose badly to
-        # per-put events; the committed baseline gates the real curve.
-        assert entry["batching_speedup"] > 0.8, (
-            f"{key}: batched delivery slower than per-put events"
         )
 
     gated = [k for k, e in payload.items() if not e.get("smoke_only")]
@@ -386,12 +396,11 @@ def test_engine_scaling(benchmark):
 
     report = "\n".join(
         [
-            "Delivery scaling: batched+block vs per-put events "
+            "Block-loop scaling: NumPy vs native kernels "
             f"({SCALING_RANKS} ranks, {SCALING_BUDGET} iterations/rank, "
             f"best of {SCALING_REPS}, interleaved):",
             "",
-            f"{'size':>10} {'block (s)':>10} {'event (s)':>10} "
-            f"{'speedup':>9} {'throughput':>17}",
+            f"{'size':>10} {'numpy (s)':>10} {'throughput':>17}",
             *rows,
         ]
     )

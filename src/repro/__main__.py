@@ -125,25 +125,21 @@ def _delivery_digest() -> None:
 
     The profiled experiments run uninstrumented so the profile measures the
     real hot paths (instrumentation forces the general event loop); this
-    short representative run re-measures delivery batching separately with
+    short representative run re-measures mailbox delivery separately with
     ``instrument=True`` and reports the
     :class:`~repro.perf.instrument.PerfCounters` delivery counters.
     """
     from repro.matrices.laplacian import fd_laplacian_2d
-    from repro.perf.native import native_available
     from repro.runtime.distributed import DistributedJacobi
     from repro.util.rng import as_rng
 
     A = fd_laplacian_2d(63, 63)
     b = as_rng(1).uniform(-1, 1, A.shape[0])
     sim = DistributedJacobi(A, b, n_ranks=16, partition="contiguous", seed=1)
-    backend = "native" if native_available() else "auto"
-    result = sim.run_async(
-        tol=1e-6, max_iterations=4000, instrument=True, relax_backend=backend
-    )
+    result = sim.run_async(tol=1e-6, max_iterations=4000, instrument=True)
     perf = result.perf
-    print("delivery digest (63x63 stencil, 16 ranks, batched delivery):")
-    print("  " + (perf.delivery_summary() or "no batched flushes recorded"))
+    print("delivery digest (63x63 stencil, 16 ranks, mailbox delivery):")
+    print("  " + (perf.delivery_summary() or "no mailbox flushes recorded"))
     print("  kernels: " + perf.summary())
     native_line = perf.native_summary()
     if native_line:

@@ -284,13 +284,6 @@ def generate_spec(seed: int, index: int) -> dict:
         has_message_faults = any(
             ev["kind"] != "crash" for ev in spec["plan"]["events"]
         )
-        delivery = str(rng.choice(["auto", "batched", "event"]))
-        # Block relaxes require batched delivery, so the backend is drawn
-        # from the legal set for the delivery mode just chosen — the
-        # constraint holds by construction, not by rejection.
-        backends = (
-            ["auto", "event", "block"] if delivery != "event" else ["auto", "event"]
-        )
         spec["distributed"] = {
             "eager": bool(rng.random() < 0.25),
             "termination": str(rng.choice(["count", "detect"], p=[0.7, 0.3])),
@@ -298,29 +291,9 @@ def generate_spec(seed: int, index: int) -> dict:
             "recovery": str(rng.choice(["freeze", "adopt", "none"], p=[0.4, 0.4, 0.2])),
             "drop_probability": float(rng.choice([0.0, 0.0, 0.02, 0.08])),
             "duplicate_probability": float(rng.choice([0.0, 0.0, 0.0, 0.05])),
-            "queue_backend": str(rng.choice(["auto", "heap", "calendar"])),
             "partition_method": str(rng.choice(["bfs", "contiguous"])),
-            "delivery": delivery,
-            "relax_backend": str(rng.choice(backends)),
         }
     spec["method"] = _method_spec(rng, omega)
-    if executor == "distributed":
-        # Appended after every legacy draw so the whole pre-native stream
-        # of a (seed, index) pair is unchanged from older campaigns. The
-        # coin itself is flipped unconditionally (stream-stable); whether
-        # it lands depends on the toolchain probe, so a machine without a
-        # C compiler simply never sees the backend, and SOR — whose local
-        # sweeps are sequential and therefore native-illegal — keeps its
-        # legacy draw.
-        wants_native = bool(rng.random() < 0.25)
-        from repro.perf.native import native_available
-
-        if (
-            wants_native
-            and spec["method"]["kind"] != "sor"
-            and native_available()
-        ):
-            spec["distributed"]["relax_backend"] = "native"
     return spec
 
 

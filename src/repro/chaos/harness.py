@@ -315,9 +315,6 @@ def _run_distributed(spec: dict, built: dict) -> tuple:
         eager=bool(d.get("eager", False)),
         termination=d.get("termination", "count"),
         tracer=tracer,
-        queue_backend=d.get("queue_backend", "auto"),
-        delivery=d.get("delivery", "auto"),
-        relax_backend=d.get("relax_backend", "auto"),
     )
     events = tracer.events()
     failures = []

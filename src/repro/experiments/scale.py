@@ -10,9 +10,10 @@ asynchronous Jacobi lets the other 255 ranks run ahead, so the speedup
 grows with the delay until staleness limits convergence — the Figure 3
 shape, three orders of magnitude above the 68-row original.
 
-Runs use the block-event relax backend (``relax_backend="block"``) —
-whole-rank relaxes and coalesced delivery keep each commit one set of
-NumPy block kernels, which is what makes a 10^6-row sweep a
+The async runs are plain, so they take the distributed simulator's block
+loop: one event per whole-rank relax and commit, mailbox delivery, and
+the compiled kernels whenever the library loads (NumPy otherwise, with
+the same bits) — which is what makes a 10^6-row sweep a
 minutes-not-hours computation (see docs/performance.md).
 """
 
@@ -63,7 +64,6 @@ def run(
     tol_reduction: float = TOL_REDUCTION,
     seed: int = 1,
     max_iterations: int = 500,
-    relax_backend: str = "block",
     matrix: str | None = None,
 ) -> list:
     """The sweep. Returns one :class:`ScalePoint` per delay.
@@ -110,7 +110,6 @@ def run(
             tol=tol,
             max_iterations=max_iterations,
             observe_every=n_ranks,
-            relax_backend=relax_backend,
         )
         wall = time.perf_counter() - t0
         st = rs.time_to_tolerance(tol)

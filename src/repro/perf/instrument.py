@@ -35,22 +35,24 @@ class PerfCounters:
     residual_evals: int = 0
     full_recomputes: int = 0
     events: int = 0
-    #: Delivery-batching (message coalescing) counters, populated by the
-    #: distributed executor when ``delivery="batch"`` is active: arrivals
-    #: superseded before their flush, flush passes that applied at least
-    #: one edge, edges scattered across all flushes, the widest single
-    #: flush, and version-ledger entries scattered into ``ghost_ver``.
+    #: Mailbox-delivery (message coalescing) counters, populated by the
+    #: distributed executor's general loop (instrumented runs always take
+    #: it): arrivals superseded before their flush, flush passes that
+    #: applied at least one edge, edges scattered across all flushes, the
+    #: widest single flush, and version-ledger entries scattered into
+    #: ``ghost_ver``.
     puts_coalesced: int = 0
     delivery_flushes: int = 0
     delivery_edges_flushed: int = 0
     delivery_batch_max: int = 0
     ledger_scatter_width: int = 0
-    #: Resolved relax backend label (``"native"`` when the compiled
-    #: kernels ran, ``"mixed"`` after merging runs of different backends)
-    #: and the native-kernel counters: compiled relax calls, rows they
-    #: relaxed, and the one-time library compile cost this process paid
-    #: (0.0 when the content-hash cache already held it).
-    backend: str = "auto"
+    #: Kernel family that ran the relaxations (``"native"`` when the
+    #: compiled kernels ran, ``"numpy"`` otherwise, ``"mixed"`` after
+    #: merging runs of different families) and the native-kernel
+    #: counters: compiled relax calls, rows they relaxed, and the
+    #: one-time library compile cost this process paid (0.0 when the
+    #: content-hash cache already held it).
+    backend: str = "numpy"
     native_calls: int = 0
     native_rows_relaxed: int = 0
     native_build_ms: float = 0.0
@@ -141,8 +143,8 @@ class PerfCounters:
     def delivery_summary(self) -> str:
         """One-line digest of the delivery-batching counters.
 
-        Empty string when no batched flush ever ran (eager delivery, or a
-        run with no message traffic), so callers can print it conditionally.
+        Empty string when no mailbox flush ever ran (a run with no message
+        traffic), so callers can print it conditionally.
         """
         if not self.delivery_flushes:
             return ""

@@ -1,4 +1,4 @@
-"""Compiled CSR relax/commit kernels behind ``relax_backend="native"``.
+"""Compiled CSR relax/commit kernels for the distributed simulator.
 
 The pure-Python simulators bottom out at ~25-30 us of NumPy call overhead
 per block commit (docs/performance.md): a whole-rank relax is six buffered
@@ -29,9 +29,9 @@ NumPy path it replaces, so trajectories stay byte-for-byte equal to the
   ``dx = pend - own`` and the :class:`~repro.matrices.sparse.ColumnScatterPlan`
   residual update (per-entry products, bin accumulation in the plan's
   storage order, one full-span subtract).
-* ``repro_relax_batch`` is the stacked/turbo inner block relax: one call
-  relaxes (and optionally commits) a whole admission batch, member by
-  member in cursor order — the order the batched NumPy phases are proven
+* ``repro_relax_batch`` is the turbo pre-pass's inner block relax: one
+  call relaxes and commits a whole admission batch, member by member in
+  cursor order — the order the batched NumPy phases are proven
   equivalent to. It runs the same per-rank relax and commit code.
 
 Compact layout
@@ -76,7 +76,7 @@ Environment knobs
 ``REPRO_NO_NATIVE``
     Any value other than ``""``/``"0"`` disables the subsystem entirely:
     :func:`native_kernels` returns ``None`` and every caller silently
-    falls back to the NumPy block/event backends.
+    falls back to the NumPy kernels.
 """
 
 from __future__ import annotations
@@ -205,20 +205,17 @@ void repro_commit_rank(int64_t m, const int64_t *rows, double *x,
                r_vec);
 }
 
-/* Stacked batch relax: the turbo timeline engine's (and the stacked
- * block loop's) inner block relax. Processes batch members in admission
- * (cursor) order; members are distinct ranks relaxing disjoint x rows,
- * so the sequential per-member loop is bitwise the batched NumPy phases
- * (per-row accumulation order and the elementwise chain are member-local
- * either way). Per-rank arrays arrive as uint64 pointer tables indexed
- * by rank id. pend_cat receives the members' pending values back to back.
+/* Stacked batch relax: the turbo pre-pass's inner block relax and
+ * commit. Processes batch members in admission (cursor) order; members
+ * are distinct ranks relaxing disjoint x rows, so the sequential
+ * per-member loop is bitwise the batched NumPy phases (per-row
+ * accumulation order and the elementwise chain are member-local either
+ * way). Per-rank arrays arrive as uint64 pointer tables indexed by rank
+ * id. pend_cat receives the members' pending values back to back.
  *
- * mode 0: relax only — pend_cat is filled, nothing is committed (the
- *         stacked block loop commits per member afterwards, because a
- *         member can still be pushed back onto the heap).
- * mode 1: relax + commit + incremental-residual scatter per member (the
- *         turbo engine: batches are never pushed back, observation can
- *         only strike after the last member's residual update).
+ * mode 1: relax + commit + incremental-residual scatter per member
+ *         (batches are never pushed back, observation can only strike
+ *         after the last member's residual update).
  * mode 2: relax + commit, no residual scatter (residual_mode="full"). */
 void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
                        double *x, double *r_vec, double *pend_cat,
@@ -240,12 +237,11 @@ void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
                   (const int32_t *) idx_tab[r], (const double *) data_tab[r],
                   (const double *) b_tab[r], (const double *) dinv_tab[r],
                   pend, 0.0, 0);
-        if (mode != 0)
-            commit_one(m, rows, x, lb, pend,
-                       (const int64_t *) colptr_tab[r],
-                       (const int32_t *) loc_tab[r],
-                       (const double *) val_tab[r], base_tab[r], span_tab[r],
-                       (double *) binc_tab[r], mode == 1 ? r_vec : 0);
+        commit_one(m, rows, x, lb, pend,
+                   (const int64_t *) colptr_tab[r],
+                   (const int32_t *) loc_tab[r],
+                   (const double *) val_tab[r], base_tab[r], span_tab[r],
+                   (double *) binc_tab[r], mode == 1 ? r_vec : 0);
         off += m;
     }
 }
@@ -406,7 +402,7 @@ def native_kernels() -> NativeKernels | None:
     First call probes the toolchain and compiles (or cache-loads) the
     library; later calls return the memoized result. Every failure mode —
     ``REPRO_NO_NATIVE`` set, no compiler on PATH, compilation or load
-    error — yields ``None`` so callers degrade to the NumPy backends.
+    error — yields ``None`` so callers degrade to the NumPy kernels.
     """
     if _cache[0]:
         return _cache[1]
@@ -432,7 +428,7 @@ def native_kernels() -> NativeKernels | None:
 
 
 def native_available() -> bool:
-    """Cheap probe: can ``relax_backend="native"`` actually run here?"""
+    """Cheap probe: can the compiled kernels actually run here?"""
     return native_kernels() is not None
 
 

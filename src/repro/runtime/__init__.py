@@ -19,12 +19,10 @@ from repro.runtime.calibration import (
 )
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.engine import (
-    CalendarEventQueue,
     HeapEventQueue,
     JitterStream,
     NormalStream,
     PatternJitterStream,
-    make_event_queue,
 )
 from repro.runtime.events import EventQueue
 from repro.runtime.machine import (
@@ -56,12 +54,10 @@ __all__ = [
     "StragglerDelay",
     "DistributedJacobi",
     "EventQueue",
-    "CalendarEventQueue",
     "HeapEventQueue",
     "JitterStream",
     "NormalStream",
     "PatternJitterStream",
-    "make_event_queue",
     "ARIES",
     "CPU20",
     "ClusterModel",

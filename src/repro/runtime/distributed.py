@@ -59,7 +59,6 @@ from repro.runtime.engine import (
     HeapEventQueue,
     NormalStream,
     PatternJitterStream,
-    make_event_queue,
 )
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
@@ -89,10 +88,10 @@ _HB_KINDS = frozenset({_HEARTBEAT, _HB_ARRIVE, _HB_CHECK})
 
 
 class _TurboBail(Exception):
-    """Raised when the turbo block engine meets an exact time tie it
-    cannot order without seq stamps; the run restarts on the two-event
-    engine, which resolves such ties bitwise. Measure-zero under any
-    nonzero jitter."""
+    """Raised when the turbo pre-pass meets an exact time tie it cannot
+    order without seq stamps; :meth:`DistributedJacobi.run_async` reruns
+    on the plain block loop, which resolves such ties bitwise.
+    Measure-zero under any nonzero jitter."""
 
 
 @dataclass
@@ -234,19 +233,18 @@ class DistributedJacobi:
         reaches the neighbor only via a later iteration's put).
     """
 
-    # Below this rank count the block backend's precomputed-timeline
-    # engine loses to the plain stacked heap loop: its per-run setup
-    # (edge maps, width groups, stacked caches) is O(ranks + nnz) but
-    # batches are capped at ``observe_every`` members, so small fleets
-    # never amortize it. Both paths are bitwise-identical, so the
-    # threshold is purely a performance knob.
+    # Below this rank count the turbo pre-pass loses to the plain block
+    # loop: its per-run setup (edge maps, width groups, stacked caches)
+    # is O(ranks + nnz) but batches are capped at ``observe_every``
+    # members, so small fleets never amortize it. Both paths are
+    # bitwise-identical, so the threshold is purely a performance knob.
     _TURBO_MIN_RANKS = 96
 
     # Above this many stored nonzeros per rank (on average) the block
-    # backend relaxes rank-at-a-time instead of batch-stacking: big
-    # blocks amortize NumPy call overhead on their own, and the stacked
-    # path's per-batch concatenation of every member's local matrix
-    # turns into the dominant cost at paper scale.
+    # loop relaxes rank-at-a-time instead of running the turbo pre-pass:
+    # big blocks amortize NumPy call overhead on their own, and turbo's
+    # per-batch concatenation of every member's local matrix turns into
+    # the dominant cost at paper scale.
     _STACK_MAX_NNZ_PER_RANK = 1024
 
     def __init__(
@@ -387,8 +385,8 @@ class DistributedJacobi:
         every call hands out fresh :class:`_Rank` instances — fresh RNG
         streams, zeroed ghost layers and counters — sharing the immutable
         arrays. The send-plan ``slots`` arrays are therefore per-edge
-        singletons for the solver's lifetime, which the batched delivery
-        path relies on to key its mailboxes.
+        singletons for the solver's lifetime, which the general loop's
+        mailbox delivery relies on to key its records.
         """
         tmpl = self._plan.templates
         if tmpl is None:
@@ -586,23 +584,21 @@ class DistributedJacobi:
         return wp.native_tabs
 
     def _warm_stacked(self, ranks) -> tuple:
-        """Index tables of the stacked block relax, built on first use.
+        """Index tables of the turbo pre-pass's stacked relax, built on
+        first use.
 
         Per rank: compact columns in ``local_x``-parent coordinates, the
         data, rows in global-row numbering, own-row parent positions and
-        global-row spans; plus each rank's in-neighbours, in-edge count and
-        concatenated in-edge ghost slots (senders in rank order — the
-        mailbox order).
+        global-row spans; plus each rank's in-neighbours (senders in rank
+        order — the mailbox order).
         """
         wp = self._plan
         if wp.stacked is None:
             lb_off, row_off, n_ranks = wp.lb_off, wp.row_off, self.n_ranks
             in_nbrs: list = [[] for _ in range(n_ranks)]
-            in_slots: list = [[] for _ in range(n_ranks)]
             for p, plan_r in enumerate(wp.put_plan):
-                for q, slots_q, _rows, _mb in plan_r:
+                for q, _slots, _rows, _mb in plan_r:
                     in_nbrs[q].append(p)
-                    in_slots[q].append(slots_q)
             wp.stacked = (
                 [lb_off[rk.rank] + rk.local.indices for rk in ranks],
                 [rk.local.data for rk in ranks],
@@ -612,8 +608,6 @@ class DistributedJacobi:
                 [np.arange(row_off[r], row_off[r + 1])
                  for r in range(n_ranks)],
                 in_nbrs,
-                [len(sl) for sl in in_slots],
-                [np.concatenate(sl) if sl else None for sl in in_slots],
             )
         return wp.stacked
 
@@ -645,7 +639,7 @@ class DistributedJacobi:
                     voff += lrows.size
             wp.turbo_edges = (emap, recv_edges)
         if numpy_relax and wp.turbo_idx is None:
-            st_idx, _dat, st_row, st_pos, st_span = self._warm_stacked(ranks)[:5]
+            st_idx, _dat, st_row, st_pos, st_span, _nb = self._warm_stacked(ranks)
             wp.turbo_idx = (
                 [np.stack([rk.rows, st_pos[r], st_span[r]])
                  for r, rk in enumerate(ranks)],
@@ -746,9 +740,6 @@ class DistributedJacobi:
         instrument: bool = False,
         tracer=None,
         legacy_engine: bool = False,
-        queue_backend: str = "auto",
-        delivery: str = "auto",
-        relax_backend: str = "auto",
     ) -> SimulationResult:
         """Asynchronous (RMA put) execution.
 
@@ -781,60 +772,40 @@ class DistributedJacobi:
         (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
         scratch buffer with the ghost layer aliased to its tail (no
         ``np.concatenate`` per relaxation), precompiled CSC scatter plans
-        for the observer's incremental residual, reusable put-payload
-        buffers, and chunked RNG streams — all bit-identical to the
-        pre-engine loop, which remains available as
-        ``legacy_engine=True`` (the equivalence-test oracle).
-        ``queue_backend`` selects the event-queue implementation
-        (``"auto"``, ``"heap"`` or ``"calendar"``).
+        for the observer's incremental residual, and chunked RNG streams —
+        all bit-identical to the pre-engine loop, which remains available
+        as ``legacy_engine=True`` (the equivalence-test oracle).
 
-        ``delivery`` selects how one-sided puts land (see
-        docs/performance.md, "Batched message delivery"):
+        One-sided puts land through per-edge *mailboxes* (see
+        docs/performance.md, "Mailbox delivery and the block loop"): the
+        receiver's next read applies, per directed edge, only the newest
+        record that arrival-precedes it — a put overwrites the edge's whole
+        fixed window slot set, so older records were never observable.
+        Each record carries the event sequence number a per-put heap event
+        would have consumed, so the cut replicates heap pop order bit for
+        bit, exact-time ties included.
 
-        * ``"auto"``/``"batched"`` — same-edge puts are coalesced: each
-          directed edge keeps an in-flight mailbox of ``(arrival, stamp,
-          values)`` records and the receiver's next read flushes every
-          record that arrival-precedes it with **one** ghost scatter per
-          edge (the newest record wins — a put overwrites the edge's
-          whole fixed slot set, so intermediate records are unobservable
-          by construction). ``stamp`` is the event sequence number the
-          per-message heap push would have consumed, so the lexicographic
-          cut ``(arrival, stamp) < (t, seq)`` replicates heap pop order
-          bit-for-bit, including exact-time ties: trajectories, telemetry
-          and traces are bit-identical to ``delivery="event"`` and to the
-          legacy oracle. Outside the plain fast path the heap still
-          carries one event per put (protocol rolls, acks and traces keep
-          their order); only the ghost/ghost-version scatter is deferred
-          to the next read, with pending records discarded wherever a
-          restart or adoption re-syncs the ghost layer.
-        * ``"event"`` — the pre-batching behaviour: every put is its own
-          heap event and its own ghost scatter.
+        Two event loops run the iteration:
 
-        ``relax_backend`` selects the relax event granularity:
+        * **The block loop** takes every plain run — no faults or loss
+          rolls, no tracer, no reliable puts, no eager/detect/heartbeat
+          machinery, no hang-capable delay model and no
+          ``instrument=True``. One heap event per block iteration runs the
+          whole read-relax-commit span at the iteration's virtual read
+          cursor. From ``_TURBO_MIN_RANKS`` ranks, for scaled methods with
+          small blocks and both jitters drawn from pattern streams, a
+          *turbo* pre-pass precomputes every rank's timeline in vectorized
+          chunks and relaxes admission batches as one stacked kernel; an
+          exact time tie it cannot order reruns the plain block loop.
+        * **The general loop** takes everything else, with one START and
+          one COMMIT event per block iteration plus the protocol traffic.
 
-        * ``"auto"``/``"event"`` — one START (read + relax) and one
-          COMMIT (publish + puts) event per block iteration.
-        * ``"block"`` — opt-in single *block event* per iteration: the
-          whole read-relax-commit span of a rank's row block is one heap
-          event carrying its virtual read cursor, halving residual heap
-          traffic on top of batched delivery (which it requires — puts
-          must not be heap events). Pure NumPy, bit-identical: the
-          mailbox cut uses the virtual cursor and same-instant commits
-          are applied in virtual-cursor order, reproducing the two-event
-          engine's interleaving. Applies to the plain fast path (no
-          faults, no tracing, no reliable puts, no eager/detect/heartbeat
-          machinery, heap backend); elsewhere the flag is inert.
-        * ``"native"`` — the block backend's relax/commit inner kernels
-          (and the two-event/general-loop relax when delivery is
-          ``"event"``) run as compiled C via :mod:`repro.perf.native`,
-          bit-identical to the NumPy paths. Falls back silently to
-          ``"block"``/``"event"`` when no compiler is available, the
-          build fails, or ``REPRO_NO_NATIVE`` is set. Illegal for the
-          sequential (SOR) kind and the Gauss-Seidel local sweep, whose
-          BLAS dot products have no reproducible compiled operand order.
-          ``"auto"`` upgrades to native at ``n_ranks >=
-          _TURBO_MIN_RANKS`` under batched delivery when the library
-          loads (see docs/performance.md, "Native compiled kernels").
+        Relax and commit kernels are compiled C (:mod:`repro.perf.native`)
+        whenever the library loads, NumPy otherwise (no compiler, build
+        failure, ``REPRO_NO_NATIVE``) — the same bits either way. The
+        sequential kind (SOR) and the Gauss-Seidel local sweep always run
+        NumPy: their BLAS dot products have no reproducible compiled
+        operand order.
 
         Parameters beyond the common ones
         ---------------------------------
@@ -869,41 +840,6 @@ class DistributedJacobi:
             declared and no STOP is broadcast — if it never restarts, the
             survivors simply run to ``max_iterations``.
         """
-        if delivery not in ("auto", "batched", "event"):
-            raise ValueError(
-                f"delivery must be 'auto', 'batched' or 'event', got {delivery!r}"
-            )
-        # Legal relax backends depend on the method: the native kernels
-        # (and every non-"event" granularity) reproduce NumPy's operand
-        # order exactly, but the sequential Gauss-Seidel sweep accumulates
-        # through BLAS dot products whose summation order no compiled loop
-        # can match — so "native" is only offered for scaled/momentum
-        # methods with the plain jacobi local sweep.
-        native_ok = (
-            self.method.kind != "sequential" and self.local_sweep == "jacobi"
-        )
-        legal_backends = (
-            ("auto", "event", "block", "native")
-            if native_ok
-            else ("auto", "event", "block")
-        )
-        if relax_backend not in legal_backends:
-            hint = (
-                ""
-                if native_ok
-                else " ('native' is unavailable here: Gauss-Seidel dot"
-                " products have no reproducible compiled operand order)"
-            )
-            raise ValueError(
-                f"relax_backend for method {self.method.name!r} must be one "
-                f"of {', '.join(repr(v) for v in legal_backends)}, "
-                f"got {relax_backend!r}{hint}"
-            )
-        if relax_backend == "block" and delivery == "event":
-            raise ValueError(
-                "relax_backend='block' requires batched delivery "
-                "(delivery='auto' or 'batched')"
-            )
         if legacy_engine:
             from repro.runtime.legacy import distributed_run_async
 
@@ -914,6 +850,30 @@ class DistributedJacobi:
                 residual_mode=residual_mode, recompute_every=recompute_every,
                 instrument=instrument, tracer=tracer,
             )
+        kwargs = dict(
+            x0=x0, tol=tol, max_iterations=max_iterations,
+            observe_every=observe_every, eager=eager, termination=termination,
+            report_every=report_every, residual_mode=residual_mode,
+            recompute_every=recompute_every, instrument=instrument,
+            tracer=tracer,
+        )
+        try:
+            return self._run_async(turbo=True, **kwargs)
+        except _TurboBail:
+            # An exact tie the turbo pre-pass cannot order: rerun on the
+            # plain block loop, whose seq stamps resolve it. Nothing
+            # observable leaked — per-run state (ranks, queue, telemetry)
+            # is rebuilt from scratch, ``x0`` was never mutated and turbo
+            # runs carry no tracer.
+            return self._run_async(turbo=False, **kwargs)
+
+    def _run_async(
+        self, x0, tol, max_iterations, observe_every, eager, termination,
+        report_every, residual_mode, recompute_every, instrument, tracer,
+        turbo: bool,
+    ) -> SimulationResult:
+        """The engine behind :meth:`run_async`; ``turbo=False`` skips the
+        turbo pre-pass (the rerun after a :class:`_TurboBail`)."""
         check_positive(tol, "tol")
         if termination not in ("count", "detect"):
             raise ValueError(
@@ -924,32 +884,19 @@ class DistributedJacobi:
                 f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
             )
         incremental = residual_mode == "incremental"
-        batch_delivery = delivery != "event"
-        # Native kernel resolution. An explicit "native" uses the compiled
-        # library when it loads and silently degrades to the equivalent
-        # NumPy backend otherwise (no compiler, build failure,
-        # REPRO_NO_NATIVE). "auto" upgrades to native at high rank counts
-        # under batched delivery — the regime where per-commit dispatch
-        # overhead dominates — which is safe because the kernels are
-        # bit-identical to the NumPy paths (see repro.perf.native).
+        # Native kernels whenever the library loads — bit-identical to the
+        # NumPy paths (see repro.perf.native) — except for the sequential
+        # Gauss-Seidel sweep, whose BLAS dot products no compiled loop can
+        # match.
         nat = None
-        if relax_backend == "native" or (
-            relax_backend == "auto"
-            and batch_delivery
-            and native_ok
-            and self.n_ranks >= self._TURBO_MIN_RANKS
-        ):
+        if self.method.kind != "sequential" and self.local_sweep == "jacobi":
             from repro.perf.native import native_kernels
 
             nat = native_kernels()
-            if nat is not None:
-                relax_backend = "native"
-            elif relax_backend == "native":
-                relax_backend = "block" if batch_delivery else "event"
         use_native = nat is not None
         perf = PerfCounters(method=self.method.name) if instrument else None
         if perf is not None:
-            perf.backend = relax_backend
+            perf.backend = "native" if use_native else "numpy"
             if use_native:
                 perf.native_build_ms = nat.build_ms
         run_start = _time.perf_counter() if instrument else 0.0
@@ -967,7 +914,7 @@ class DistributedJacobi:
             fail_rng = as_rng(None if self.seed is None else (int(self.seed) ^ 0x5EED))
         tm = FaultTelemetry()
 
-        # ---- engine fast path: everything below is hoisted out of the
+        # ---- engine setup: everything below is hoisted out of the
         # event loop once, so the per-event work is scalar arithmetic plus
         # a handful of buffered NumPy kernels. Trajectories are
         # bit-identical to ``legacy_engine=True`` (same RNG draw order,
@@ -1007,8 +954,8 @@ class DistributedJacobi:
         # ``np.concatenate`` and the ``dinv[rows]``/``b[rows]`` gathers of
         # the legacy loop are gone. All ranks' ``local_x`` scratch is
         # carved from one parent buffer: per-rank views behave exactly
-        # like separate arrays, and the block-event backend can then
-        # gather *across* ranks in one take. The other per-rank scratch
+        # like separate arrays, and the turbo pre-pass can then gather
+        # *across* ranks in one take. The other per-rank scratch
         # is carved the same way, one allocation per kind.
         loc_parent = np.zeros(lb_off[-1])
         pend_parent = np.empty(row_off[-1])
@@ -1073,7 +1020,7 @@ class DistributedJacobi:
         r_vec = residual(x, np.empty(self.n))
 
         nat_commit_args = None
-        if use_native and not gauss_seidel:
+        if use_native:
             # Precompiled argument tuples for the native kernels. The
             # run-invariant half (compact CSR layout, gathers, scatter
             # columns) comes from the warm plan; the per-run buffers (``x``,
@@ -1213,7 +1160,7 @@ class DistributedJacobi:
                 method=self.method.name,
             )
 
-        queue = make_event_queue(queue_backend, size_hint=4 * n_ranks)
+        queue = HeapEventQueue()
         for rk in ranks:
             queue.push(
                 float(rk.rng.random()) * self.cluster.node.iteration_overhead,
@@ -1354,16 +1301,16 @@ class DistributedJacobi:
         applied_seq: dict = {}  # channel -> newest applied sequence number
         outstanding: dict = {}  # channel -> {seq: [slots, values, attempts, rto]}
 
-        # Deferred ghost scatters (batched delivery, general loop): each
-        # arriving put is recorded per directed edge (the ``slots`` arrays
-        # are per-edge singletons, so ``id(slots)`` keys them) and the lot
-        # is applied in one pass right before the receiver's next read.
-        # Protocol work — acks, dedup, traces, telemetry, eager wake-ups —
-        # stays at arrival time, so only the memory traffic moves.
-        # Newest-record-wins matches the eager scatter order because each
-        # put on an edge covers the edge's full slot set and distinct
-        # edges touch disjoint ghost slots.
-        pend_scatter = [dict() for _ in range(n_ranks)] if batch_delivery else None
+        # Mailbox delivery in the general loop: each arriving put is
+        # recorded per directed edge (the ``slots`` arrays are per-edge
+        # singletons, so ``id(slots)`` keys them) and the lot is applied in
+        # one pass right before the receiver's next read. Protocol work —
+        # acks, dedup, traces, telemetry, eager wake-ups — stays at arrival
+        # time, so only the memory traffic moves. Newest-record-wins
+        # matches per-put scatter order because each put on an edge covers
+        # the edge's full slot set and distinct edges touch disjoint ghost
+        # slots.
+        pend_scatter = [dict() for _ in range(n_ranks)]
         coalesced_puts = 0  # arrivals superseded before the next flush
         flush_batches = 0  # flushes that applied at least one edge
         flushed_edges = 0  # edges scattered across all flushes
@@ -1641,14 +1588,12 @@ class DistributedJacobi:
             if adopter is not None:
                 adopters[adopter].remove(dead)
 
-        # Plain-run fast dispatcher: no faults, no loss rolls, no tracing,
-        # no reliable protocol, no eager/detect/heartbeat machinery, no
-        # instrumentation. Only START/COMMIT/MESSAGE events can then exist,
-        # so the loop below handles exactly those three kinds with the
-        # timing draws inlined — the trajectory is the same event-for-event
-        # (the general loop would take identical branches, just through
-        # more indirection per event).
-        fast = (
+        # Plain runs — no faults, no loss rolls, no tracing, no reliable
+        # protocol, no eager/detect/heartbeat machinery, no hang-capable
+        # delay model, no instrumentation — take the block loop below.
+        # Only START/COMMIT events can then exist, and puts never touch
+        # the heap. Every other run takes the general loop at the end.
+        plain = (
             not has_plan
             and not drop_p
             and not dup_p
@@ -1660,12 +1605,13 @@ class DistributedJacobi:
             and not may_hang
             and perf is None
         )
-        if fast:
+        conv_cursor = None
+        if plain:
             # Per-rank pattern streams: in a plain run, a rank's generator
             # is consumed in a fixed per-iteration pattern — one machine
-            # jitter at START (compute span), one network jitter per put at
-            # COMMIT, one machine jitter for the next overhead span — so a
-            # whole iteration's factors come from one chunked
+            # jitter for the compute span, one network jitter per put at
+            # the commit, one machine jitter for the next overhead span —
+            # so a whole iteration's factors come from one chunked
             # PatternJitterStream step (bit-identical to the scalar draws;
             # zero sigmas contribute no position, exactly like the scalar
             # path makes no draw). Delay models that draw from the rank's
@@ -1690,295 +1636,87 @@ class DistributedJacobi:
             ghosts_of = [rk.ghosts for rk in ranks]
             rows_of = [rk.rows for rk in ranks]
             delivered = 0
-            # The dispatcher commits to the heap backend so it can inline
-            # push/pop on the flat (time, seq, kind, agent, obj) tuples;
-            # calendar-backed runs take the general loop below instead
-            # (identical results — both backends share one pop order).
-            fast = type(queue) is HeapEventQueue
-        block_mode = False
-        conv_cursor = None
-        if fast:
+            # The loop inlines push/pop on the heap's flat (time, seq,
+            # kind, agent, obj) tuples.
             heap = queue._heap
             hpush = heapq.heappush
             hpop = heapq.heappop
             seq = queue._seq
-            block_mode = batch_delivery and relax_backend in ("block", "native")
-            if batch_delivery:
-                # Mailbox delivery: puts skip the heap entirely. Each
-                # directed edge keeps an in-flight list of ``(arrival,
-                # stamp, values)`` records, where ``stamp`` is the seq a
-                # per-message heap push would have consumed (the counter
-                # advances identically, so every other event keeps its
-                # exact seq). Flushing the records with ``(arrival,
-                # stamp) < (t, seq)`` at the receiver's next read
-                # replicates heap pop order bit-for-bit, ties included;
-                # only the newest flushed record is scattered — a put
-                # overwrites the edge's whole fixed slot set, so the
-                # older ones were never observable between reads.
-                fire = []  # per rank: (box, mb, lo, hi) per put entry
-                in_boxes = [[] for _ in range(n_ranks)]
-                cat_rows = wp.cat_rows
-                for frk in ranks:
-                    plan_r = put_plan[frk.rank]
-                    entries_r, off = [], 0
-                    for q, slots_q, local_rows, mb in plan_r:
-                        box: list = []
-                        entries_r.append((box, mb, off, off + local_rows.size))
-                        in_boxes[q].append((box, slots_q))
-                        off += local_rows.size
-                    fire.append(entries_r)
-        while fast and not block_mode and heap and not converged:
-            t, s, kind, rid, payload = hpop(heap)
-            if kind == _MESSAGE:
-                slots, values = payload
-                ghosts_of[rid][slots] = values
-                delivered += 1
-                continue
-            rk = ranks[rid]
-            if kind == _START:
-                if rk.stopped:
-                    continue
-                if batch_delivery:
-                    for box, slots in in_boxes[rid]:
-                        if not box:
-                            continue
-                        best = None
-                        rest = None
-                        for e in box:
-                            if e[0] < t or (e[0] == t and e[1] < s):
-                                delivered += 1
-                                if best is None or e > best:
-                                    best = e
-                            elif rest is None:
-                                rest = [e]
-                            else:
-                                rest.append(e)
-                        if best is not None:
-                            ghosts_of[rid][slots] = best[2]
-                            if rest is None:
-                                box.clear()
-                            else:
-                                box[:] = rest
-                relax(rk)
-                st = fstreams[rid]
-                if st is None:
-                    base = cbase[rid]
-                    if sigma_m > 0:
-                        base *= float(rk.rng.lognormal(0.0, sigma_m))
-                    hpush(heap, (t + base * slow[rid], seq, _COMMIT, rid, 0))
-                elif type(st) is tuple:
-                    hpush(
-                        heap, (t + cbase[rid] * slow[rid], seq, _COMMIT, rid, 0)
-                    )
-                else:
-                    f = fbuf[rid] = st.next_step()
-                    if sigma_m > 0:
-                        hpush(
-                            heap,
-                            (t + (cbase[rid] * f[0]) * slow[rid], seq,
-                             _COMMIT, rid, 0),
-                        )
-                    else:
-                        hpush(
-                            heap,
-                            (t + cbase[rid] * slow[rid], seq, _COMMIT, rid, 0),
-                        )
-                seq += 1
-                continue
-            # _COMMIT: nothing else is ever scheduled on this path. Inlined
-            # commit_rows: on this path a commit always directly follows the
-            # rank's own relax, so ``own_view`` still holds ``x[rows]`` as of
-            # the take in ``relax`` (only the owner writes its rows; ghost
-            # traffic never touches ``x``) — the old-value gather is free.
-            # Gauss-Seidel relaxes in place through ``own_view``, so it
-            # re-gathers the old values instead.
-            pb = pend_buf[rid]
-            if incremental:
-                if nat_commit_args is not None:
-                    nat_commit(*nat_commit_args[rid], nat_pend_ptr[rid],
-                               r_ptr)
-                else:
-                    if gauss_seidel:
-                        x.take(rows_of[rid], out=own_view[rid])
-                    np.subtract(pb, own_view[rid], out=dx_buf[rid])
-                    x[rows_of[rid]] = pb
-                    splans[rid].apply(r_vec, dx_buf[rid])
-            else:
-                x[rows_of[rid]] = pb
-            rk.iterations += 1
-            relaxations += nrows_loc[rid]
-            t_end = t
-            # Inlined plan-free fire_puts + overhead scheduling. Batched
-            # delivery stacks the whole commit's boundary payload into one
-            # gather (``vals``); per-edge mailbox records hold zero-copy
-            # views into it.
-            pending = pb
-            f = fbuf[rid]
-            if batch_delivery:
-                fent = fire[rid]
-                n_puts = len(fent)
-                if fent:
-                    vals = pending.take(cat_rows[rid])
-                    if f is not None:
-                        if sigma_net > 0:
-                            j = net_j0
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb * f[j], seq, vals[lo:hi]))
-                                seq += 1
-                                j += 1
-                        else:
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb, seq, vals[lo:hi]))
-                                seq += 1
-                    else:
-                        rng = rk.rng if fstreams[rid] is None else None
-                        if rng is not None and sigma_net > 0:
-                            for box, mb, lo, hi in fent:
-                                box.append(
-                                    (t + mb * float(rng.lognormal(0.0, sigma_net)),
-                                     seq, vals[lo:hi])
-                                )
-                                seq += 1
-                        else:
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb, seq, vals[lo:hi]))
-                                seq += 1
-            else:
-                entries = put_plan[rid]
-                n_puts = len(entries)
-                if f is not None:
-                    if sigma_net > 0:
-                        j = net_j0
-                        for q, slots_q, local_rows, mb in entries:
-                            hpush(
-                                heap,
-                                (t + mb * f[j], seq, _MESSAGE, q,
-                                 (slots_q, pending.take(local_rows))),
-                            )
-                            seq += 1
-                            j += 1
-                    else:
-                        for q, slots_q, local_rows, mb in entries:
-                            hpush(
-                                heap,
-                                (t + mb, seq, _MESSAGE, q,
-                                 (slots_q, pending.take(local_rows))),
-                            )
-                            seq += 1
-                else:
-                    rng = rk.rng if fstreams[rid] is None else None
-                    if rng is not None and sigma_net > 0:
-                        for q, slots_q, local_rows, mb in entries:
-                            hpush(
-                                heap,
-                                (t + mb * float(rng.lognormal(0.0, sigma_net)),
-                                 seq, _MESSAGE, q,
-                                 (slots_q, pending.take(local_rows))),
-                            )
-                            seq += 1
-                    else:
-                        for q, slots_q, local_rows, mb in entries:
-                            hpush(
-                                heap,
-                                (t + mb, seq, _MESSAGE, q,
-                                 (slots_q, pending.take(local_rows))),
-                            )
-                            seq += 1
-            tm.puts_sent += n_puts
-            commits_since_obs += 1
-            if commits_since_obs >= observe_every:
-                commits_since_obs = 0
-                res = observe_residual()
-                times.append(t)
-                residuals.append(res)
-                counts.append(relaxations)
-                if res < tol:
-                    converged = True
-                    conv_cursor = (t, s)
-                    continue
-            if rk.iterations >= max_iterations:
-                rk.stopped = True
-                continue
-            if f is not None:
-                if sigma_m > 0:
-                    hpush(
-                        heap,
-                        (t + ((ovbase * f[-1] + puts_const[rid]) * slow[rid]
-                              + const_extra[rid]), seq, _START, rid, 0),
-                    )
-                else:
-                    hpush(
-                        heap,
-                        (t + ((ovbase + puts_const[rid]) * slow[rid]
-                              + const_extra[rid]), seq, _START, rid, 0),
-                    )
-            else:
-                base = ovbase
-                rng = rk.rng
-                if fstreams[rid] is None and sigma_m > 0:
-                    base *= float(rng.lognormal(0.0, sigma_m))
-                ce = const_extra[rid]
-                if ce is None:
-                    ce = self.delay.extra_time(rid, rk.iterations, rng)
-                hpush(
-                    heap,
-                    (t + ((base + puts_const[rid]) * slow[rid] + ce),
-                     seq, _START, rid, 0),
-                )
-            seq += 1
-        # Block-event backend: one heap event per block iteration. A
-        # _START appears only as each rank's initial wake-up; every other
-        # event is a _COMMIT carrying the iteration's *virtual read
-        # cursor* ``(t_start, start_seq)`` — the (time, seq) its START
-        # would have occupied in the two-event engine (the seq counter
-        # advances at exactly the same processing points). At the pop the
-        # whole read-relax-commit span runs back to back: the mailbox cut
-        # at the virtual cursor reproduces what the relax would have seen
-        # at the START pop (later arrivals stay boxed), own rows are only
-        # ever written by their owner, and same-instant commits apply in
-        # virtual-cursor order — the order their two-event COMMIT seqs
-        # (assigned at START pops) would have induced.
+            # Mailbox delivery: puts skip the heap entirely. Each directed
+            # edge keeps an in-flight list of ``(arrival, stamp, values)``
+            # records, where ``stamp`` is the seq a per-message heap push
+            # would have consumed (the counter advances identically, so
+            # every other event keeps its exact seq). Flushing the records
+            # with ``(arrival, stamp) < (t, seq)`` at the receiver's next
+            # read replicates heap pop order bit-for-bit, ties included;
+            # only the newest flushed record is scattered — a put
+            # overwrites the edge's whole fixed slot set, so the older
+            # ones were never observable between reads.
+            fire = []  # per rank: (box, mb, lo, hi) per put entry
+            in_boxes = [[] for _ in range(n_ranks)]
+            cat_rows = wp.cat_rows
+            for frk in ranks:
+                plan_r = put_plan[frk.rank]
+                entries_r, off = [], 0
+                for q, slots_q, local_rows, mb in plan_r:
+                    box: list = []
+                    entries_r.append((box, mb, off, off + local_rows.size))
+                    in_boxes[q].append((box, slots_q))
+                    off += local_rows.size
+                fire.append(entries_r)
+        # Turbo pre-pass: with both jitters drawn from per-rank pattern
+        # streams, a rank's event *schedule* is a fixed recurrence over
+        # its own generator — nothing about timing depends on relax
+        # values. The whole timeline is therefore precomputed in
+        # vectorized chunks (compute/overhead deltas interleaved under one
+        # cumsum, the running clock folded into the first delta — every
+        # add bitwise the scalar engine's) and lexsorted once into the
+        # global (commit, cursor) pop order, which is exactly how the
+        # block loop resolves same-time ties. Mailboxes collapse into
+        # per-edge integer frontiers over precomputed arrival rows, so
+        # Python only makes the irreducibly sequential decisions — batch
+        # admission, winner picks, observations — while all arithmetic is
+        # array work.
         #
-        # Stacked relax: a run of consecutive _COMMIT pops can be
-        # *batched* whenever no batch member's read cursor can still be
-        # affected by an earlier member's commit. A put fired by member i
-        # arrives strictly after its pop time t_i, so member j's cursor
-        # cut is unaffected as long as ts_j <= t_i for every *in-batch
-        # sender* i < j (ranks that never put to j cannot disturb it at
-        # all — on a grid that is all but a handful of neighbors). Each
-        # rank appears at most once (one outstanding commit per rank), so
-        # the k relaxes read disjoint ``x`` rows and write disjoint
-        # scratch. The batch then runs in three phases: every member's
-        # mailbox cut, ONE gather/multiply/bincount over the concatenated
-        # local matrices (global row numbering keeps each row's
-        # accumulation order, so the result is bitwise the per-rank
-        # relax), then the order-sensitive commits/RNG draws/put firing
-        # sequentially in cursor order. Batches are capped at the
-        # observation cadence so convergence can only strike at the last
-        # member, and never split a same-time tie group.
+        # Consecutive commits in that order are *batched* whenever no
+        # member's read cursor can still be affected by an earlier
+        # member's commit: a put fired by member i arrives strictly after
+        # its commit, so member j's cut is safe as long as no in-batch
+        # sender's put reaches j's cursor (ranks that never put to j
+        # cannot disturb it at all). Each rank appears at most once, so
+        # the members read disjoint ``x`` rows and write disjoint scratch.
+        # A batch runs in three phases: every member's mailbox cut, ONE
+        # gather/multiply/bincount over the concatenated local matrices
+        # (global row numbering keeps each row's accumulation order, so
+        # the result is bitwise the per-rank relax), then the commits,
+        # fires and observations in cursor order. Batches are capped at
+        # the observation cadence so convergence can only strike at the
+        # last member.
         #
-        # Stacking (and the turbo engine above it) only pays while rank
-        # blocks are small: the batch concatenates every member's local
-        # matrix, so its cost is O(nnz per batch) of pure memory traffic.
-        # Once blocks carry thousands of nonzeros each, a single rank's
-        # relax already amortizes the NumPy call overhead and the copies
-        # become the bottleneck — paper-scale runs (10^6 rows) are 2-10x
-        # faster per-commit. The cutoff is a pure performance knob; both
-        # paths are bitwise-identical.
-        stacked = (
-            block_mode
+        # Stacking only pays while rank blocks are small: a batch
+        # concatenates every member's local matrix, so its cost is
+        # O(nnz per batch) of pure memory traffic, and its per-run setup
+        # only amortizes over many ranks — hence the two class
+        # thresholds. Exact time ties (measure zero under lognormal
+        # jitter) raise :class:`_TurboBail`; :meth:`run_async` then
+        # reruns the plain block loop, which orders them via seq stamps.
+        if (
+            turbo
+            and plain
+            and heap
+            and not converged
             and not gauss_seidel
             and self.method.is_scaled
+            and n_ranks >= self._TURBO_MIN_RANKS
             and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
-        )
-        if stacked:
+            and sigma_m > 0
+            and sigma_net > 0
+            and all(type(fs) is PatternJitterStream for fs in fstreams)
+        ):
             n_grows = row_off[-1]
-            (st_idx, st_dat, st_row, st_pos, st_span, in_nbrs, n_in,
-             in_slot_cat) = self._warm_stacked(ranks)
-            bt_pop: list = [None] * n_ranks  # in-batch pop time per rank
-            # Steady-state flush: every in-edge usually has exactly one
-            # qualifying record, so the winner scatter goes through the
-            # rank's concatenated in-edge slot array (``in_slot_cat``).
+            st_idx, st_dat, st_row, st_pos, st_span, in_nbrs = (
+                self._warm_stacked(ranks)
+            )
             if use_native:
                 # Per-rank pointer tables for the batched native kernel:
                 # uint64 arrays of raw addresses indexed by rank id, read
@@ -1998,850 +1736,566 @@ class DistributedJacobi:
                 nat_batch_fn = nat.relax_batch
 
                 def nat_relax_batch(members, mode) -> None:
-                    """One compiled call per admission batch (modes 0/1/2)."""
+                    """One compiled call per admission batch (modes 1/2)."""
                     nbm = len(members)
                     nat_members[:nbm] = members
                     nat_batch_fn(
                         nbm, nat_members_ptr, mode, *nat_head, *nat_tab_ptrs
                     )
-                    if perf is not None:
-                        perf.native_calls += 1
-                        perf.native_rows_relaxed += sum(
-                            nrows_loc[r] for r in members
-                        )
-        # Turbo block engine: with both jitters drawn from per-rank
-        # pattern streams, a rank's event *schedule* is a fixed
-        # recurrence over its own generator — nothing about timing
-        # depends on relax values. The whole timeline is therefore
-        # precomputed in vectorized chunks (compute/overhead deltas
-        # interleaved under one cumsum, the running clock folded into
-        # the first delta — every add bitwise the scalar engine's) and
-        # lexsorted once into the global (commit, cursor) pop order,
-        # which is exactly how the sequential loop resolves same-time
-        # ties. Mailboxes collapse into per-edge integer frontiers over
-        # precomputed arrival rows, so Python only makes the
-        # irreducibly sequential decisions — batch admission, winner
-        # picks, observations — while all arithmetic is array work.
-        # Exact time ties (measure zero under lognormal jitter) abort
-        # to the two-event engine, which orders them via seq stamps.
-        if (
-            stacked
-            and heap
-            and not converged
-            and n_ranks >= self._TURBO_MIN_RANKS
-            and sigma_m > 0
-            and sigma_net > 0
-            and all(type(fs) is PatternJitterStream for fs in fstreams)
-        ):
-            try:
-                exp = math.exp
-                INF = math.inf
-                npcat = np.concatenate
-                n_e = [len(put_plan[r]) for r in range(n_ranks)]
-                # Directed-edge maps and relax-plan stacks (warm plan).
-                emap, recv_edges, i3, i2 = self._warm_turbo(
-                    ranks, not use_native
+            exp = math.exp
+            INF = math.inf
+            npcat = np.concatenate
+            n_e = [len(put_plan[r]) for r in range(n_ranks)]
+            # Directed-edge maps and relax-plan stacks (warm plan).
+            emap, recv_edges, i3, i2 = self._warm_turbo(
+                ranks, not use_native
+            )
+            # Rank groups by put fan-out: every rank in a group
+            # shares the draw pattern width, so one stacked sweep
+            # per group generates a whole chunk of per-rank
+            # timelines (draws stay per-rank generators; chunking
+            # does not change ``standard_normal`` streams).
+            wgroups: dict = {}
+            for r in range(n_ranks):
+                wgroups.setdefault(n_e[r], []).append(r)
+            groups = []
+            for ne, rl in sorted(wgroups.items()):
+                w = 2 + ne
+                pat = np.array(
+                    [sigma_m] + [sigma_net] * ne + [sigma_m]
                 )
-                # Rank groups by put fan-out: every rank in a group
-                # shares the draw pattern width, so one stacked sweep
-                # per group generates a whole chunk of per-rank
-                # timelines (draws stay per-rank generators; chunking
-                # does not change ``standard_normal`` streams).
-                wgroups: dict = {}
-                for r in range(n_ranks):
-                    wgroups.setdefault(n_e[r], []).append(r)
-                groups = []
-                for ne, rl in sorted(wgroups.items()):
-                    w = 2 + ne
-                    pat = np.array(
-                        [sigma_m] + [sigma_net] * ne + [sigma_m]
-                    )
-                    cb_c = np.array([cbase[r] for r in rl])[:, None]
-                    sl_c = np.array([slow[r] for r in rl])[:, None]
-                    pc_c = np.array([puts_const[r] for r in rl])[:, None]
-                    ce_c = np.array(
-                        [const_extra[r] for r in rl]
-                    )[:, None]
-                    mb_c = (
-                        np.array(
-                            [[pe[3] for pe in put_plan[r]] for r in rl]
-                        )[:, None, :]
-                        if ne
-                        else None
-                    )
-                    rngs_g = [ranks[r].rng for r in rl]
-                    groups.append(
-                        (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
-                         rngs_g)
-                    )
-                if incremental:
-                    sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
-                    sp_loc = [splans[r].local for r in range(n_ranks)]
-                    sp_val = [splans[r].vals for r in range(n_ranks)]
-                    sp_base = [splans[r].base for r in range(n_ranks)]
-                    sp_span = [splans[r].span for r in range(n_ranks)]
-                    sp_n = [splans[r].vals.size for r in range(n_ranks)]
-                cr_len = [cat_rows[r].size for r in range(n_ranks)]
-                tc_l: list = [[] for _ in range(n_ranks)]  # commit times
-                ts_l: list = [[] for _ in range(n_ranks)]  # read cursors
-                arr_l: list = [[] for _ in range(n_ranks)]  # arrival rows
-                carry = [0.0] * n_ranks  # cursor of next ungenerated iter
-                cover = [0.0] * n_ranks
-                gen_all = 0  # generated iterations (lockstep, all ranks)
-                chunk = 8
-                iters = [0] * n_ranks
-                eptr = [[0] * n_e[r] for r in range(n_ranks)]
-                espill: list = [[None] * n_e[r] for r in range(n_ranks)]
-                sent_l: list = [[] for _ in range(n_ranks)]
-                sbase = [0] * n_ranks
-                puts_fired = 0
-                conv_t = None
-                # The heap holds exactly the initial wake-ups; their pop
-                # does nothing but anchor each rank's clock and consume
-                # one seq, so processing them out of time order is
-                # unobservable (total seq advance is order-independent).
-                while heap:
-                    sev = hpop(heap)
-                    if sev[2] != _START:
-                        raise _TurboBail
-                    carry[sev[3]] = sev[0]
-                    seq += 1
+                cb_c = np.array([cbase[r] for r in rl])[:, None]
+                sl_c = np.array([slow[r] for r in rl])[:, None]
+                pc_c = np.array([puts_const[r] for r in rl])[:, None]
+                ce_c = np.array(
+                    [const_extra[r] for r in rl]
+                )[:, None]
+                mb_c = (
+                    np.array(
+                        [[pe[3] for pe in put_plan[r]] for r in rl]
+                    )[:, None, :]
+                    if ne
+                    else None
+                )
+                rngs_g = [ranks[r].rng for r in rl]
+                groups.append(
+                    (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
+                     rngs_g)
+                )
+            if incremental:
+                sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
+                sp_loc = [splans[r].local for r in range(n_ranks)]
+                sp_val = [splans[r].vals for r in range(n_ranks)]
+                sp_base = [splans[r].base for r in range(n_ranks)]
+                sp_span = [splans[r].span for r in range(n_ranks)]
+                sp_n = [splans[r].vals.size for r in range(n_ranks)]
+            cr_len = [cat_rows[r].size for r in range(n_ranks)]
+            tc_l: list = [[] for _ in range(n_ranks)]  # commit times
+            ts_l: list = [[] for _ in range(n_ranks)]  # read cursors
+            arr_l: list = [[] for _ in range(n_ranks)]  # arrival rows
+            carry = [0.0] * n_ranks  # cursor of next ungenerated iter
+            cover = [0.0] * n_ranks
+            gen_all = 0  # generated iterations (lockstep, all ranks)
+            chunk = 8
+            iters = [0] * n_ranks
+            eptr = [[0] * n_e[r] for r in range(n_ranks)]
+            espill: list = [[None] * n_e[r] for r in range(n_ranks)]
+            sent_l: list = [[] for _ in range(n_ranks)]
+            sbase = [0] * n_ranks
+            puts_fired = 0
+            conv_t = None
+            # The heap holds exactly the initial wake-ups; their pop
+            # does nothing but anchor each rank's clock and consume
+            # one seq, so processing them out of time order is
+            # unobservable (total seq advance is order-independent).
+            while heap:
+                sev = hpop(heap)
+                if sev[2] != _START:
+                    raise _TurboBail
+                carry[sev[3]] = sev[0]
+                seq += 1
 
-                def _gen_round() -> bool:
-                    """Extend every rank's precomputed timeline one chunk.
+            def _gen_round() -> bool:
+                """Extend every rank's precomputed timeline one chunk.
 
-                    Draw positions match the scalar engines' pattern
-                    streams exactly: ``standard_normal`` yields the same
-                    positional sequence under any chunking, and every
-                    product/add below pairs the same operands the scalar
-                    recurrences pair.
-                    """
-                    nonlocal gen_all, chunk
-                    ns = min(chunk, max_iterations - gen_all)
-                    if ns <= 0:
-                        return False
-                    chunk = min(chunk * 2, 64)
-                    for (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
-                         rngs_g) in groups:
-                        nrg = len(rl)
-                        z = np.stack(
-                            [rg.standard_normal(ns * w) for rg in rngs_g]
-                        )
-                        prod = z.reshape(nrg, ns, w) * pat
-                        fac = np.fromiter(
-                            map(exp, prod.ravel().tolist()),
-                            np.float64,
-                            nrg * ns * w,
-                        ).reshape(nrg, ns, w)
-                        dcv = fac[:, :, 0] * cb_c
-                        dcv *= sl_c
-                        dov = fac[:, :, w - 1] * ovbase
-                        dov += pc_c
-                        dov *= sl_c
-                        dov += ce_c
-                        inter = np.empty((nrg, 2 * ns))
-                        inter[:, 0::2] = dcv
-                        inter[:, 1::2] = dov
-                        inter[:, 0] += [carry[r] for r in rl]
-                        cs_ = np.cumsum(inter, axis=1)
-                        tcg = cs_[:, 0::2]
+                Draw positions match the scalar engines' pattern
+                streams exactly: ``standard_normal`` yields the same
+                positional sequence under any chunking, and every
+                product/add below pairs the same operands the scalar
+                recurrences pair.
+                """
+                nonlocal gen_all, chunk
+                ns = min(chunk, max_iterations - gen_all)
+                if ns <= 0:
+                    return False
+                chunk = min(chunk * 2, 64)
+                for (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
+                     rngs_g) in groups:
+                    nrg = len(rl)
+                    z = np.stack(
+                        [rg.standard_normal(ns * w) for rg in rngs_g]
+                    )
+                    prod = z.reshape(nrg, ns, w) * pat
+                    fac = np.fromiter(
+                        map(exp, prod.ravel().tolist()),
+                        np.float64,
+                        nrg * ns * w,
+                    ).reshape(nrg, ns, w)
+                    dcv = fac[:, :, 0] * cb_c
+                    dcv *= sl_c
+                    dov = fac[:, :, w - 1] * ovbase
+                    dov += pc_c
+                    dov *= sl_c
+                    dov += ce_c
+                    inter = np.empty((nrg, 2 * ns))
+                    inter[:, 0::2] = dcv
+                    inter[:, 1::2] = dov
+                    inter[:, 0] += [carry[r] for r in rl]
+                    cs_ = np.cumsum(inter, axis=1)
+                    tcg = cs_[:, 0::2]
+                    if ne:
+                        arr = fac[:, :, 1 : w - 1] * mb_c
+                        arr += tcg[:, :, None]
+                        arr_rows = arr.tolist()
+                    tc_rows = tcg.tolist()
+                    ts_rows = cs_[:, 1::2].tolist()
+                    for i, r in enumerate(rl):
+                        tc_l[r].extend(tc_rows[i])
+                        tr = ts_rows[i]
+                        ts_l[r].append(carry[r])
+                        ts_l[r].extend(tr[:-1])
+                        carry[r] = tr[-1]
                         if ne:
-                            arr = fac[:, :, 1 : w - 1] * mb_c
-                            arr += tcg[:, :, None]
-                            arr_rows = arr.tolist()
-                        tc_rows = tcg.tolist()
-                        ts_rows = cs_[:, 1::2].tolist()
-                        for i, r in enumerate(rl):
-                            tc_l[r].extend(tc_rows[i])
-                            tr = ts_rows[i]
-                            ts_l[r].append(carry[r])
-                            ts_l[r].extend(tr[:-1])
-                            carry[r] = tr[-1]
-                            if ne:
-                                arr_l[r].extend(arr_rows[i])
-                            cover[r] = carry[r]
-                    gen_all += ns
-                    if gen_all >= max_iterations:
-                        for r in range(n_ranks):
-                            cover[r] = INF
-                    return True
+                            arr_l[r].extend(arr_rows[i])
+                        cover[r] = carry[r]
+                gen_all += ns
+                if gen_all >= max_iterations:
+                    for r in range(n_ranks):
+                        cover[r] = INF
+                return True
 
-                merged = 0
-                otc: list = []
-                ots: list = []
-                orr: list = []
-                ork: list = []
+            merged = 0
+            otc: list = []
+            ots: list = []
+            orr: list = []
+            ork: list = []
+            pos = 0
+
+            def _merge() -> None:
+                """Re-lexsort pending plus newly generated events."""
+                nonlocal otc, ots, orr, ork, pos, merged
+                tps = [np.array(otc[pos:], dtype=np.float64)]
+                sps = [np.array(ots[pos:], dtype=np.float64)]
+                rps = [np.array(orr[pos:], dtype=np.int64)]
+                kps = [np.array(ork[pos:], dtype=np.int64)]
+                if merged < gen_all:
+                    ks = np.arange(merged, gen_all, dtype=np.int64)
+                    for r in range(n_ranks):
+                        tps.append(np.array(tc_l[r][merged:gen_all]))
+                        sps.append(np.array(ts_l[r][merged:gen_all]))
+                        rps.append(
+                            np.full(gen_all - merged, r, np.int64)
+                        )
+                        kps.append(ks)
+                    merged = gen_all
+                tca = npcat(tps)
+                tsa = npcat(sps)
+                idx = np.lexsort((tsa, tca))
+                tca = tca.take(idx)
+                tsa = tsa.take(idx)
+                if tca.size > 1:
+                    tie = np.flatnonzero(np.diff(tca) == 0.0)
+                    if tie.size and bool(
+                        np.any(tsa.take(tie) == tsa.take(tie + 1))
+                    ):
+                        raise _TurboBail
+                otc = tca.tolist()
+                ots = tsa.tolist()
+                orr = npcat(rps).take(idx).tolist()
+                ork = npcat(kps).take(idx).tolist()
                 pos = 0
 
-                def _merge() -> None:
-                    """Re-lexsort pending plus newly generated events."""
-                    nonlocal otc, ots, orr, ork, pos, merged
-                    tps = [np.array(otc[pos:], dtype=np.float64)]
-                    sps = [np.array(ots[pos:], dtype=np.float64)]
-                    rps = [np.array(orr[pos:], dtype=np.int64)]
-                    kps = [np.array(ork[pos:], dtype=np.int64)]
-                    if merged < gen_all:
-                        ks = np.arange(merged, gen_all, dtype=np.int64)
-                        for r in range(n_ranks):
-                            tps.append(np.array(tc_l[r][merged:gen_all]))
-                            sps.append(np.array(ts_l[r][merged:gen_all]))
-                            rps.append(
-                                np.full(gen_all - merged, r, np.int64)
-                            )
-                            kps.append(ks)
-                        merged = gen_all
-                    tca = npcat(tps)
-                    tsa = npcat(sps)
-                    idx = np.lexsort((tsa, tca))
-                    tca = tca.take(idx)
-                    tsa = tsa.take(idx)
-                    if tca.size > 1:
-                        tie = np.flatnonzero(np.diff(tca) == 0.0)
-                        if tie.size and bool(
-                            np.any(tsa.take(tie) == tsa.take(tie + 1))
-                        ):
-                            raise _TurboBail
-                    otc = tca.tolist()
-                    ots = tsa.tolist()
-                    orr = npcat(rps).take(idx).tolist()
-                    ork = npcat(kps).take(idx).tolist()
-                    pos = 0
-
-                _gen_round()
-                _merge()
-                n_ord = len(otc)
-                hor = min(cover)
-                bat_of = [-1] * n_ranks
-                b_r: list = []
-                b_k: list = []
-                b_tc: list = []
-                b_ts: list = []
-                gs_parts: list = []
-                gv_parts: list = []
-                while not converged:
-                    if pos >= n_ord or otc[pos] >= hor:
-                        # Horizon exhausted: extend every rank at once —
-                        # extending only the binding rank would re-merge
-                        # the whole order once per rank, and the chunk
-                        # cap bounds each round's overdraw.
-                        if _gen_round():
-                            _merge()
-                            n_ord = len(otc)
-                            hor = min(cover)
-                            continue
-                        if pos >= n_ord:
-                            break
+            _gen_round()
+            _merge()
+            n_ord = len(otc)
+            hor = min(cover)
+            bat_of = [-1] * n_ranks
+            b_r: list = []
+            b_k: list = []
+            b_tc: list = []
+            b_ts: list = []
+            gs_parts: list = []
+            gv_parts: list = []
+            while not converged:
+                if pos >= n_ord or otc[pos] >= hor:
+                    # Horizon exhausted: extend every rank at once —
+                    # extending only the binding rank would re-merge
+                    # the whole order once per rank, and the chunk
+                    # cap bounds each round's overdraw.
+                    if _gen_round():
+                        _merge()
+                        n_ord = len(otc)
                         hor = min(cover)
                         continue
-                    # Batch assembly over the static order: stop at a
-                    # repeated rank (its next commit is already sorted in
-                    # place, so no push-back machinery is needed), the
-                    # observation cadence, the generation horizon, or an
-                    # *exact-arrival* conflict — refuse candidate j when
-                    # an in-batch sender's put would reach j's cursor,
-                    # since phase-1 cuts cannot see in-batch fires.
-                    # Refusing on arrival == cursor is safe: such a put
-                    # carries a later stamp than the cursor seq and would
-                    # not deliver sequentially either.
-                    cap = observe_every - commits_since_obs
-                    del b_r[:], b_k[:], b_tc[:], b_ts[:]
-                    while pos < n_ord and len(b_r) < cap:
-                        tcv = otc[pos]
-                        if tcv >= hor:
-                            break
-                        br = orr[pos]
-                        if bat_of[br] >= 0:
-                            break
-                        tsv = ots[pos]
-                        ok = True
-                        for p in in_nbrs[br]:
-                            bj = bat_of[p]
-                            if bj >= 0 and (
-                                arr_l[p][b_k[bj]][emap[p][br]] <= tsv
-                            ):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                        bat_of[br] = len(b_r)
-                        b_r.append(br)
-                        b_k.append(ork[pos])
-                        b_tc.append(tcv)
-                        b_ts.append(tsv)
-                        pos += 1
-                    nb = len(b_r)
-                    for br in b_r:
-                        bat_of[br] = -1
-                    # Phase 1: every member's mailbox cut at its own
-                    # cursor. Per directed edge an integer frontier walks
-                    # the sender's arrival rows in fire order; records
-                    # passed over unripe go to a (rare) spill list. The
-                    # latest qualifying fire wins — arrival ties on one
-                    # edge resolve to the later fire, matching the
-                    # sequential stamp tiebreak. Winner scatters collect
-                    # into one fused parent-buffer store per batch
-                    # (members own disjoint ghost segments, and the
-                    # relax gather only runs in phase 2).
-                    del gs_parts[:], gv_parts[:]
-                    for bi in range(nb):
-                        bq = b_r[bi]
-                        tsv = b_ts[bi]
-                        for p, ei, gsl, lo, hi in recv_edges[bq]:
-                            ep_p = eptr[p]
-                            wv = ep_p[ei]
-                            fcp = iters[p]
-                            esp = espill[p]
-                            sp = esp[ei]
-                            if not sp:
-                                if wv >= fcp:
-                                    continue
-                                if wv + 1 == fcp:
-                                    # Steady state: exactly one fresh
-                                    # record on the edge.
-                                    a_ = arr_l[p][wv][ei]
-                                    ep_p[ei] = fcp
-                                    if a_ < tsv:
-                                        delivered += 1
-                                        gs_parts.append(gsl)
-                                        gv_parts.append(
-                                            sent_l[p][wv - sbase[p]][
-                                                lo:hi
-                                            ]
-                                        )
-                                    elif a_ == tsv:
-                                        raise _TurboBail
-                                    else:
-                                        esp[ei] = [(a_, wv)]
-                                    continue
-                            nd = 0
-                            best_a = None
-                            bk = -1
-                            if sp:
-                                keep = None
-                                for ent in sp:
-                                    a_ = ent[0]
-                                    if a_ < tsv:
-                                        nd += 1
-                                        if best_a is None or a_ >= best_a:
-                                            best_a = a_
-                                            bk = ent[1]
-                                    elif a_ == tsv:
-                                        raise _TurboBail
-                                    elif keep is None:
-                                        keep = [ent]
-                                    else:
-                                        keep.append(ent)
-                                esp[ei] = keep
-                            if wv < fcp:
-                                ap = arr_l[p]
-                                sp = esp[ei]
-                                while wv < fcp:
-                                    a_ = ap[wv][ei]
-                                    if a_ < tsv:
-                                        nd += 1
-                                        if best_a is None or a_ >= best_a:
-                                            best_a = a_
-                                            bk = wv
-                                    elif a_ == tsv:
-                                        raise _TurboBail
-                                    elif sp is None:
-                                        sp = esp[ei] = [(a_, wv)]
-                                    else:
-                                        sp.append((a_, wv))
-                                    wv += 1
-                                ep_p[ei] = fcp
-                            if nd:
-                                delivered += nd
-                                gs_parts.append(gsl)
-                                gv_parts.append(
-                                    sent_l[p][bk - sbase[p]][lo:hi]
-                                )
-                    if gs_parts:
-                        loc_parent[npcat(gs_parts)] = npcat(gv_parts)
-                    # Phase 2: one stacked relax for the whole batch
-                    # (identical machinery to the heap-driven stacked
-                    # path above), then one batched x commit — safe here
-                    # because turbo batches are never pushed back.
-                    if use_native:
-                        # Fused phase 2 + commit: one compiled call relaxes
-                        # the members in cursor order and, member by member,
-                        # writes ``x`` and applies the incremental residual
-                        # scatter (mode 1). Turbo batches are never pushed
-                        # back and observation can only strike at the last
-                        # member, so the sequential per-member interleaving
-                        # is bitwise the phased NumPy path below.
-                        nat_relax_batch(
-                            b_r, 1 if incremental else 2
-                        )
-                        pend_cat = nat_pend_cat
-                        seg = None
-                    elif nb == 1:
-                        b0 = b_r[0]
-                        rows_cat = rows_of[b0]
-                        st_pos_c = st_pos[b0]
-                        st_span_c = st_span[b0]
-                        st_idx_c = st_idx[b0]
-                        st_row_c = st_row[b0]
-                        st_dat_c = st_dat[b0]
-                    else:
-                        i3c = npcat([i3[r] for r in b_r], axis=1)
-                        rows_cat = i3c[0]
-                        st_pos_c = i3c[1]
-                        st_span_c = i3c[2]
-                        i2c = npcat([i2[r] for r in b_r], axis=1)
-                        st_idx_c = i2c[0]
-                        st_row_c = i2c[1]
-                        st_dat_c = npcat([st_dat[r] for r in b_r])
-                    if not use_native:
-                        own_cat = x.take(rows_cat)
-                        loc_parent[st_pos_c] = own_cat
-                        g = loc_parent.take(st_idx_c)
-                        np.multiply(st_dat_c, g, out=g)
-                        mv_all = np.bincount(
-                            st_row_c, weights=g, minlength=n_grows
-                        )
-                        mv_cat = mv_all.take(st_span_c)
-                        np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
-                        np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
-                        pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
-                        x[rows_cat] = pend_cat
-                        seg = None
-                    if incremental and not use_native:
-                        dx_cat = np.subtract(
-                            pend_cat, own_cat, out=own_cat
-                        )
-                        # Batched scatter-plan apply: concatenate the
-                        # per-member plans with np.repeat-broadcast
-                        # offsets, bincount once, then subtract each
-                        # member's span slice in commit order (bins are
-                        # member-disjoint, so per-row accumulation order
-                        # is bitwise the per-member bincounts).
-                        rep_ps: list = []
-                        loc_ps: list = []
-                        val_ps: list = []
-                        doffs: list = []
-                        goffs: list = []
-                        plens: list = []
-                        seg = []
-                        doff = 0
-                        goff = 0
-                        for bq in b_r:
-                            if sp_n[bq]:
-                                rep_ps.append(sp_rep[bq])
-                                loc_ps.append(sp_loc[bq])
-                                val_ps.append(sp_val[bq])
-                                doffs.append(doff)
-                                goffs.append(goff)
-                                plens.append(sp_n[bq])
-                                seg.append(
-                                    (sp_base[bq], sp_span[bq], goff)
-                                )
-                                goff += sp_span[bq]
-                            else:
-                                seg.append(None)
-                            doff += nrows_loc[bq]
-                        if rep_ps:
-                            if len(rep_ps) == 1:
-                                ri = rep_ps[0] + doffs[0]
-                                li = loc_ps[0] + goffs[0]
-                                vv_ = val_ps[0]
-                            else:
-                                pl = np.array(plens)
-                                ri = npcat(rep_ps) + np.repeat(
-                                    np.array(doffs), pl
-                                )
-                                li = npcat(loc_ps) + np.repeat(
-                                    np.array(goffs), pl
-                                )
-                                vv_ = npcat(val_ps)
-                            sg = dx_cat.take(ri)
-                            np.multiply(vv_, sg, out=sg)
-                            contrib = np.bincount(
-                                li, weights=sg, minlength=goff
-                            )
-                    # Fired rows for the whole batch in one gather; the
-                    # per-member views slice out of it in commit order.
-                    s_parts: list = []
-                    s_offs: list = []
-                    s_lens: list = []
-                    soff = 0
-                    for bq in b_r:
-                        if n_e[bq]:
-                            s_parts.append(cat_rows[bq])
-                            s_offs.append(soff)
-                            s_lens.append(cr_len[bq])
-                        soff += nrows_loc[bq]
-                    if s_parts:
-                        if len(s_parts) == 1:
-                            svals = pend_cat.take(
-                                s_parts[0] + s_offs[0]
-                            )
-                        else:
-                            svals = pend_cat.take(
-                                npcat(s_parts)
-                                + np.repeat(
-                                    np.array(s_offs), np.array(s_lens)
-                                )
-                            )
-                    # Phase 3: commits in cursor order — residual
-                    # updates, fires, observations and seq advances
-                    # exactly as the sequential path interleaves them.
-                    scur = 0
-                    for bi in range(nb):
-                        bq = b_r[bi]
-                        t = b_tc[bi]
-                        if seg is not None:
-                            sg_ = seg[bi]
-                            if sg_ is not None:
-                                sb_, ssp, go = sg_
-                                r_vec[sb_ : sb_ + ssp] -= contrib[
-                                    go : go + ssp
-                                ]
-                        iters[bq] += 1
-                        relaxations += nrows_loc[bq]
-                        t_end = t
-                        ne_q = n_e[bq]
-                        if ne_q:
-                            sl_q = sent_l[bq]
-                            nxt = scur + cr_len[bq]
-                            sl_q.append(svals[scur:nxt])
-                            scur = nxt
-                            seq += ne_q
-                            puts_fired += ne_q
-                            if len(sl_q) >= 96:
-                                # Trim rows every consumer is past.
-                                mn = iters[bq]
-                                for ei in range(ne_q):
-                                    sp = espill[bq][ei]
-                                    k0 = (
-                                        sp[0][1]
-                                        if sp
-                                        else eptr[bq][ei]
-                                    )
-                                    if k0 < mn:
-                                        mn = k0
-                                if mn > sbase[bq]:
-                                    del sl_q[: mn - sbase[bq]]
-                                    sbase[bq] = mn
-                        commits_since_obs += 1
-                        if commits_since_obs >= observe_every:
-                            # Cap placement guarantees this is the
-                            # batch's last member.
-                            commits_since_obs = 0
-                            res = observe_residual()
-                            times.append(t)
-                            residuals.append(res)
-                            counts.append(relaxations)
-                            if res < tol:
-                                converged = True
-                                conv_t = t
-                                break
-                        if iters[bq] >= max_iterations:
-                            continue
-                        seq += 2
-                # Exit bookkeeping. Boxed-record reconciliation below
-                # sees only empty boxes; pending deliveries live in the
-                # spill lists and unconsumed frontier ranges instead.
-                for r in range(n_ranks):
-                    frk = ranks[r]
-                    frk.iterations = iters[r]
-                    if iters[r] >= max_iterations:
-                        frk.stopped = True
-                tm.puts_sent += puts_fired
-                if converged:
-                    ct = conv_t
-                    for p in range(n_ranks):
-                        ap = arr_l[p]
-                        fcp = iters[p]
-                        for ei in range(n_e[p]):
-                            sp = espill[p][ei]
-                            if sp:
-                                for a_, _k in sp:
-                                    if a_ < ct:
-                                        delivered += 1
-                                    elif a_ == ct:
-                                        raise _TurboBail
-                            for wv in range(eptr[p][ei], fcp):
-                                a_ = ap[wv][ei]
-                                if a_ < ct:
-                                    delivered += 1
-                                elif a_ == ct:
-                                    raise _TurboBail
-                else:
-                    for p in range(n_ranks):
-                        fcp = iters[p]
-                        for ei in range(n_e[p]):
-                            sp = espill[p][ei]
-                            delivered += (
-                                len(sp) if sp else 0
-                            ) + fcp - eptr[p][ei]
-            except _TurboBail:
-                # An exact tie the static order cannot break: rerun on
-                # the two-event engine, whose seq stamps resolve it.
-                # Nothing observable leaked — per-run state (ranks,
-                # queue, telemetry) is rebuilt from scratch and ``x0``
-                # was never mutated.
-                return self.run_async(
-                    x0=x0,
-                    tol=tol,
-                    max_iterations=max_iterations,
-                    observe_every=observe_every,
-                    eager=eager,
-                    termination=termination,
-                    report_every=report_every,
-                    residual_mode=residual_mode,
-                    recompute_every=recompute_every,
-                    instrument=instrument,
-                    tracer=tracer,
-                    legacy_engine=legacy_engine,
-                    queue_backend=queue_backend,
-                    delivery=delivery,
-                    relax_backend="event",
-                )
-        while block_mode and heap and not converged:
-            ev = hpop(heap)
-            if stacked and ev[2] == _COMMIT and heap:
-                batch = [ev]
-                bt_pop[ev[3]] = ev[0]
+                    if pos >= n_ord:
+                        break
+                    hor = min(cover)
+                    continue
+                # Batch assembly over the static order: stop at a
+                # repeated rank (its next commit is already sorted in
+                # place, so no push-back machinery is needed), the
+                # observation cadence, the generation horizon, or an
+                # *exact-arrival* conflict — refuse candidate j when
+                # an in-batch sender's put would reach j's cursor,
+                # since phase-1 cuts cannot see in-batch fires.
+                # Refusing on arrival == cursor is safe: such a put
+                # carries a later stamp than the cursor seq and would
+                # not deliver sequentially either.
                 cap = observe_every - commits_since_obs
-                while len(batch) < cap and heap and heap[0][2] == _COMMIT:
-                    nev = heap[0]
-                    cts = nev[4][0]
+                del b_r[:], b_k[:], b_tc[:], b_ts[:]
+                while pos < n_ord and len(b_r) < cap:
+                    tcv = otc[pos]
+                    if tcv >= hor:
+                        break
+                    br = orr[pos]
+                    if bat_of[br] >= 0:
+                        break
+                    tsv = ots[pos]
                     ok = True
-                    for q in in_nbrs[nev[3]]:
-                        tq = bt_pop[q]
-                        if tq is not None and tq < cts:
+                    for p in in_nbrs[br]:
+                        bj = bat_of[p]
+                        if bj >= 0 and (
+                            arr_l[p][b_k[bj]][emap[p][br]] <= tsv
+                        ):
                             ok = False
                             break
                     if not ok:
                         break
-                    batch.append(hpop(heap))
-                    bt_pop[nev[3]] = nev[0]
-                for e in batch:
-                    bt_pop[e[3]] = None
-                # Never split a same-time tie group across the batch
-                # boundary: ties must sort by cursor *together*.
-                while len(batch) > 1 and heap and heap[0][0] == batch[-1][0]:
-                    hpush(heap, batch.pop())
-                if len(batch) > 1:
-                    batch.sort(key=lambda e: (e[0], e[4]))
-                    # Phase 1: every member's mailbox cut at its own
-                    # cursor. Intra-batch puts arrive after t1 and cannot
-                    # qualify, so flushing up front matches sequential
-                    # order (and is idempotent if a member is pushed back).
-                    for e in batch:
-                        brid = e[3]
-                        bts, bsv = e[4]
-                        w_slots: list = []
-                        w_vals: list = []
-                        for box, slots in in_boxes[brid]:
-                            if not box:
+                    bat_of[br] = len(b_r)
+                    b_r.append(br)
+                    b_k.append(ork[pos])
+                    b_tc.append(tcv)
+                    b_ts.append(tsv)
+                    pos += 1
+                nb = len(b_r)
+                for br in b_r:
+                    bat_of[br] = -1
+                # Phase 1: every member's mailbox cut at its own
+                # cursor. Per directed edge an integer frontier walks
+                # the sender's arrival rows in fire order; records
+                # passed over unripe go to a (rare) spill list. The
+                # latest qualifying fire wins — arrival ties on one
+                # edge resolve to the later fire, matching the
+                # sequential stamp tiebreak. Winner scatters collect
+                # into one fused parent-buffer store per batch
+                # (members own disjoint ghost segments, and the
+                # relax gather only runs in phase 2).
+                del gs_parts[:], gv_parts[:]
+                for bi in range(nb):
+                    bq = b_r[bi]
+                    tsv = b_ts[bi]
+                    for p, ei, gsl, lo, hi in recv_edges[bq]:
+                        ep_p = eptr[p]
+                        wv = ep_p[ei]
+                        fcp = iters[p]
+                        esp = espill[p]
+                        sp = esp[ei]
+                        if not sp:
+                            if wv >= fcp:
                                 continue
-                            if len(box) == 1:
-                                m = box[0]
-                                if m[0] < bts or (
-                                    m[0] == bts and m[1] < bsv
-                                ):
+                            if wv + 1 == fcp:
+                                # Steady state: exactly one fresh
+                                # record on the edge.
+                                a_ = arr_l[p][wv][ei]
+                                ep_p[ei] = fcp
+                                if a_ < tsv:
                                     delivered += 1
-                                    w_slots.append(slots)
-                                    w_vals.append(m[2])
-                                    box.clear()
+                                    gs_parts.append(gsl)
+                                    gv_parts.append(
+                                        sent_l[p][wv - sbase[p]][
+                                            lo:hi
+                                        ]
+                                    )
+                                elif a_ == tsv:
+                                    raise _TurboBail
+                                else:
+                                    esp[ei] = [(a_, wv)]
                                 continue
-                            best = None
-                            rest = None
-                            for m in box:
-                                if m[0] < bts or (m[0] == bts and m[1] < bsv):
-                                    delivered += 1
-                                    if best is None or m > best:
-                                        best = m
-                                elif rest is None:
-                                    rest = [m]
+                        nd = 0
+                        best_a = None
+                        bk = -1
+                        if sp:
+                            keep = None
+                            for ent in sp:
+                                a_ = ent[0]
+                                if a_ < tsv:
+                                    nd += 1
+                                    if best_a is None or a_ >= best_a:
+                                        best_a = a_
+                                        bk = ent[1]
+                                elif a_ == tsv:
+                                    raise _TurboBail
+                                elif keep is None:
+                                    keep = [ent]
                                 else:
-                                    rest.append(m)
-                            if best is not None:
-                                w_slots.append(slots)
-                                w_vals.append(best[2])
-                                if rest is None:
-                                    box.clear()
+                                    keep.append(ent)
+                            esp[ei] = keep
+                        if wv < fcp:
+                            ap = arr_l[p]
+                            sp = esp[ei]
+                            while wv < fcp:
+                                a_ = ap[wv][ei]
+                                if a_ < tsv:
+                                    nd += 1
+                                    if best_a is None or a_ >= best_a:
+                                        best_a = a_
+                                        bk = wv
+                                elif a_ == tsv:
+                                    raise _TurboBail
+                                elif sp is None:
+                                    sp = esp[ei] = [(a_, wv)]
                                 else:
-                                    box[:] = rest
-                        # In-edge slot sets are disjoint (each ghost
-                        # position has exactly one sender), so one fused
-                        # scatter is bitwise the per-edge stores.
-                        if w_vals and len(w_vals) == n_in[brid]:
-                            ghosts_of[brid][in_slot_cat[brid]] = (
-                                np.concatenate(w_vals)
+                                    sp.append((a_, wv))
+                                wv += 1
+                            ep_p[ei] = fcp
+                        if nd:
+                            delivered += nd
+                            gs_parts.append(gsl)
+                            gv_parts.append(
+                                sent_l[p][bk - sbase[p]][lo:hi]
                             )
+                if gs_parts:
+                    loc_parent[npcat(gs_parts)] = npcat(gv_parts)
+                # Phase 2: one stacked relax for the whole batch, then
+                # one batched x commit — safe because turbo batches are
+                # never pushed back.
+                if use_native:
+                    # Fused phase 2 + commit: one compiled call relaxes
+                    # the members in cursor order and, member by member,
+                    # writes ``x`` and applies the incremental residual
+                    # scatter (mode 1). Turbo batches are never pushed
+                    # back and observation can only strike at the last
+                    # member, so the sequential per-member interleaving
+                    # is bitwise the phased NumPy path below.
+                    nat_relax_batch(
+                        b_r, 1 if incremental else 2
+                    )
+                    pend_cat = nat_pend_cat
+                    seg = None
+                elif nb == 1:
+                    b0 = b_r[0]
+                    rows_cat = rows_of[b0]
+                    st_pos_c = st_pos[b0]
+                    st_span_c = st_span[b0]
+                    st_idx_c = st_idx[b0]
+                    st_row_c = st_row[b0]
+                    st_dat_c = st_dat[b0]
+                else:
+                    i3c = npcat([i3[r] for r in b_r], axis=1)
+                    rows_cat = i3c[0]
+                    st_pos_c = i3c[1]
+                    st_span_c = i3c[2]
+                    i2c = npcat([i2[r] for r in b_r], axis=1)
+                    st_idx_c = i2c[0]
+                    st_row_c = i2c[1]
+                    st_dat_c = npcat([st_dat[r] for r in b_r])
+                if not use_native:
+                    own_cat = x.take(rows_cat)
+                    loc_parent[st_pos_c] = own_cat
+                    g = loc_parent.take(st_idx_c)
+                    np.multiply(st_dat_c, g, out=g)
+                    mv_all = np.bincount(
+                        st_row_c, weights=g, minlength=n_grows
+                    )
+                    mv_cat = mv_all.take(st_span_c)
+                    np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
+                    np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
+                    pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
+                    x[rows_cat] = pend_cat
+                    seg = None
+                if incremental and not use_native:
+                    dx_cat = np.subtract(
+                        pend_cat, own_cat, out=own_cat
+                    )
+                    # Batched scatter-plan apply: concatenate the
+                    # per-member plans with np.repeat-broadcast
+                    # offsets, bincount once, then subtract each
+                    # member's span slice in commit order (bins are
+                    # member-disjoint, so per-row accumulation order
+                    # is bitwise the per-member bincounts).
+                    rep_ps: list = []
+                    loc_ps: list = []
+                    val_ps: list = []
+                    doffs: list = []
+                    goffs: list = []
+                    plens: list = []
+                    seg = []
+                    doff = 0
+                    goff = 0
+                    for bq in b_r:
+                        if sp_n[bq]:
+                            rep_ps.append(sp_rep[bq])
+                            loc_ps.append(sp_loc[bq])
+                            val_ps.append(sp_val[bq])
+                            doffs.append(doff)
+                            goffs.append(goff)
+                            plens.append(sp_n[bq])
+                            seg.append(
+                                (sp_base[bq], sp_span[bq], goff)
+                            )
+                            goff += sp_span[bq]
                         else:
-                            gh = ghosts_of[brid]
-                            for sl, vv in zip(w_slots, w_vals):
-                                gh[sl] = vv
-                    # Phase 2: one stacked relax for the whole batch.
-                    rids = [e[3] for e in batch]
-                    if use_native:
-                        # Relax-only (mode 0): a member can still be pushed
-                        # back below, so commits stay per member in phase 3.
-                        # Each member's own rows stay staged in its
-                        # ``lb[:m]``, exactly where the per-member native
-                        # commit expects them.
-                        nat_relax_batch(rids, 0)
-                        pend_cat = nat_pend_cat
+                            seg.append(None)
+                        doff += nrows_loc[bq]
+                    if rep_ps:
+                        if len(rep_ps) == 1:
+                            ri = rep_ps[0] + doffs[0]
+                            li = loc_ps[0] + goffs[0]
+                            vv_ = val_ps[0]
+                        else:
+                            pl = np.array(plens)
+                            ri = npcat(rep_ps) + np.repeat(
+                                np.array(doffs), pl
+                            )
+                            li = npcat(loc_ps) + np.repeat(
+                                np.array(goffs), pl
+                            )
+                            vv_ = npcat(val_ps)
+                        sg = dx_cat.take(ri)
+                        np.multiply(vv_, sg, out=sg)
+                        contrib = np.bincount(
+                            li, weights=sg, minlength=goff
+                        )
+                # Fired rows for the whole batch in one gather; the
+                # per-member views slice out of it in commit order.
+                s_parts: list = []
+                s_offs: list = []
+                s_lens: list = []
+                soff = 0
+                for bq in b_r:
+                    if n_e[bq]:
+                        s_parts.append(cat_rows[bq])
+                        s_offs.append(soff)
+                        s_lens.append(cr_len[bq])
+                    soff += nrows_loc[bq]
+                if s_parts:
+                    if len(s_parts) == 1:
+                        svals = pend_cat.take(
+                            s_parts[0] + s_offs[0]
+                        )
                     else:
-                        rows_cat = np.concatenate([rows_of[r] for r in rids])
-                        own_cat = x.take(rows_cat)
-                        loc_parent[
-                            np.concatenate([st_pos[r] for r in rids])
-                        ] = own_cat
-                        g = loc_parent.take(
-                            np.concatenate([st_idx[r] for r in rids])
+                        svals = pend_cat.take(
+                            npcat(s_parts)
+                            + np.repeat(
+                                np.array(s_offs), np.array(s_lens)
+                            )
                         )
-                        np.multiply(
-                            np.concatenate([st_dat[r] for r in rids]), g,
-                            out=g
-                        )
-                        mv_all = np.bincount(
-                            np.concatenate([st_row[r] for r in rids]),
-                            weights=g,
-                            minlength=n_grows,
-                        )
-                        mv_cat = mv_all.take(
-                            np.concatenate([st_span[r] for r in rids])
-                        )
-                        np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
-                        np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
-                        pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
-                    # Phase 3: commits in cursor order — x writes, residual
-                    # updates, RNG draws, put firing and next-event pushes
-                    # exactly as the sequential path interleaves them.
-                    off = 0
-                    nb = len(batch)
-                    for bi in range(nb):
-                        t, s, _bk, rid, payload = batch[bi]
-                        rk = ranks[rid]
-                        m = nrows_loc[rid]
-                        pb = pend_cat[off : off + m]
-                        if use_native:
-                            if incremental:
-                                # own rows live in lb[:m] from the mode-0
-                                # batch relax; pend is this member's
-                                # pend_cat segment.
-                                nat_commit(
-                                    *nat_commit_args[rid],
-                                    nat_pend_cat.ctypes.data + off * 8,
-                                    r_ptr,
+                # Phase 3: commits in cursor order — residual
+                # updates, fires, observations and seq advances
+                # exactly as the sequential path interleaves them.
+                scur = 0
+                for bi in range(nb):
+                    bq = b_r[bi]
+                    t = b_tc[bi]
+                    if seg is not None:
+                        sg_ = seg[bi]
+                        if sg_ is not None:
+                            sb_, ssp, go = sg_
+                            r_vec[sb_ : sb_ + ssp] -= contrib[
+                                go : go + ssp
+                            ]
+                    iters[bq] += 1
+                    relaxations += nrows_loc[bq]
+                    t_end = t
+                    ne_q = n_e[bq]
+                    if ne_q:
+                        sl_q = sent_l[bq]
+                        nxt = scur + cr_len[bq]
+                        sl_q.append(svals[scur:nxt])
+                        scur = nxt
+                        seq += ne_q
+                        puts_fired += ne_q
+                        if len(sl_q) >= 96:
+                            # Trim rows every consumer is past.
+                            mn = iters[bq]
+                            for ei in range(ne_q):
+                                sp = espill[bq][ei]
+                                k0 = (
+                                    sp[0][1]
+                                    if sp
+                                    else eptr[bq][ei]
                                 )
-                            else:
-                                x[rows_of[rid]] = pb
-                        else:
-                            own = own_cat[off : off + m]
-                            if incremental:
-                                np.subtract(pb, own, out=dx_buf[rid])
-                                x[rows_of[rid]] = pb
-                                splans[rid].apply(r_vec, dx_buf[rid])
-                            else:
-                                x[rows_of[rid]] = pb
-                        off += m
-                        rk.iterations += 1
-                        relaxations += nrows_loc[rid]
-                        t_end = t
-                        f = fbuf[rid]
-                        fent = fire[rid]
-                        if fent:
-                            vals = pb.take(cat_rows[rid])
-                            if f is not None:
-                                if sigma_net > 0:
-                                    j = net_j0
-                                    for box, mb, lo, hi in fent:
-                                        box.append(
-                                            (t + mb * f[j], seq, vals[lo:hi])
-                                        )
-                                        seq += 1
-                                        j += 1
-                                else:
-                                    for box, mb, lo, hi in fent:
-                                        box.append((t + mb, seq, vals[lo:hi]))
-                                        seq += 1
-                            else:
-                                rng = (
-                                    rk.rng if fstreams[rid] is None else None
-                                )
-                                if rng is not None and sigma_net > 0:
-                                    for box, mb, lo, hi in fent:
-                                        box.append(
-                                            (t + mb
-                                             * float(rng.lognormal(
-                                                 0.0, sigma_net)),
-                                             seq, vals[lo:hi])
-                                        )
-                                        seq += 1
-                                else:
-                                    for box, mb, lo, hi in fent:
-                                        box.append((t + mb, seq, vals[lo:hi]))
-                                        seq += 1
-                        tm.puts_sent += len(fent)
-                        commits_since_obs += 1
-                        if commits_since_obs >= observe_every:
-                            # Cap placement guarantees this is the batch's
-                            # last member, so earlier flushes stay valid.
-                            commits_since_obs = 0
-                            res = observe_residual()
-                            times.append(t)
-                            residuals.append(res)
-                            counts.append(relaxations)
-                            if res < tol:
-                                converged = True
-                                conv_cursor = (t, s)
-                                break
-                        if rk.iterations >= max_iterations:
-                            rk.stopped = True
-                            continue
-                        f = fbuf[rid]
-                        if f is not None:
-                            if sigma_m > 0:
-                                nts = t + ((ovbase * f[-1] + puts_const[rid])
-                                           * slow[rid] + const_extra[rid])
-                            else:
-                                nts = t + ((ovbase + puts_const[rid])
-                                           * slow[rid] + const_extra[rid])
-                        else:
-                            base = ovbase
-                            rng = rk.rng
-                            if fstreams[rid] is None and sigma_m > 0:
-                                base *= float(rng.lognormal(0.0, sigma_m))
-                            ce = const_extra[rid]
-                            if ce is None:
-                                ce = self.delay.extra_time(
-                                    rid, rk.iterations, rng
-                                )
-                            nts = t + ((base + puts_const[rid]) * slow[rid]
-                                       + ce)
-                        nsv = seq
-                        seq += 1
-                        st = fstreams[rid]
-                        if st is None:
-                            base = cbase[rid]
-                            if sigma_m > 0:
-                                base *= float(rk.rng.lognormal(0.0, sigma_m))
-                            nct = nts + base * slow[rid]
-                        elif type(st) is tuple:
-                            nct = nts + cbase[rid] * slow[rid]
-                        else:
-                            fl = fbuf[rid] = st.next_step()
-                            if sigma_m > 0:
-                                nct = nts + (cbase[rid] * fl[0]) * slow[rid]
-                            else:
-                                nct = nts + cbase[rid] * slow[rid]
-                        hpush(heap, (nct, seq, _COMMIT, rid, (nts, nsv)))
-                        seq += 1
-                        # If the event just pushed precedes the next batch
-                        # member, sequential order would pop it first: push
-                        # the unprocessed tail back (their flushes are
-                        # idempotent, their relax results pure scratch).
-                        if bi + 1 < nb and nct < batch[bi + 1][0]:
-                            for bj in range(nb - 1, bi, -1):
-                                hpush(heap, batch[bj])
+                                if k0 < mn:
+                                    mn = k0
+                            if mn > sbase[bq]:
+                                del sl_q[: mn - sbase[bq]]
+                                sbase[bq] = mn
+                    commits_since_obs += 1
+                    if commits_since_obs >= observe_every:
+                        # Cap placement guarantees this is the
+                        # batch's last member.
+                        commits_since_obs = 0
+                        res = observe_residual()
+                        times.append(t)
+                        residuals.append(res)
+                        counts.append(relaxations)
+                        if res < tol:
+                            converged = True
+                            conv_t = t
                             break
-                    continue
+                    if iters[bq] >= max_iterations:
+                        continue
+                    seq += 2
+            # Exit bookkeeping. Boxed-record reconciliation below
+            # sees only empty boxes; pending deliveries live in the
+            # spill lists and unconsumed frontier ranges instead.
+            for r in range(n_ranks):
+                frk = ranks[r]
+                frk.iterations = iters[r]
+                if iters[r] >= max_iterations:
+                    frk.stopped = True
+            tm.puts_sent += puts_fired
+            if converged:
+                ct = conv_t
+                for p in range(n_ranks):
+                    ap = arr_l[p]
+                    fcp = iters[p]
+                    for ei in range(n_e[p]):
+                        sp = espill[p][ei]
+                        if sp:
+                            for a_, _k in sp:
+                                if a_ < ct:
+                                    delivered += 1
+                                elif a_ == ct:
+                                    raise _TurboBail
+                        for wv in range(eptr[p][ei], fcp):
+                            a_ = ap[wv][ei]
+                            if a_ < ct:
+                                delivered += 1
+                            elif a_ == ct:
+                                raise _TurboBail
+            else:
+                for p in range(n_ranks):
+                    fcp = iters[p]
+                    for ei in range(n_e[p]):
+                        sp = espill[p][ei]
+                        delivered += (
+                            len(sp) if sp else 0
+                        ) + fcp - eptr[p][ei]
+        # The block loop: one heap event per block iteration. A _START
+        # appears only as each rank's initial wake-up; every other event
+        # is a _COMMIT carrying the iteration's *virtual read cursor*
+        # ``(t_start, start_seq)`` — the (time, seq) a separate START
+        # event would have occupied (the seq counter advances at exactly
+        # the same processing points as in the general loop). At the pop
+        # the whole read-relax-commit span runs back to back: the mailbox
+        # cut at the virtual cursor reproduces what the relax would have
+        # seen at the START (later arrivals stay boxed), own rows are only
+        # ever written by their owner, and same-instant commits apply in
+        # virtual-cursor order — the order separate COMMIT events' seqs
+        # (assigned at their START pops) would have induced.
+        while plain and heap and not converged:
+            ev = hpop(heap)
             if heap and heap[0][0] == ev[0]:
                 tb = ev[0]
                 run = [ev]
@@ -2915,6 +2369,11 @@ class DistributedJacobi:
                         else:
                             box[:] = rest
                 relax(rk)
+                # Inlined commit_rows: the commit directly follows the
+                # rank's own relax, so ``own_view`` still holds ``x[rows]``
+                # as of the take in ``relax`` (only the owner writes its
+                # rows) — the old-value gather is free. Gauss-Seidel
+                # relaxes in place through ``own_view``, so it re-gathers.
                 pb = pend_buf[rid]
                 if incremental:
                     if nat_commit_args is not None:
@@ -2971,9 +2430,9 @@ class DistributedJacobi:
                         converged = True
                         # Measure-zero caveat: a message arriving at
                         # *exactly* this event's time counts against this
-                        # event's seq rather than the seq a two-event
-                        # COMMIT would have carried; under any nonzero
-                        # jitter exact ties never occur.
+                        # event's seq rather than the seq a separate
+                        # COMMIT event would have carried; under any
+                        # nonzero jitter exact ties never occur.
                         conv_cursor = (t, s)
                         continue
                 if rk.iterations >= max_iterations:
@@ -2982,7 +2441,7 @@ class DistributedJacobi:
                 # Next block event: the virtual START at t + overhead
                 # consumes the seq its real push would have, then the
                 # next iteration's compute factor is drawn — the same
-                # per-rank draw positions the two-event engine uses.
+                # per-rank draw positions the general loop uses.
                 f = fbuf[rid]
                 if f is not None:
                     if sigma_m > 0:
@@ -3033,24 +2492,23 @@ class DistributedJacobi:
                              rid, (nts, nsv)),
                         )
                 seq += 1
-        if fast:
+        if plain:
             queue._seq = seq
-            if batch_delivery:
-                # Messages still boxed at exit: a drained heap means the
-                # per-event engine would have popped (delivered) every one
-                # of them; a convergence exit delivers exactly those that
-                # arrival-precede the converging commit event.
-                if conv_cursor is not None:
-                    ct, cs = conv_cursor
-                    for fent in fire:
-                        for box, _mb, _lo, _hi in fent:
-                            for e in box:
-                                if e[0] < ct or (e[0] == ct and e[1] < cs):
-                                    delivered += 1
-                elif not converged:
-                    for fent in fire:
-                        for box, _mb, _lo, _hi in fent:
-                            delivered += len(box)
+            # Messages still boxed at exit: a drained heap means per-put
+            # events would all have been popped (delivered); a convergence
+            # exit delivers exactly those that arrival-precede the
+            # converging commit event.
+            if conv_cursor is not None:
+                ct, cs = conv_cursor
+                for fent in fire:
+                    for box, _mb, _lo, _hi in fent:
+                        for e in box:
+                            if e[0] < ct or (e[0] == ct and e[1] < cs):
+                                delivered += 1
+            elif not converged:
+                for fent in fire:
+                    for box, _mb, _lo, _hi in fent:
+                        delivered += len(box)
             tm.puts_delivered += delivered
 
         while queue and not converged:
@@ -3069,14 +2527,11 @@ class DistributedJacobi:
                         # scatter below IS the one-sided RMA landing.
                         if trc is None:
                             slots, values = payload
-                            if batch_delivery:
-                                ps = pend_scatter[rid]
-                                k = id(slots)
-                                if k in ps:
-                                    coalesced_puts += 1
-                                ps[k] = (slots, values, None)
-                            else:
-                                rk.ghosts[slots] = values
+                            ps = pend_scatter[rid]
+                            k = id(slots)
+                            if k in ps:
+                                coalesced_puts += 1
+                            ps[k] = (slots, values, None)
                             tm.puts_delivered += 1
                             fresh[rid] = True
                             if eager and idle[rid] and not rk.stopped:
@@ -3090,16 +2545,11 @@ class DistributedJacobi:
                             and meta.get("vers") is not None
                             else None
                         )
-                        if batch_delivery:
-                            ps = pend_scatter[rid]
-                            k = id(slots)
-                            if k in ps:
-                                coalesced_puts += 1
-                            ps[k] = (slots, values, vers)
-                        else:
-                            rk.ghosts[slots] = values
-                            if vers is not None:
-                                rk.ghost_ver[slots] = vers
+                        ps = pend_scatter[rid]
+                        k = id(slots)
+                        if k in ps:
+                            coalesced_puts += 1
+                        ps[k] = (slots, values, vers)
                         tm.puts_delivered += 1
                         trc.recv(
                             t, rid, None, values.size, seq=None,
@@ -3135,16 +2585,11 @@ class DistributedJacobi:
                         and meta.get("vers") is not None
                         else None
                     )
-                    if batch_delivery:
-                        ps = pend_scatter[rid]
-                        k = id(slots)
-                        if k in ps:
-                            coalesced_puts += 1
-                        ps[k] = (slots, values, vers)
-                    else:
-                        rk.ghosts[slots] = values
-                        if vers is not None:
-                            rk.ghost_ver[slots] = vers
+                    ps = pend_scatter[rid]
+                    k = id(slots)
+                    if k in ps:
+                        coalesced_puts += 1
+                    ps[k] = (slots, values, vers)
                     tm.puts_delivered += 1
                     if trc is not None:
                         trc.recv(
@@ -3258,9 +2703,8 @@ class DistributedJacobi:
                         rk.ghosts[:] = x[rk.ghost_cols]  # ghost re-sync
                         if trace_reads:
                             rk.ghost_ver[:] = version[rk.ghost_cols]
-                        if batch_delivery:
-                            # Pre-crash arrivals are superseded by the re-sync.
-                            pend_scatter[rid].clear()
+                        # Pre-crash arrivals are superseded by the re-sync.
+                        pend_scatter[rid].clear()
                     tm.restarts.append((rid, t))
                     if trc is not None:
                         trc.fault(t, rid, "restart")
@@ -3286,9 +2730,8 @@ class DistributedJacobi:
                         drk.ghosts[:] = x[drk.ghost_cols]  # ghost re-sync
                         if trace_reads:
                             drk.ghost_ver[:] = version[drk.ghost_cols]
-                        if batch_delivery:
-                            # The re-sync supersedes anything boxed.
-                            pend_scatter[dead].clear()
+                        # The re-sync supersedes anything boxed.
+                        pend_scatter[dead].clear()
                     tm.adoptions.append((dead, rid, t))
                     if trc is not None:
                         trc.detect(t, dead, "adopted")
@@ -3328,8 +2771,7 @@ class DistributedJacobi:
                         idle[rid] = True
                         continue
                     fresh[rid] = False
-                    if batch_delivery:
-                        flush_ghosts(rk)
+                    flush_ghosts(rk)
                     # Read-to-write span: reads (own + ghosts) now, write at COMMIT.
                     relax(rk)
                     if trace_reads:
@@ -3352,9 +2794,8 @@ class DistributedJacobi:
                             drk.ghosts[:] = x[drk.ghost_cols]
                             if trace_reads:
                                 drk.ghost_ver[:] = version[drk.ghost_cols]
-                            if batch_delivery:
-                                # The re-sync supersedes anything boxed.
-                                pend_scatter[d].clear()
+                            # The re-sync supersedes anything boxed.
+                            pend_scatter[d].clear()
                         relax(drk)
                         if trace_reads:
                             capture_reads(drk)
@@ -3427,12 +2868,11 @@ class DistributedJacobi:
         converged = converged or res < tol
         if perf is not None:
             perf.total_seconds = _time.perf_counter() - run_start
-            if batch_delivery:
-                perf.puts_coalesced = coalesced_puts
-                perf.delivery_flushes = flush_batches
-                perf.delivery_edges_flushed = flushed_edges
-                perf.delivery_batch_max = batch_max
-                perf.ledger_scatter_width = ledger_width
+            perf.puts_coalesced = coalesced_puts
+            perf.delivery_flushes = flush_batches
+            perf.delivery_edges_flushed = flushed_edges
+            perf.delivery_batch_max = batch_max
+            perf.ledger_scatter_width = ledger_width
         if trc is not None:
             trc.run_end(t_end, converged, relaxations)
         return SimulationResult(

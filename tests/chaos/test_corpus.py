@@ -46,3 +46,24 @@ def test_reproducer(path):
             f"{path.name}: previously-fixed engine bug is back: "
             f"{verdict['failures']}"
         )
+
+
+#: Engine knobs older campaigns drew; the harness now ignores them.
+RETIRED_KEYS = ("queue_backend", "delivery", "relax_backend")
+RETIRED = [
+    p for p in ENTRIES
+    if set(load_reproducer(p)["scenario"].get("distributed", {}))
+    & set(RETIRED_KEYS)
+]
+
+
+@pytest.mark.parametrize("path", RETIRED, ids=lambda p: p.stem)
+def test_retired_engine_keys_are_ignored(path):
+    """A reproducer carrying retired knobs replays as if they were absent."""
+    scenario = load_reproducer(path)["scenario"]
+    stripped = dict(scenario)
+    stripped["distributed"] = {
+        k: v for k, v in scenario["distributed"].items()
+        if k not in RETIRED_KEYS
+    }
+    assert run_scenario(scenario) == run_scenario(stripped)

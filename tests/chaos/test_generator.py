@@ -8,6 +8,7 @@ from repro.chaos import build_scenario, generate_spec, generate_specs
 from repro.chaos.generator import MATRIX_LADDERS, _matrix_rows
 from repro.chaos.harness import _MATRIX_FAMILIES
 from repro.matrices import is_weakly_diagonally_dominant
+from tests.runtime.equivalence import numpy_kernels
 
 
 class TestDeterminism:
@@ -71,75 +72,14 @@ class TestGeneratedSpace:
             assert sizes == sorted(sizes), family
 
 
-class TestNativeBackendDraw:
-    """The native relax backend enters specs only via the toolchain probe."""
+class TestToolchainIndependence:
+    """Specs name no engine knobs, so they never depend on the toolchain."""
 
-    def test_no_native_draws_when_probe_fails(self, monkeypatch):
-        from repro.perf import native
-
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        native._reset_probe_cache()
-        try:
-            specs = generate_specs(0, 120)
-            assert all(
-                s.get("distributed", {}).get("relax_backend") != "native"
-                for s in specs
-            )
-        finally:
-            monkeypatch.delenv("REPRO_NO_NATIVE")
-            native._reset_probe_cache()
-
-    def test_native_draw_is_an_append_only_upgrade(self, monkeypatch):
-        """Disabling native changes relax_backend and nothing else.
-
-        The coin is flipped after every legacy draw, so the pre-native
-        stream of each (seed, index) pair — matrices, plans, methods,
-        every other knob — is identical with and without a toolchain.
-        """
-        from repro.perf import native
-
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        native._reset_probe_cache()
-        try:
-            plain = generate_specs(3, 60)
-        finally:
-            monkeypatch.delenv("REPRO_NO_NATIVE")
-            native._reset_probe_cache()
+    def test_specs_do_not_depend_on_native_probe(self):
         with_probe = generate_specs(3, 60)
-        for a, b in zip(plain, with_probe):
-            if "distributed" in b and b["distributed"]["relax_backend"] == "native":
-                b = json.loads(json.dumps(b))
-                b["distributed"]["relax_backend"] = a["distributed"]["relax_backend"]
-            assert a == b
-
-    @pytest.mark.skipif(
-        not __import__("repro.perf.native", fromlist=["native_available"])
-        .native_available(),
-        reason="no C toolchain: the generator never draws native here",
-    )
-    def test_native_specs_are_legal_and_sor_free(self):
-        specs = generate_specs(0, 200)
-        native_specs = [
-            s
-            for s in specs
-            if s.get("distributed", {}).get("relax_backend") == "native"
-        ]
-        # With a working toolchain the 25% coin lands often in 200 draws.
-        assert native_specs, "no native spec drawn in 200 scenarios"
-        for s in native_specs:
-            assert s["executor"] == "distributed"
-            assert s["method"]["kind"] != "sor"
-            build_scenario(s)  # must construct without validation errors
-
-    def test_shrinker_resets_native_backend(self):
-        """A native spec shrinks toward relax_backend="auto" like any knob."""
-        from repro.chaos.shrink import _config_candidates
-
-        spec = next(s for s in generate_specs(0, 50) if "distributed" in s)
-        spec["distributed"]["relax_backend"] = "native"
-        candidates = _config_candidates(spec)
-        assert any(
-            c["distributed"]["relax_backend"] == "auto"
-            for c in candidates
-            if "distributed" in c
-        )
+        with numpy_kernels():
+            assert generate_specs(3, 60) == with_probe
+        for spec in with_probe:
+            assert not set(spec.get("distributed", {})) & {
+                "queue_backend", "delivery", "relax_backend"
+            }

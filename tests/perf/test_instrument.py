@@ -77,7 +77,7 @@ class TestPerfCounters:
         d = a.as_dict()
         assert d["backend"] == "native" and d["native_calls"] == 15
         # Mixed backends relabel; zero native calls keep digests silent.
-        a.merge(PerfCounters(backend="block"))
+        a.merge(PerfCounters(backend="numpy"))
         assert a.backend == "mixed"
         clean = PerfCounters()
         assert clean.native_summary() == ""
@@ -85,17 +85,17 @@ class TestPerfCounters:
 
     def test_merge_method_and_backend_mixing_semantics(self):
         # Same labels survive a merge unchanged.
-        a = PerfCounters(method="jacobi", backend="block")
-        a.merge(PerfCounters(method="jacobi", backend="block"))
-        assert a.method == "jacobi" and a.backend == "block"
+        a = PerfCounters(method="jacobi", backend="numpy")
+        a.merge(PerfCounters(method="jacobi", backend="numpy"))
+        assert a.method == "jacobi" and a.backend == "numpy"
         # A mismatch on either axis relabels that axis (and only it).
-        a.merge(PerfCounters(method="sor", backend="block"))
-        assert a.method == "mixed" and a.backend == "block"
+        a.merge(PerfCounters(method="sor", backend="numpy"))
+        assert a.method == "mixed" and a.backend == "numpy"
         a.merge(PerfCounters(method="sor", backend="native"))
         assert a.method == "mixed" and a.backend == "mixed"
         # "mixed" is sticky: no later merge can un-mix an axis, even one
         # whose label matches what the aggregate started as.
-        a.merge(PerfCounters(method="jacobi", backend="block"))
+        a.merge(PerfCounters(method="jacobi", backend="numpy"))
         assert a.method == "mixed" and a.backend == "mixed"
         a.merge(PerfCounters(method="mixed", backend="mixed"))
         assert a.method == "mixed" and a.backend == "mixed"
@@ -118,12 +118,7 @@ class TestPerfCounters:
         assert perf.delivery_edges_flushed >= perf.delivery_flushes
         assert perf.delivery_batch_max >= 1
         assert "puts coalesced" in perf.delivery_summary()
-        # The eager-delivery arm keeps the counters at zero.
-        res2 = sim.run_async(
-            tol=1e-8, max_iterations=300, instrument=True, delivery="event"
-        )
-        assert res2.perf.delivery_flushes == 0
-        assert res2.perf.delivery_summary() == ""
+        assert perf.backend in ("native", "numpy")
 
 
 @pytest.fixture

@@ -14,7 +14,33 @@ dependence), so a divergence is reproducible from the failing seed alone.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
+
+from repro.perf import native
+
+
+@contextlib.contextmanager
+def numpy_kernels():
+    """Run the body with the native probe off (``REPRO_NO_NATIVE=1``).
+
+    No run option picks a kernel family: runs use the compiled kernels
+    whenever the library loads, so the NumPy arm of a native-vs-NumPy
+    comparison is reached by disabling the probe and resetting its memo.
+    """
+    old = os.environ.get("REPRO_NO_NATIVE")
+    os.environ["REPRO_NO_NATIVE"] = "1"
+    native._reset_probe_cache()
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["REPRO_NO_NATIVE"]
+        else:
+            os.environ["REPRO_NO_NATIVE"] = old
+        native._reset_probe_cache()
 
 
 def run_ensemble(run_one, seeds):

@@ -5,9 +5,11 @@ must produce *exactly* the outputs of the pre-engine implementations kept
 in ``repro.runtime.legacy`` — same RNG call order, same tie-breaking, so
 every float in the x history, residual history, event times, telemetry
 counters, and ``TraceEvent`` stream is byte-for-byte equal. These tests
-run both arms across the feature matrix (fault plans, delivery modes,
-recovery policies, delay models, sweep variants, both queue backends) and
-compare everything.
+run both arms across the feature matrix (fault plans, recovery policies,
+delay models, sweep variants; plain distributed runs take the block loop,
+the rest the general loop) and compare everything. The engine arm runs
+the compiled kernels whenever they load; CI also runs this file under
+``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same oracle.
 """
 
 import numpy as np
@@ -102,7 +104,6 @@ DIST_ASYNC_CASES = {
     ),
     "omega": (dict(omega=0.8), dict()),
     "instrumented": (dict(), dict(instrument=True)),
-    "calendar_backend": (dict(), dict(queue_backend="calendar")),
 }
 
 
@@ -152,7 +153,6 @@ SHARED_CASES = {
     ),
     "full_residual": (dict(n_threads=8), dict(residual_mode="full")),
     "instrumented": (dict(n_threads=8), dict(instrument=True)),
-    "calendar_backend": (dict(n_threads=8), dict(queue_backend="calendar")),
 }
 
 
@@ -218,3 +218,46 @@ def test_tracing_compat_distributed_fault_plan(trace_reads):
     ]
     assert len(streams[0]) > 0
     assert streams[0] == streams[1]
+
+
+def test_turbo_bail_reruns_bit_identical_to_legacy(monkeypatch):
+    """An exact time tie aborts the turbo pre-pass; the rerun on the plain
+    block loop still matches the oracle bit for bit.
+
+    Ranks 1 and 2 of this layout have the same block size, nnz, put sizes
+    and node, so giving them the same generator makes their whole
+    timelines coincide: every commit of one ties the other's exactly.
+    """
+    import copy
+
+    from repro.runtime import distributed as dist
+
+    real_spawn = dist.spawn_rngs
+
+    def twin_rngs(seed, n):
+        rngs = real_spawn(seed, n)
+        rngs[2] = copy.deepcopy(rngs[1])
+        return rngs
+
+    monkeypatch.setattr(dist, "spawn_rngs", twin_rngs)
+    turbo_args = []
+    real_run = DistributedJacobi._run_async
+
+    def spy(self, *, turbo, **kwargs):
+        turbo_args.append(turbo)
+        return real_run(self, turbo=turbo, **kwargs)
+
+    monkeypatch.setattr(DistributedJacobi, "_run_async", spy)
+    A2 = fd_laplacian_2d(32, 50)
+    b2 = np.random.default_rng(0).uniform(-1, 1, A2.nrows)
+    n_ranks = 100
+    assert n_ranks >= DistributedJacobi._TURBO_MIN_RANKS
+    outs = [
+        DistributedJacobi(
+            A2, b2, n_ranks=n_ranks, partition="contiguous", seed=2
+        ).run_async(tol=1e-30, max_iterations=6, legacy_engine=legacy)
+        for legacy in (False, True)
+    ]
+    assert turbo_args == [True, False], "the tie did not abort the turbo pass"
+    assert_results_identical(*outs)
+    assert outs[0].telemetry.puts_delivered > 0

@@ -1,21 +1,20 @@
-"""Compiled relax kernels (``relax_backend="native"``): identity and fallback.
+"""Compiled relax kernels (:mod:`repro.perf.native`): identity and fallback.
 
-The native backend's contract is the strongest the repo offers: at small n
-it must be *bit-identical* to the legacy oracle across the same feature
-matrix the engine-equivalence suite covers (methods, delivery modes, fault
-plans, tracing), at turbo scale bit-identical to the block backend, and at
-10^4 rows statistically equivalent to the event backend by the ensemble
-helpers. When the toolchain probe fails — no ``cc``, or
-``REPRO_NO_NATIVE=1`` — every entry point must fall back silently and
-reproduce the NumPy trajectories exactly.
+Distributed runs use the compiled kernels whenever the library loads, and
+their contract is the strongest the repo offers: at small n they must be
+*bit-identical* to the legacy oracle across the same feature matrix the
+engine-equivalence suite covers (methods, fault plans, tracing), at turbo
+scale bit-identical to the plain block loop, and at 10^4 rows
+bit-identical to the NumPy kernels. When the toolchain probe fails — no
+``cc``, or ``REPRO_NO_NATIVE=1`` — every entry point must fall back
+silently and reproduce the same trajectories exactly.
 
 Tests that need the compiled library skip (not fail) on machines without a
 C compiler, so the suite stays green in toolchain-less environments.
 """
 
-import os
+import inspect
 
-import numpy as np
 import pytest
 
 from repro.matrices.laplacian import fd_laplacian_2d
@@ -26,6 +25,7 @@ from repro.util.rng import as_rng
 from tests.runtime.equivalence import (
     assert_envelopes_agree,
     assert_times_comparable,
+    numpy_kernels,
     run_ensemble,
 )
 from tests.runtime.test_engine_equivalence import (
@@ -40,22 +40,22 @@ needs_native = pytest.mark.skipif(
     reason="no C toolchain (or REPRO_NO_NATIVE set): compiled kernels absent",
 )
 
-#: Every engine-equivalence async case the native backend legally covers —
-#: the whole matrix minus Gauss-Seidel, whose sequential dot products the
-#: backend refuses (BLAS accumulation order is not reproducible in C).
+#: Every engine-equivalence async case the native kernels cover — the
+#: whole matrix minus Gauss-Seidel, which always runs NumPy (BLAS
+#: accumulation order is not reproducible in C).
 NATIVE_CASES = {k: v for k, v in DIST_ASYNC_CASES.items() if k != "gauss_seidel"}
 
 
 def _run_pair(kwargs, run_kwargs):
-    """(native run, legacy-oracle run) for one configuration."""
+    """(engine run, legacy-oracle run) for one configuration."""
     run_kwargs = dict({"tol": 1e-6, "max_iterations": 40}, **run_kwargs)
-    native_run = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
-        relax_backend="native", **run_kwargs
+    engine_run = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
+        **run_kwargs
     )
     legacy_run = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
         legacy_engine=True, **run_kwargs
     )
-    return native_run, legacy_run
+    return engine_run, legacy_run
 
 
 @needs_native
@@ -77,12 +77,6 @@ def test_native_bit_identical_all_legal_methods(method):
 
 
 @needs_native
-@pytest.mark.parametrize("delivery", ["batched", "event"])
-def test_native_bit_identical_both_delivery_modes(delivery):
-    assert_results_identical(*_run_pair({}, {"delivery": delivery}))
-
-
-@needs_native
 def test_native_traced_run_matches_untraced_trajectory():
     """A traced native run yields the same trajectory as the oracle's.
 
@@ -94,11 +88,13 @@ def test_native_traced_run_matches_untraced_trajectory():
     run_kwargs = {"tol": 1e-6, "max_iterations": 30}
     streams = []
     results = []
-    for setup in ({"relax_backend": "native"}, {"legacy_engine": True}):
+    for legacy in (False, True):
         sink = RingBufferSink(capacity=200_000)
         tracer = Tracer(sinks=[sink], trace_reads=True)
         sim = DistributedJacobi(A, B, n_ranks=8, seed=3)
-        results.append(sim.run_async(tracer=tracer, **setup, **run_kwargs))
+        results.append(
+            sim.run_async(tracer=tracer, legacy_engine=legacy, **run_kwargs)
+        )
         streams.append(
             [(e.kind, e.time, e.seq, e.agent) for e in sink._ring]
         )
@@ -108,43 +104,41 @@ def test_native_traced_run_matches_untraced_trajectory():
 
 
 TURBO_A = fd_laplacian_2d(16, 16)
-TURBO_RANKS = 128  # >= _TURBO_MIN_RANKS: the precomputed-timeline engine
+TURBO_RANKS = 128  # >= _TURBO_MIN_RANKS: the turbo pre-pass runs
 
 
-def _turbo_run(relax_backend, **extra):
+def _turbo_run(turbo, **extra):
+    """A 128-rank plain run, with or without the turbo pre-pass.
+
+    Returns the result and whether the turbo pre-pass ran (it is the only
+    user of the warm plan's turbo edge maps).
+    """
     b = as_rng(7).uniform(-1, 1, TURBO_A.shape[0])
     sim = DistributedJacobi(
         TURBO_A, b, n_ranks=TURBO_RANKS, partition="contiguous", seed=7
     )
-    return sim.run_async(
-        tol=1e-8,
-        max_iterations=60,
-        observe_every=TURBO_RANKS,
-        relax_backend=relax_backend,
-        **extra,
+    if not turbo:
+        sim._TURBO_MIN_RANKS = TURBO_RANKS + 1
+    res = sim.run_async(
+        tol=1e-8, max_iterations=60, observe_every=TURBO_RANKS, **extra
     )
+    return res, sim._plan.turbo_edges is not None
 
 
 @needs_native
 @pytest.mark.parametrize("extra", [{}, {"residual_mode": "full"}])
 def test_native_turbo_bit_identical_to_block(extra):
-    """At turbo rank counts the fused batch kernel matches block bitwise."""
-    assert_results_identical(_turbo_run("native", **extra), _turbo_run("block", **extra))
-
-
-@needs_native
-def test_auto_upgrades_to_native_at_turbo_scale():
-    res = _turbo_run("auto", instrument=True)
-    assert res.perf.backend == "native"
-    assert_results_identical(res, _turbo_run("block", instrument=True))
+    """At turbo rank counts the fused batch kernel matches the block loop."""
+    fast, ran_turbo = _turbo_run(True, **extra)
+    plain, ran_plain = _turbo_run(False, **extra)
+    assert ran_turbo and not ran_plain
+    assert_results_identical(fast, plain)
 
 
 @needs_native
 def test_native_counters_populated_on_instrumented_run():
     sim = DistributedJacobi(A, B, n_ranks=8, seed=3)
-    res = sim.run_async(
-        tol=1e-6, max_iterations=40, instrument=True, relax_backend="native"
-    )
+    res = sim.run_async(tol=1e-6, max_iterations=40, instrument=True)
     perf = res.perf
     assert perf.backend == "native"
     assert perf.native_calls > 0
@@ -158,81 +152,76 @@ LARGE_A = fd_laplacian_2d(100, 100)  # 10^4 rows
 LARGE_RANKS = 128
 
 
-def _large_runner(relax_backend):
-    def run_one(seed):
-        b = as_rng(seed).uniform(-1, 1, LARGE_A.shape[0])
-        sim = DistributedJacobi(
-            LARGE_A, b, n_ranks=LARGE_RANKS, partition="contiguous", seed=seed
-        )
-        tol = sim.run_sync(max_iterations=1).residual_norms[0] / 10.0
-        result = sim.run_async(
-            tol=tol,
-            max_iterations=400,
-            observe_every=LARGE_RANKS,
-            relax_backend=relax_backend,
-        )
-        result.tol = tol
-        return result
-
-    return run_one
+def _large_run(seed):
+    b = as_rng(seed).uniform(-1, 1, LARGE_A.shape[0])
+    sim = DistributedJacobi(
+        LARGE_A, b, n_ranks=LARGE_RANKS, partition="contiguous", seed=seed
+    )
+    tol = sim.run_sync(max_iterations=1).residual_norms[0] / 10.0
+    result = sim.run_async(
+        tol=tol, max_iterations=400, observe_every=LARGE_RANKS
+    )
+    result.tol = tol
+    return result
 
 
 @needs_native
 def test_native_statistically_equivalent_at_large_n():
-    """10^4 rows, 128 ranks: native traces the event backend's envelope.
+    """10^4 rows, 128 ranks: native traces the NumPy kernels' envelope.
 
     Bit-identity against the legacy oracle is unaffordable here; the
     ensemble contract (envelope overlap + comparable time-to-tolerance)
-    is the paper-scale check, and per-seed bit-identity against the block
-    backend rides along because it is nearly free.
+    is the paper-scale check, and per-seed bit-identity against the NumPy
+    kernels rides along because it is nearly free.
     """
-    nat = run_ensemble(_large_runner("native"), SEEDS)
-    ev = run_ensemble(_large_runner("event"), SEEDS)
-    assert_envelopes_agree(nat, ev, slack=0.02)
+    nat = run_ensemble(_large_run, SEEDS)
+    with numpy_kernels():
+        ref = run_ensemble(_large_run, SEEDS)
+    assert_envelopes_agree(nat, ref, slack=0.02)
     tol = min(r.tol for r in nat)
-    assert_times_comparable(nat, ev, tol, ratio=1.05)
-    bl = run_ensemble(_large_runner("block"), SEEDS)
-    for r_nat, r_bl in zip(nat, bl):
-        assert_results_identical(r_nat, r_bl)
+    assert_times_comparable(nat, ref, tol, ratio=1.05)
+    for r_nat, r_ref in zip(nat, ref):
+        assert_results_identical(r_nat, r_ref)
 
 
 class TestFallbackAndValidation:
-    def test_env_knob_disables_and_falls_back_bitwise(self, monkeypatch):
-        """REPRO_NO_NATIVE=1: relax_backend="native" silently runs NumPy."""
+    def test_env_knob_disables_and_falls_back_bitwise(self):
+        """REPRO_NO_NATIVE=1: runs silently use the NumPy kernels."""
         reference = DistributedJacobi(A, B, n_ranks=8, seed=3).run_async(
-            tol=1e-6, max_iterations=40, relax_backend="block"
+            tol=1e-6, max_iterations=40
         )
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        native._reset_probe_cache()
-        try:
+        with numpy_kernels():
             assert native.native_available() is False
             res = DistributedJacobi(A, B, n_ranks=8, seed=3).run_async(
-                tol=1e-6,
-                max_iterations=40,
-                relax_backend="native",
-                instrument=True,
+                tol=1e-6, max_iterations=40, instrument=True
             )
-            assert res.perf.backend == "block"
-            assert res.perf.native_calls == 0
-            assert_results_identical(res, reference)
-        finally:
-            monkeypatch.delenv("REPRO_NO_NATIVE")
-            native._reset_probe_cache()
+        assert res.perf.backend == "numpy"
+        assert res.perf.native_calls == 0
+        assert_results_identical(res, reference)
+
+    @staticmethod
+    def _assert_numpy_only(**kwargs):
+        """The native_ok rule: Gauss-Seidel sweeps silently run NumPy."""
+        runs = [
+            DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
+                tol=1e-6, max_iterations=5, instrument=True,
+                legacy_engine=legacy,
+            )
+            for legacy in (False, True)
+        ]
+        assert runs[0].perf.backend == "numpy"
+        assert runs[0].perf.native_calls == 0
+        assert_results_identical(*runs)
 
     def test_gauss_seidel_sweep_rejects_native(self):
-        sim = DistributedJacobi(A, B, n_ranks=8, seed=3, local_sweep="gauss_seidel")
-        with pytest.raises(Exception, match="relax_backend"):
-            sim.run_async(tol=1e-6, max_iterations=5, relax_backend="native")
+        self._assert_numpy_only(local_sweep="gauss_seidel")
 
     def test_sor_method_rejects_native(self):
-        sim = DistributedJacobi(A, B, n_ranks=8, seed=3, method=make_method("sor"))
-        with pytest.raises(Exception, match="relax_backend"):
-            sim.run_async(tol=1e-6, max_iterations=5, relax_backend="native")
+        self._assert_numpy_only(method=make_method("sor"))
 
-    def test_unknown_backend_error_lists_legal_values(self):
-        sim = DistributedJacobi(A, B, n_ranks=8, seed=3)
-        with pytest.raises(Exception, match="'auto'.*'event'.*'block'"):
-            sim.run_async(tol=1e-6, max_iterations=5, relax_backend="bogus")
+    def test_run_async_has_no_path_knobs(self):
+        params = inspect.signature(DistributedJacobi.run_async).parameters
+        assert not {"delivery", "relax_backend", "queue_backend"} & set(params)
 
 
 class TestBuildMachinery:

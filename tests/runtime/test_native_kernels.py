@@ -17,6 +17,7 @@ from repro.matrices.laplacian import fd_laplacian_2d
 from repro.matrices.sparse import CSRMatrix
 from repro.perf import native
 from repro.runtime.distributed import DistributedJacobi
+from tests.runtime.equivalence import numpy_kernels
 from tests.runtime.test_engine_equivalence import assert_results_identical
 
 needs_native = pytest.mark.skipif(
@@ -172,11 +173,11 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         assert not np.any(wp.native_commit[0][r][3])  # bins re-zeroed
 
 
-def _trajectory(A, b, n_ranks, partition, method, relax_backend, **run):
+def _trajectory(A, b, n_ranks, partition, method, **run):
     sim = DistributedJacobi(
         A, b, n_ranks=n_ranks, partition=partition, seed=4, method=method
     )
-    return sim.run_async(relax_backend=relax_backend, **run)
+    return sim.run_async(**run)
 
 
 @needs_native
@@ -185,10 +186,10 @@ def _trajectory(A, b, n_ranks, partition, method, relax_backend, **run):
 @pytest.mark.parametrize(
     "shape",
     [
-        # (grid, ranks) for scaled methods: > 1,024 nonzeros per rank
-        # take the per-rank kernels; smaller blocks the batch kernel, in
-        # the stacked heap loop (mode 0) below 96 ranks and in the turbo
-        # engine (modes 1 and 2) above. Momentum always runs per rank.
+        # (grid, ranks): below 96 ranks the block loop runs the per-rank
+        # kernels; at 128 ranks scaled methods with small blocks run the
+        # batch kernel in the turbo pre-pass (modes 1 and 2). Momentum
+        # always runs per rank.
         (48, 8),
         (24, 8),
         (16, 128),
@@ -205,8 +206,9 @@ def test_native_trajectories_match_numpy_block(
         tol=1e-12, max_iterations=12, observe_every=5,
         residual_mode=residual_mode,
     )
-    nat = _trajectory(A, b, n_ranks, partition, method, "native", **run)
-    ref = _trajectory(A, b, n_ranks, partition, method, "block", **run)
+    nat = _trajectory(A, b, n_ranks, partition, method, **run)
+    with numpy_kernels():
+        ref = _trajectory(A, b, n_ranks, partition, method, **run)
     assert_results_identical(nat, ref)
 
 

@@ -4,8 +4,8 @@ Bit-identity vs the legacy oracle is only affordable at small n
 (``test_engine_equivalence``); these tests cover the paper-scale regime
 with the ensemble helpers from :mod:`tests.runtime.equivalence`: a
 10^4-row stencil across 128 ranks — enough ranks to engage the
-precomputed-timeline (turbo) block engine — compared over seeded
-ensembles by residual envelope and time-to-tolerance.
+precomputed-timeline (turbo) pre-pass — compared over seeded ensembles by
+residual envelope and time-to-tolerance.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from tests.runtime.equivalence import (
 
 SEEDS = (1, 2, 3)
 GRID = (100, 100)
-N_RANKS = 128  # >= DistributedJacobi._TURBO_MIN_RANKS: turbo engine active
+N_RANKS = 128  # >= DistributedJacobi._TURBO_MIN_RANKS: turbo pre-pass active
 A = fd_laplacian_2d(*GRID)
 
 
@@ -38,15 +38,13 @@ def _sim(seed: int) -> tuple:
     return sim, tol
 
 
-def _async_runner(relax_backend: str, delivery: str = "auto"):
+def _async_runner(turbo: bool = True):
     def run_one(seed: int):
         sim, tol = _sim(seed)
+        if not turbo:
+            sim._TURBO_MIN_RANKS = N_RANKS + 1
         result = sim.run_async(
-            tol=tol,
-            max_iterations=400,
-            observe_every=N_RANKS,
-            relax_backend=relax_backend,
-            delivery=delivery,
+            tol=tol, max_iterations=400, observe_every=N_RANKS
         )
         result.tol = tol
         return result
@@ -54,27 +52,18 @@ def _async_runner(relax_backend: str, delivery: str = "auto"):
     return run_one
 
 
-def test_block_vs_event_statistical_large_n():
-    """Block and event backends trace the same envelope at 10^4 rows.
+def test_turbo_vs_block_loop_statistical_large_n():
+    """The turbo pre-pass and the plain block loop agree at 10^4 rows.
 
-    The backends are designed bit-identical, but at this scale the suite
-    holds them to the affordable statistical contract: tight envelope
-    agreement and matching median time-to-tolerance per seed ensemble.
+    The two are designed bit-identical, but at this scale the suite holds
+    them to the affordable statistical contract: tight envelope agreement
+    and matching median time-to-tolerance per seed ensemble.
     """
-    ev = run_ensemble(_async_runner("event"), SEEDS)
-    bl = run_ensemble(_async_runner("block"), SEEDS)
-    assert_envelopes_agree(ev, bl, slack=0.02)
-    tol = min(r.tol for r in ev)
-    assert_times_comparable(ev, bl, tol, ratio=1.05)
-
-
-def test_batched_vs_event_delivery_statistical_large_n():
-    """Batched and eager delivery agree statistically at 10^4 rows."""
-    eager = run_ensemble(_async_runner("event", delivery="event"), SEEDS)
-    batched = run_ensemble(_async_runner("event", delivery="batched"), SEEDS)
-    assert_envelopes_agree(eager, batched, slack=0.02)
-    tol = min(r.tol for r in eager)
-    assert_times_comparable(eager, batched, tol, ratio=1.05)
+    turbo = run_ensemble(_async_runner(True), SEEDS)
+    block = run_ensemble(_async_runner(False), SEEDS)
+    assert_envelopes_agree(turbo, block, slack=0.02)
+    tol = min(r.tol for r in turbo)
+    assert_times_comparable(turbo, block, tol, ratio=1.05)
 
 
 def test_async_envelope_tracks_sync_large_n():
@@ -94,7 +83,7 @@ def test_async_envelope_tracks_sync_large_n():
         return result
 
     sync = run_ensemble(run_sync_one, SEEDS)
-    asyn = run_ensemble(_async_runner("block"), SEEDS)
+    asyn = run_ensemble(_async_runner(), SEEDS)
     assert_envelopes_agree(sync, asyn, slack=0.25)
     tol = min(r.tol for r in sync)
     t_sync = times_to_tolerance(sync, tol)

@@ -31,21 +31,14 @@ SCHEDULE = (
 )
 
 #: (matrix, n_ranks, partition, constructor kwargs, async kwargs). The
-#: cases reach the per-rank native kernels (big blocks), the stacked heap
-#: loop, the turbo engine (128 ranks), momentum and the general loop.
+#: cases reach the block loop with small and big blocks, the turbo
+#: pre-pass (128 ranks), momentum and the general loop.
 SETUPS = {
-    "event": (A, 8, "bfs", {}, dict(relax_backend="event")),
-    "native_small": (A, 8, "bfs", {}, dict(relax_backend="native")),
-    "native_big_blocks": (
-        fd_laplacian_2d(48, 48), 8, "contiguous", {},
-        dict(relax_backend="native"),
-    ),
+    "native_small": (A, 8, "bfs", {}, {}),
+    "native_big_blocks": (fd_laplacian_2d(48, 48), 8, "contiguous", {}, {}),
     "turbo": (fd_laplacian_2d(16, 16), 128, "contiguous", {}, {}),
     "turbo_bfs": (fd_laplacian_2d(16, 16), 128, "bfs", {}, {}),
-    "richardson2": (
-        A, 8, "contiguous", dict(method="richardson2"),
-        dict(relax_backend="native"),
-    ),
+    "richardson2": (A, 8, "contiguous", dict(method="richardson2"), {}),
     "detect_delay": (
         A, 8, "bfs", dict(delay=ConstantDelay({3: 2e-5})),
         dict(termination="detect", report_every=2),
@@ -136,7 +129,6 @@ def test_scale_sweep_matches_fresh_solvers():
         )
         tol = sim.run_sync(max_iterations=1).residual_norms[0] / 10.0
         rs = sim.run_sync(tol=tol, max_iterations=60)
-        ra = sim.run_async(tol=tol, max_iterations=60, observe_every=n_ranks,
-                           relax_backend="block")
+        ra = sim.run_async(tol=tol, max_iterations=60, observe_every=n_ranks)
         assert point.sync_time == rs.time_to_tolerance(tol)
         assert point.async_time == ra.time_to_tolerance(tol)
