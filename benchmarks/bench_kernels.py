@@ -19,6 +19,8 @@ from conftest import bench_stats, publish_json
 
 from repro.core.reconstruct import reconstruct_propagation_steps
 from repro.matrices.laplacian import fd_laplacian_2d, paper_fd_matrix
+from repro.observability import Tracer
+from repro.observability.replay import to_execution_trace
 from repro.runtime.shared import SharedMemoryJacobi
 
 A_BIG = paper_fd_matrix(4624)
@@ -73,9 +75,11 @@ def test_reconstruction_throughput(benchmark):
     A = fd_laplacian_2d(10, 10)
     b = RNG.uniform(-1, 1, 100)
     sim = SharedMemoryJacobi(A, b, n_threads=10, seed=2)
-    res = sim.run_async(tol=1e-300, max_iterations=10, record_trace=True)
+    tracer = Tracer(trace_reads=True)
+    sim.run_async(tol=1e-300, max_iterations=10, tracer=tracer)
+    trace = to_execution_trace(tracer.events(), A)
 
-    rec = benchmark(reconstruct_propagation_steps, res.trace)
+    rec = benchmark(reconstruct_propagation_steps, trace)
     assert rec.total == 1000
 
 

@@ -21,9 +21,7 @@ synthetic stencil: the real SuiteSparse ``.mtx`` is read when
 ``--profile`` wraps the selected experiments in :mod:`cProfile`, prints the
 top-20 hot spots by cumulative time, and writes the full profile to
 ``profile.pstats`` (inspect with ``python -m pstats profile.pstats``). It
-implies ``--no-cache`` so the experiment actually runs, and closes with a
-delivery digest — message-coalescing counters (puts coalesced, flush batch
-sizes, ledger scatter widths) from one instrumented async run. See
+implies ``--no-cache`` so the experiment actually runs. See
 docs/performance.md.
 
 ``chaos`` runs the property-fuzzing campaign (:mod:`repro.chaos`): generate
@@ -118,32 +116,6 @@ def _print_listing() -> None:
           " (--budget N [--seed S] [--shrink])")
     print(f"    {'serve':<12}solver-service load demo: coalescing, p50/p99,"
           " dedup (--requests N [--trace PATH])")
-
-
-def _delivery_digest() -> None:
-    """Print message-coalescing counters from one instrumented async run.
-
-    The profiled experiments run uninstrumented so the profile measures the
-    real hot paths (instrumentation forces the general event loop); this
-    short representative run re-measures mailbox delivery separately with
-    ``instrument=True`` and reports the
-    :class:`~repro.perf.instrument.PerfCounters` delivery counters.
-    """
-    from repro.matrices.laplacian import fd_laplacian_2d
-    from repro.runtime.distributed import DistributedJacobi
-    from repro.util.rng import as_rng
-
-    A = fd_laplacian_2d(63, 63)
-    b = as_rng(1).uniform(-1, 1, A.shape[0])
-    sim = DistributedJacobi(A, b, n_ranks=16, partition="contiguous", seed=1)
-    result = sim.run_async(tol=1e-6, max_iterations=4000, instrument=True)
-    perf = result.perf
-    print("delivery digest (63x63 stencil, 16 ranks, mailbox delivery):")
-    print("  " + (perf.delivery_summary() or "no mailbox flushes recorded"))
-    print("  kernels: " + perf.summary())
-    native_line = perf.native_summary()
-    if native_line:
-        print("  " + native_line)
 
 
 def _run(names, matrix: str | None = None) -> None:
@@ -283,7 +255,6 @@ def main(argv=None) -> int:
             stats = pstats.Stats(profiler, stream=sys.stdout)
             stats.sort_stats("cumulative").print_stats(20)
             print("full profile written to profile.pstats")
-            _delivery_digest()
         return 0
     _run(names, matrix=matrix)
     return 0

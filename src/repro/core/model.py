@@ -19,7 +19,6 @@ residual-vs-time (Fig. 4), speedups (Fig. 3), and residual-vs-relaxations
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.core.schedules import Schedule
 from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
 from repro.methods.kernels import sor_step_dense, sor_step_incremental
-from repro.perf.instrument import PerfCounters
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import relative_residual_norm, vector_norm
 from repro.util.rng import as_rng
@@ -55,10 +53,6 @@ class ModelResult:
         Relative residual 1-norm at each recorded time.
     relaxation_counts
         Cumulative relaxations at each recorded time.
-    perf
-        Optional :class:`~repro.perf.instrument.PerfCounters` with
-        per-kernel timings (recorded when the executor ran with
-        ``instrument=True``).
     """
 
     x: np.ndarray
@@ -68,7 +62,6 @@ class ModelResult:
     times: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     relaxation_counts: list = field(default_factory=list)
-    perf: PerfCounters | None = None
 
     @property
     def final_residual(self) -> float:
@@ -143,7 +136,6 @@ class AsyncJacobiModel:
         residual_norm_ord=1,
         residual_mode: str = "incremental",
         recompute_every: int = 64,
-        instrument: bool = False,
         tracer=None,
     ) -> ModelResult:
         """Execute the model against ``schedule``.
@@ -165,8 +157,6 @@ class AsyncJacobiModel:
         modes agree to within accumulated rounding (~1e-14 relative between
         recomputations; see docs/performance.md).
 
-        With ``instrument=True`` the result carries per-kernel
-        :class:`~repro.perf.instrument.PerfCounters` as ``result.perf``.
         A live :class:`~repro.observability.Tracer` passed as ``tracer``
         receives structured relax/observe/convergence events (exact-
         information reads are synthesized at replay time, so relax events
@@ -189,11 +179,12 @@ class AsyncJacobiModel:
         sequential = self.method.kind == "sequential"
         beta = self.method.beta
         x_prev = x.copy() if self.method.kind == "momentum" else None
-        perf = PerfCounters(method=self.method.name) if instrument else None
-        run_start = time.perf_counter() if instrument else 0.0
         # Resolved once: a missing or all-null-sink tracer costs one branch
-        # per event afterwards (see repro.observability.tracer.resolve).
-        trc = tracer if (tracer is not None and tracer.enabled) else None
+        # per event afterwards. Imported here: the observability package
+        # imports this module (the replay bridge).
+        from repro.observability.tracer import resolve as resolve_tracer
+
+        trc = resolve_tracer(tracer)
         if trc is not None:
             trc.run_start(
                 "AsyncJacobiModel", self.n, omega=self.omega, tol=tol,
@@ -222,7 +213,6 @@ class AsyncJacobiModel:
                     break
                 rows = step.rows
                 if rows.size:
-                    t0 = perf.tick() if perf is not None else 0.0
                     if incremental:
                         if scaled:
                             dx = dinv[rows] * r[rows]
@@ -259,14 +249,10 @@ class AsyncJacobiModel:
                         dx = dinv[rows] * rr + beta * (x[rows] - x_prev[rows])
                         x_prev[rows] = x[rows]
                         x[rows] += dx
-                    if perf is not None:
-                        perf.tock_spmv(t0)
                     relaxations += rows.size
                     if trc is not None:
                         trc.relax(step.time, None, rows)
                 steps_done += 1
-                if perf is not None:
-                    perf.events += 1
                 if (
                     incremental
                     and recompute_every
@@ -274,10 +260,7 @@ class AsyncJacobiModel:
                 ):
                     r = b - A.matvec(x)
                     steps_since_recompute = 0
-                    if perf is not None:
-                        perf.full_recomputes += 1
                 if steps_done % record_every == 0:
-                    t0 = perf.tick() if perf is not None else 0.0
                     if incremental:
                         res = relnorm(r)
                         if res < tol:
@@ -285,12 +268,8 @@ class AsyncJacobiModel:
                             r = b - A.matvec(x)
                             steps_since_recompute = 0
                             res = relnorm(r)
-                            if perf is not None:
-                                perf.full_recomputes += 1
                     else:
                         res = relative_residual_norm(A, x, b, ord=residual_norm_ord)
-                    if perf is not None:
-                        perf.tock_residual(t0)
                     times.append(step.time)
                     residuals.append(res)
                     counts.append(relaxations)
@@ -304,8 +283,6 @@ class AsyncJacobiModel:
 
         if trc is not None:
             trc.run_end(times[-1], converged, relaxations)
-        if perf is not None:
-            perf.total_seconds = time.perf_counter() - run_start
         return ModelResult(
             x=x,
             converged=converged,
@@ -314,7 +291,6 @@ class AsyncJacobiModel:
             times=times,
             residual_norms=residuals,
             relaxation_counts=counts,
-            perf=perf,
         )
 
 

@@ -15,7 +15,10 @@ Here the traces come from the shared-memory simulator using an
 *instrumented* machine profile: the paper's tracing runs print every read
 set, so the per-iteration overhead dwarfs the relaxation compute of these
 tiny (cache-hot) matrices. That small read-to-write duty cycle is what
-keeps most relaxations expressible.
+keeps most relaxations expressible. The read sets are captured by a
+:class:`~repro.observability.Tracer` with ``trace_reads=True`` and turned
+into the Section IV-A trace by
+:func:`~repro.observability.replay.to_execution_trace`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass, replace
 from repro.core.reconstruct import reconstruct_propagation_steps
 from repro.experiments.report import format_table
 from repro.matrices.laplacian import paper_fd_matrix
+from repro.observability import Tracer
+from repro.observability.replay import to_execution_trace
 from repro.runtime.machine import CPU20, KNL, MachineModel
 from repro.runtime.shared import SharedMemoryJacobi
 from repro.util.rng import as_rng
@@ -67,10 +72,9 @@ def run(iterations: int = 25, seed: int = 21) -> list:
         x0 = rng.uniform(-1, 1, matrix_rows)
         for n_threads in thread_counts:
             sim = SharedMemoryJacobi(A, b, n_threads=n_threads, machine=machine, seed=seed)
-            res = sim.run_async(
-                x0=x0, tol=1e-12, max_iterations=iterations, record_trace=True
-            )
-            rec = reconstruct_propagation_steps(res.trace)
+            tracer = Tracer(trace_reads=True)
+            sim.run_async(x0=x0, tol=1e-12, max_iterations=iterations, tracer=tracer)
+            rec = reconstruct_propagation_steps(to_execution_trace(tracer.events(), A))
             points.append(
                 Fig2Point(
                     platform=platform,

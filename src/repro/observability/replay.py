@@ -64,13 +64,19 @@ def to_execution_trace(events, A: CSRMatrix) -> ExecutionTrace:
     every row reads the current version of each matrix-graph neighbor as of
     the start of its step — precisely the model executor's semantics — with
     the version ledger maintained here.
+
+    Raises :class:`~repro.util.errors.ScheduleError` when an event reads a
+    version of a row that the stream never relaxed that often: the stream
+    lost events (an evicting ring buffer, say), and reconstructing it would
+    silently misattribute every later read. A prefix of a complete stream
+    stays legal — reads only ever name earlier commits.
     """
     rels = relax_events(events)
     n = A.nrows
     trace = ExecutionTrace(n)
-    version = np.zeros(n, dtype=np.int64)
+    version = [0] * n
     for e in rels:
-        rows = e.data["rows"]
+        rows = [int(row) for row in e.data["rows"]]
         reads = e.data.get("reads")
         if reads is not None:
             if len(reads) != len(rows):
@@ -79,14 +85,23 @@ def to_execution_trace(events, A: CSRMatrix) -> ExecutionTrace:
                     f"{len(reads)} read dicts"
                 )
             for row, row_reads in zip(rows, reads):
-                trace.record(int(row), e.time, row_reads)
+                for j, v in row_reads.items():
+                    if v > version[int(j)]:
+                        raise ScheduleError(
+                            f"relax event seq={e.seq} reads version {v} of row "
+                            f"{j}, but only {version[int(j)]} relaxation(s) of "
+                            f"row {j} were captured: the event stream is "
+                            "truncated"
+                        )
+                trace.record(row, e.time, row_reads)
         else:
             # Exact information: all rows of the step read the pre-step
             # state of their neighbors.
             for row in rows:
-                row_reads = {int(j): int(version[j]) for j in A.neighbors(int(row))}
-                trace.record(int(row), e.time, row_reads)
-        version[np.asarray(rows, dtype=np.int64)] += 1
+                row_reads = {int(j): version[j] for j in A.neighbors(row)}
+                trace.record(row, e.time, row_reads)
+        for row in rows:
+            version[row] += 1
     return trace
 
 

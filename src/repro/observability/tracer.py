@@ -7,8 +7,8 @@ A :class:`Tracer` owns a list of sinks and an optional
 tracer costs nothing on the hot path, and event payloads are only built
 when someone is listening. ``trace_reads=True`` additionally asks the
 simulators to capture per-row read versions (the Section IV-A trace), which
-is what the replay bridge needs; it costs the same bookkeeping as the
-simulators' ``record_trace`` option and is therefore opt-in.
+is what the replay bridge needs; the bookkeeping costs a dict per relaxed
+row, so it is opt-in.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Performance layer: batched trials, caching, parallel fan-out, profiling.
+"""Performance layer: batched trials, caching, parallel fan-out, native kernels.
 
 Three cooperating pieces (see docs/performance.md):
 
@@ -8,12 +8,12 @@ Three cooperating pieces (see docs/performance.md):
 * :mod:`repro.perf.runner` / :mod:`repro.perf.cache` — a process-pool
   experiment runner with an on-disk content-hash cache (keyed by config +
   code version, disabled by ``REPRO_NO_CACHE=1`` or ``--no-cache``);
-* :mod:`repro.perf.instrument` — lightweight per-kernel timing counters
-  attached to ``ModelResult``/``SimulationResult`` when executors run with
-  ``instrument=True``.
+* :mod:`repro.perf.native` — compiled C relax/commit kernels for the
+  distributed simulator, bit-identical to its NumPy paths.
 
-Submodules are imported lazily so that :mod:`repro.core` can import the
-instrumentation without creating a cycle through the batched engine.
+Submodules are imported lazily, so importing the package loads none of
+them. Profiling is ``python -m repro <experiment> --profile`` (cProfile);
+run-time observability is the tracer (:mod:`repro.observability`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ _SUBMODULES = {
     "BatchedAsyncJacobiModel": "repro.perf.batched",
     "BatchedModelResult": "repro.perf.batched",
     "ExperimentCache": "repro.perf.cache",
-    "PerfCounters": "repro.perf.instrument",
     "cache_enabled": "repro.perf.cache",
     "code_version": "repro.perf.cache",
     "run_cells": "repro.perf.runner",

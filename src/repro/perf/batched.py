@@ -31,7 +31,6 @@ See docs/performance.md for the bit-identity argument and measurements.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.core.model import AsyncJacobiModel, ModelResult
 from repro.core.schedules import Schedule
 from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
-from repro.perf.instrument import PerfCounters
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
 from repro.util.validation import check_positive
@@ -59,8 +57,6 @@ class BatchedModelResult:
         ``(T,)`` per-trial outcome arrays.
     times, residual_norms, relaxation_counts
         Length-T lists of per-trial history lists.
-    perf
-        Optional :class:`PerfCounters` (``instrument=True``).
     """
 
     x: np.ndarray
@@ -70,7 +66,6 @@ class BatchedModelResult:
     times: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     relaxation_counts: list = field(default_factory=list)
-    perf: PerfCounters | None = None
 
     @property
     def n_trials(self) -> int:
@@ -134,7 +129,6 @@ class BatchedAsyncJacobiModel:
         residual_norm_ord=1,
         residual_mode: str = "incremental",
         recompute_every: int = 64,
-        instrument: bool = False,
     ) -> BatchedModelResult:
         """Execute all trials against one shared ``schedule``.
 
@@ -168,8 +162,6 @@ class BatchedAsyncJacobiModel:
         sequential = self.method.kind == "sequential"
         beta = self.method.beta
         momentum = self.method.kind == "momentum"
-        perf = PerfCounters(method=self.method.name) if instrument else None
-        run_start = time.perf_counter() if instrument else 0.0
 
         # NumPy's pairwise summation runs along the contiguous axis of a
         # reduction, so summing |M.T[cols]| over axis 1 blocks exactly as
@@ -232,7 +224,6 @@ class BatchedAsyncJacobiModel:
                     break
                 rows = step.rows
                 if rows.size:
-                    t0 = perf.tick() if perf is not None else 0.0
                     if incremental:
                         if scaled:
                             DX = dinv[rows, None] * Rw[rows]
@@ -277,20 +268,13 @@ class BatchedAsyncJacobiModel:
                         DX = dinv[rows, None] * RR + beta * (Xw[rows] - Xp[rows])
                         Xp[rows] = Xw[rows]
                         Xw[rows] += DX
-                    if perf is not None:
-                        perf.tock_spmv(t0)
                     relax_live += rows.size
                 steps_done += 1
-                if perf is not None:
-                    perf.events += 1
                 if incremental and recompute_every and since.max() >= recompute_every:
                     stale = np.nonzero(since >= recompute_every)[0]
                     Rw[:, stale] = Bw[:, stale] - A.matmat(Xw[:, stale])
                     since[stale] = 0
-                    if perf is not None:
-                        perf.full_recomputes += 1
                 if steps_done % record_every == 0:
-                    t0 = perf.tick() if perf is not None else 0.0
                     if incremental:
                         res = live_relnorms(Rw)
                         hit = np.nonzero(res < tol)[0]
@@ -299,13 +283,9 @@ class BatchedAsyncJacobiModel:
                             # per trial, exactly as the sequential path.
                             Rw[:, hit] = Bw[:, hit] - A.matmat(Xw[:, hit])
                             since[hit] = 0
-                            if perf is not None:
-                                perf.full_recomputes += 1
                             res = live_relnorms(Rw)
                     else:
                         res = live_relnorms(Bw - A.matmat(Xw))
-                    if perf is not None:
-                        perf.tock_residual(t0)
                     step_time = step.time
                     for j, t in enumerate(live_idx):
                         times[t].append(step_time)
@@ -334,8 +314,6 @@ class BatchedAsyncJacobiModel:
                 final_x[:, live_idx] = Xw
                 trial_steps[live_idx] = steps_done
                 relaxations[live_idx] = relax_live
-        if perf is not None:
-            perf.total_seconds = time.perf_counter() - run_start
         return BatchedModelResult(
             x=final_x,
             converged=converged,
@@ -344,5 +322,4 @@ class BatchedAsyncJacobiModel:
             times=times,
             residual_norms=residuals,
             relaxation_counts=counts,
-            perf=perf,
         )

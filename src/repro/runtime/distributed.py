@@ -43,17 +43,16 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults.plan import NO_FAULTS, FaultPlan
 from repro.matrices.sparse import CSRMatrix
+from repro.observability.tracer import resolve as resolve_tracer
 from repro.methods import MethodError, make_method
 from repro.partition.partitioner import bfs_bisection_partition, contiguous_partition
 from repro.partition.subdomain import DomainDecomposition
-from repro.perf.instrument import PerfCounters
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
 from repro.runtime.engine import (
     HeapEventQueue,
@@ -737,7 +736,6 @@ class DistributedJacobi:
         report_every: int = 4,
         residual_mode: str = "incremental",
         recompute_every: int = 64,
-        instrument: bool = False,
         tracer=None,
         legacy_engine: bool = False,
     ) -> SimulationResult:
@@ -764,9 +762,7 @@ class DistributedJacobi:
         paying a full SpMV per observation. Drift is bounded by a full
         recompute every ``recompute_every`` observations plus confirmation
         of any tolerance crossing; the simulated trajectory itself is
-        untouched. ``"full"`` is the naive reference observer. With
-        ``instrument=True`` the result carries per-kernel
-        :class:`PerfCounters` as ``result.perf``.
+        untouched. ``"full"`` is the naive reference observer.
 
         The event loop runs on the typed engine
         (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
@@ -789,14 +785,14 @@ class DistributedJacobi:
 
         * **The block loop** takes every plain run — no faults or loss
           rolls, no tracer, no reliable puts, no eager/detect/heartbeat
-          machinery, no hang-capable delay model and no
-          ``instrument=True``. One heap event per block iteration runs the
-          whole read-relax-commit span at the iteration's virtual read
-          cursor. From ``_TURBO_MIN_RANKS`` ranks, for scaled methods with
-          small blocks and both jitters drawn from pattern streams, a
-          *turbo* pre-pass precomputes every rank's timeline in vectorized
-          chunks and relaxes admission batches as one stacked kernel; an
-          exact time tie it cannot order reruns the plain block loop.
+          machinery and no hang-capable delay model. One heap event per
+          block iteration runs the whole read-relax-commit span at the
+          iteration's virtual read cursor. From ``_TURBO_MIN_RANKS``
+          ranks, for scaled methods with small blocks and both jitters
+          drawn from pattern streams, a *turbo* pre-pass precomputes every
+          rank's timeline in vectorized chunks and relaxes admission
+          batches as one stacked kernel; an exact time tie it cannot order
+          reruns the plain block loop.
         * **The general loop** takes everything else, with one START and
           one COMMIT event per block iteration plus the protocol traffic.
 
@@ -848,14 +844,13 @@ class DistributedJacobi:
                 observe_every=observe_every, eager=eager,
                 termination=termination, report_every=report_every,
                 residual_mode=residual_mode, recompute_every=recompute_every,
-                instrument=instrument, tracer=tracer,
+                tracer=tracer,
             )
         kwargs = dict(
             x0=x0, tol=tol, max_iterations=max_iterations,
             observe_every=observe_every, eager=eager, termination=termination,
             report_every=report_every, residual_mode=residual_mode,
-            recompute_every=recompute_every, instrument=instrument,
-            tracer=tracer,
+            recompute_every=recompute_every, tracer=tracer,
         )
         try:
             return self._run_async(turbo=True, **kwargs)
@@ -869,8 +864,7 @@ class DistributedJacobi:
 
     def _run_async(
         self, x0, tol, max_iterations, observe_every, eager, termination,
-        report_every, residual_mode, recompute_every, instrument, tracer,
-        turbo: bool,
+        report_every, residual_mode, recompute_every, tracer, turbo: bool,
     ) -> SimulationResult:
         """The engine behind :meth:`run_async`; ``turbo=False`` skips the
         turbo pre-pass (the rerun after a :class:`_TurboBail`)."""
@@ -894,12 +888,6 @@ class DistributedJacobi:
 
             nat = native_kernels()
         use_native = nat is not None
-        perf = PerfCounters(method=self.method.name) if instrument else None
-        if perf is not None:
-            perf.backend = "native" if use_native else "numpy"
-            if use_native:
-                perf.native_build_ms = nat.build_ms
-        run_start = _time.perf_counter() if instrument else 0.0
         A, b, dinv = self.A, self.b, self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         ranks = self._compile_ranks()
@@ -1049,9 +1037,6 @@ class DistributedJacobi:
             def relax(rk: _Rank) -> None:
                 """Native relax: same buffers, same bits, one C call."""
                 nat_relax(*nat_relax_args[rk.rank])
-                if perf is not None:
-                    perf.native_calls += 1
-                    perf.native_rows_relaxed += nrows_loc[rk.rank]
 
             if incremental:
                 nat_commit_args = [
@@ -1130,7 +1115,7 @@ class DistributedJacobi:
 
         # Resolved once: a missing or all-null-sink tracer costs one branch
         # per event afterwards (see repro.observability.tracer.resolve).
-        trc = tracer if (tracer is not None and tracer.enabled) else None
+        trc = resolve_tracer(tracer)
         trace_reads = trc is not None and trc.trace_reads
         version = None
         if trace_reads:
@@ -1192,16 +1177,12 @@ class DistributedJacobi:
             if recompute_every and obs_since_recompute >= recompute_every:
                 residual(x, r_vec)
                 obs_since_recompute = 0
-                if perf is not None:
-                    perf.full_recomputes += 1
             res = relnorm(r_vec)
             if res < tol:
                 # Confirm the crossing against a drift-free residual.
                 residual(x, r_vec)
                 obs_since_recompute = 0
                 res = relnorm(r_vec)
-                if perf is not None:
-                    perf.full_recomputes += 1
             return res
 
         def commit_rows(block: _Rank) -> None:
@@ -1209,13 +1190,10 @@ class DistributedJacobi:
             r = block.rank
             pb = pend_buf[r]
             if incremental:
-                t0 = perf.tick() if perf is not None else 0.0
                 x.take(block.rows, out=old_buf[r])
                 np.subtract(pb, old_buf[r], out=dx_buf[r])
                 x[block.rows] = pb
                 splans[r].apply(r_vec, dx_buf[r])
-                if perf is not None:
-                    perf.tock_spmv(t0)
             else:
                 x[block.rows] = pb
             if version is not None:
@@ -1311,34 +1289,21 @@ class DistributedJacobi:
         # the edge's full slot set and distinct edges touch disjoint ghost
         # slots.
         pend_scatter = [dict() for _ in range(n_ranks)]
-        coalesced_puts = 0  # arrivals superseded before the next flush
-        flush_batches = 0  # flushes that applied at least one edge
-        flushed_edges = 0  # edges scattered across all flushes
-        ledger_width = 0  # version entries scattered into ghost_ver
-        batch_max = 0  # widest single flush, in edges
 
         def flush_ghosts(block: _Rank) -> None:
             """Apply the block's pending ghost scatters in one pass."""
-            nonlocal flush_batches, flushed_edges, ledger_width, batch_max
             ps = pend_scatter[block.rank]
             if not ps:
                 return
             gh = block.ghosts
             gv = block.ghost_ver
-            n_edges = 0
             for slots, values, vers in ps.values():
                 gh[slots] = values
                 if vers is not None:
                     # maximum.at keeps the newest version even if a stale
                     # retransmit were ever recorded behind a fresher one.
                     np.maximum.at(gv, slots, vers)
-                    ledger_width += vers.size
-                n_edges += 1
             ps.clear()
-            flush_batches += 1
-            flushed_edges += n_edges
-            if n_edges > batch_max:
-                batch_max = n_edges
 
         def rto(n_values: int) -> float:
             """Base retransmission timeout: a generous round-trip multiple."""
@@ -1590,9 +1555,9 @@ class DistributedJacobi:
 
         # Plain runs — no faults, no loss rolls, no tracing, no reliable
         # protocol, no eager/detect/heartbeat machinery, no hang-capable
-        # delay model, no instrumentation — take the block loop below.
-        # Only START/COMMIT events can then exist, and puts never touch
-        # the heap. Every other run takes the general loop at the end.
+        # delay model — take the block loop below. Only START/COMMIT
+        # events can then exist, and puts never touch the heap. Every
+        # other run takes the general loop at the end.
         plain = (
             not has_plan
             and not drop_p
@@ -1603,7 +1568,6 @@ class DistributedJacobi:
             and not detect
             and not heartbeats_on
             and not may_hang
-            and perf is None
         )
         conv_cursor = None
         if plain:
@@ -2515,8 +2479,6 @@ class DistributedJacobi:
             t, kind, agents, objs = queue.pop_batch()
             for rid, payload in zip(agents, objs):
                 rk = ranks[rid]
-                if perf is not None:
-                    perf.events += 1
                 if kind == _MESSAGE:
                     if has_plan and down(rid, t):
                         # The target window is gone; the put lands nowhere.
@@ -2527,11 +2489,7 @@ class DistributedJacobi:
                         # scatter below IS the one-sided RMA landing.
                         if trc is None:
                             slots, values = payload
-                            ps = pend_scatter[rid]
-                            k = id(slots)
-                            if k in ps:
-                                coalesced_puts += 1
-                            ps[k] = (slots, values, None)
+                            pend_scatter[rid][id(slots)] = (slots, values, None)
                             tm.puts_delivered += 1
                             fresh[rid] = True
                             if eager and idle[rid] and not rk.stopped:
@@ -2545,11 +2503,7 @@ class DistributedJacobi:
                             and meta.get("vers") is not None
                             else None
                         )
-                        ps = pend_scatter[rid]
-                        k = id(slots)
-                        if k in ps:
-                            coalesced_puts += 1
-                        ps[k] = (slots, values, vers)
+                        pend_scatter[rid][id(slots)] = (slots, values, vers)
                         tm.puts_delivered += 1
                         trc.recv(
                             t, rid, None, values.size, seq=None,
@@ -2585,11 +2539,7 @@ class DistributedJacobi:
                         and meta.get("vers") is not None
                         else None
                     )
-                    ps = pend_scatter[rid]
-                    k = id(slots)
-                    if k in ps:
-                        coalesced_puts += 1
-                    ps[k] = (slots, values, vers)
+                    pend_scatter[rid][id(slots)] = (slots, values, vers)
                     tm.puts_delivered += 1
                     if trc is not None:
                         trc.recv(
@@ -2827,10 +2777,7 @@ class DistributedJacobi:
                     commits_since_obs += 1 + len(snap)
                     if commits_since_obs >= observe_every:
                         commits_since_obs = 0
-                        t0 = perf.tick() if perf is not None else 0.0
                         res = observe_residual()
-                        if perf is not None:
-                            perf.tock_residual(t0)
                         times.append(t)
                         residuals.append(res)
                         counts.append(relaxations)
@@ -2852,10 +2799,7 @@ class DistributedJacobi:
         # Final observation, skipped via the dirty flag when no row changed
         # since the last recorded one (recomputing would be pure waste).
         if commits_since_obs:
-            t0 = perf.tick() if perf is not None else 0.0
             res = observe_residual()
-            if perf is not None:
-                perf.tock_residual(t0)
             times.append(max(t_end, times[-1]))
             residuals.append(res)
             counts.append(relaxations)
@@ -2866,13 +2810,6 @@ class DistributedJacobi:
         else:
             res = residuals[-1]
         converged = converged or res < tol
-        if perf is not None:
-            perf.total_seconds = _time.perf_counter() - run_start
-            perf.puts_coalesced = coalesced_puts
-            perf.delivery_flushes = flush_batches
-            perf.delivery_edges_flushed = flushed_edges
-            perf.delivery_batch_max = batch_max
-            perf.ledger_scatter_width = ledger_width
         if trc is not None:
             trc.run_end(t_end, converged, relaxations)
         return SimulationResult(
@@ -2885,7 +2822,6 @@ class DistributedJacobi:
             total_time=t_end,
             mode="eager" if eager else "async",
             telemetry=tm,
-            perf=perf,
         )
 
     # ------------------------------------------------------------------

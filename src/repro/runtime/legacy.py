@@ -17,14 +17,12 @@ Nothing else should call into this module.
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 
 import numpy as np
 
-from repro.core.reconstruct import ExecutionTrace
 from repro.methods.kernels import sor_block_pending
-from repro.perf.instrument import PerfCounters
+from repro.observability.tracer import resolve as resolve_tracer
 from repro.runtime.events import EventQueue
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.norms import relative_residual_norm, vector_norm
@@ -60,12 +58,10 @@ def shared_run_async(
     x0=None,
     tol: float = 1e-3,
     max_iterations: int = 10_000,
-    record_trace: bool = False,
     observe_every: int | None = None,
     run_until_all_reach: bool = False,
     residual_mode: str = "incremental",
     recompute_every: int = 64,
-    instrument: bool = False,
     tracer=None,
 ) -> SimulationResult:
     """The pre-engine ``SharedMemoryJacobi.run_async`` body, verbatim."""
@@ -78,18 +74,13 @@ def shared_run_async(
     x = np.zeros(sim.n) if x0 is None else check_vector(x0, sim.n, "x0").copy()
     data, cols = A.data, A.indices
     incremental = residual_mode == "incremental"
-    perf = PerfCounters(method=sim.method.name) if instrument else None
-    run_start = _time.perf_counter() if instrument else 0.0
 
     # Resolved once: a missing or all-null-sink tracer costs one branch
     # per event afterwards (see repro.observability.tracer.resolve).
-    trc = tracer if (tracer is not None and tracer.enabled) else None
-    # Per-row read versions are captured when either consumer wants
-    # them; the bookkeeping is shared so the two never double-pay.
-    trace_rows = record_trace or (trc is not None and trc.trace_reads)
-    threads = sim._make_threads(trace_rows)
-    trace = ExecutionTrace(sim.n) if record_trace else None
-    version = np.zeros(sim.n, dtype=np.int64) if trace_rows else None
+    trc = resolve_tracer(tracer)
+    trace_reads = trc is not None and trc.trace_reads
+    threads = sim._make_threads(trace_reads)
+    version = np.zeros(sim.n, dtype=np.int64) if trace_reads else None
     plan = sim.fault_plan
     tm = FaultTelemetry()
     if trc is not None:
@@ -154,16 +145,12 @@ def shared_run_async(
         if recompute_every and obs_since_recompute >= recompute_every:
             r_vec = b - A.matvec(x)
             obs_since_recompute = 0
-            if perf is not None:
-                perf.full_recomputes += 1
         res = relnorm(r_vec)
         if res < tol:
             # Confirm the crossing against a drift-free residual.
             r_vec = b - A.matvec(x)
             obs_since_recompute = 0
             res = relnorm(r_vec)
-            if perf is not None:
-                perf.full_recomputes += 1
         return res
 
     res0 = relnorm(r_vec)
@@ -190,8 +177,6 @@ def shared_run_async(
     while queue and not converged:
         t, (kind, tid) = queue.pop()
         th = threads[tid]
-        if perf is not None:
-            perf.events += 1
         if kind == _REQUEST:
             # A delayed (or restarted) thread's wake-up: ask for the
             # core again.
@@ -221,7 +206,7 @@ def shared_run_async(
                 if momentum_m:
                     th.pending += mom_beta * (x[lo:hi] - mom_prev[lo:hi])
                     mom_prev[lo:hi] = x[lo:hi]
-            if trace_rows:
+            if trace_reads:
                 th.pending_reads = [
                     {int(j): int(version[j]) for j in nbrs}
                     for nbrs in th.neighbors_per_row
@@ -238,45 +223,35 @@ def shared_run_async(
                 continue
             lo, hi = th.lo, th.hi
             if incremental:
-                t0 = perf.tick() if perf is not None else 0.0
                 dx = th.pending - x[lo:hi]
                 x[lo:hi] = th.pending
                 A.subtract_columns_update(r_vec, block_cols[tid], dx)
-                if perf is not None:
-                    perf.tock_spmv(t0)
             else:
                 x[lo:hi] = th.pending
             th.iterations += 1
             relaxations += hi - lo
             t_end = t
-            if trace_rows:
-                if trc is not None and trc.trace_reads:
-                    # Staleness per row: how many commits behind the
-                    # freshest neighbor read was, measured pre-bump.
-                    stale = [
-                        max(
-                            (int(version[j]) - ver for j, ver in reads.items()),
-                            default=0,
-                        )
-                        for reads in th.pending_reads
-                    ]
-                    trc.relax(
-                        t, tid, range(lo, hi),
-                        reads=th.pending_reads, staleness=stale,
+            if trace_reads:
+                # Staleness per row: how many commits behind the
+                # freshest neighbor read was, measured pre-bump.
+                stale = [
+                    max(
+                        (int(version[j]) - ver for j, ver in reads.items()),
+                        default=0,
                     )
+                    for reads in th.pending_reads
+                ]
+                trc.relax(
+                    t, tid, range(lo, hi),
+                    reads=th.pending_reads, staleness=stale,
+                )
                 version[lo:hi] += 1
-                if record_trace:
-                    for i, reads in zip(range(lo, hi), th.pending_reads):
-                        trace.record(i, t, reads)
-            if trc is not None and not trc.trace_reads:
+            elif trc is not None:
                 trc.relax(t, tid, range(lo, hi))
             commits_since_obs += 1
             if commits_since_obs >= observe_every:
                 commits_since_obs = 0
-                t0 = perf.tick() if perf is not None else 0.0
                 res = observe_residual()
-                if perf is not None:
-                    perf.tock_residual(t0)
                 times.append(t)
                 residuals.append(res)
                 counts.append(relaxations)
@@ -325,10 +300,7 @@ def shared_run_async(
     # (the dirty flag); otherwise the recorded history is already
     # current and recomputing the residual would be pure waste.
     if commits_since_obs:
-        t0 = perf.tick() if perf is not None else 0.0
         res = observe_residual()
-        if perf is not None:
-            perf.tock_residual(t0)
         times.append(max(t_end, times[-1]))
         residuals.append(res)
         counts.append(relaxations)
@@ -345,8 +317,6 @@ def shared_run_async(
         for crash_at, restart_at in plan.crash_times(tid):
             if crash_at < t_end:
                 tm.degraded_intervals.append((crash_at, min(restart_at, t_end)))
-    if perf is not None:
-        perf.total_seconds = _time.perf_counter() - run_start
     if trc is not None:
         trc.run_end(t_end, converged, relaxations)
     return SimulationResult(
@@ -358,9 +328,7 @@ def shared_run_async(
         iterations=np.array([th.iterations for th in threads]),
         total_time=t_end,
         mode="async",
-        trace=trace,
         telemetry=tm,
-        perf=perf,
     )
 
 
@@ -375,7 +343,6 @@ def distributed_run_async(
     report_every: int = 4,
     residual_mode: str = "incremental",
     recompute_every: int = 64,
-    instrument: bool = False,
     tracer=None,
 ) -> SimulationResult:
     """The pre-engine ``DistributedJacobi.run_async`` body, verbatim."""
@@ -395,8 +362,6 @@ def distributed_run_async(
             f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
         )
     incremental = residual_mode == "incremental"
-    perf = PerfCounters(method=sim.method.name) if instrument else None
-    run_start = _time.perf_counter() if instrument else 0.0
     A, b, dinv = sim.A, sim.b, sim.dinv
     x = np.zeros(sim.n) if x0 is None else check_vector(x0, sim.n, "x0").copy()
     mom_prev = x.copy() if sim.method.kind == "momentum" else None
@@ -418,7 +383,7 @@ def distributed_run_async(
 
     # Resolved once: a missing or all-null-sink tracer costs one branch
     # per event afterwards (see repro.observability.tracer.resolve).
-    trc = tracer if (tracer is not None and tracer.enabled) else None
+    trc = resolve_tracer(tracer)
     trace_reads = trc is not None and trc.trace_reads
     version = None
     if trace_reads:
@@ -483,27 +448,20 @@ def distributed_run_async(
         if recompute_every and obs_since_recompute >= recompute_every:
             r_vec = b - A.matvec(x)
             obs_since_recompute = 0
-            if perf is not None:
-                perf.full_recomputes += 1
         res = relnorm(r_vec)
         if res < tol:
             # Confirm the crossing against a drift-free residual.
             r_vec = b - A.matvec(x)
             obs_since_recompute = 0
             res = relnorm(r_vec)
-            if perf is not None:
-                perf.full_recomputes += 1
         return res
 
     def commit_rows(block) -> None:
         """Publish a block's pending update, maintaining the residual."""
         if incremental:
-            t0 = perf.tick() if perf is not None else 0.0
             dx = block.pending - x[block.rows]
             x[block.rows] = block.pending
             A.subtract_columns_update(r_vec, block.rows, dx)
-            if perf is not None:
-                perf.tock_spmv(t0)
         else:
             x[block.rows] = block.pending
         if version is not None:
@@ -830,8 +788,6 @@ def distributed_run_async(
     while queue and not converged:
         t, (kind, rid, payload) = queue.pop()
         rk = ranks[rid]
-        if perf is not None:
-            perf.events += 1
         if kind == _MESSAGE:
             src, seq, slots, values, corrupted, meta = payload
             if plan and down(rid, t):
@@ -1085,10 +1041,7 @@ def distributed_run_async(
             commits_since_obs += 1 + len(snap)
             if commits_since_obs >= observe_every:
                 commits_since_obs = 0
-                t0 = perf.tick() if perf is not None else 0.0
                 res = observe_residual()
-                if perf is not None:
-                    perf.tock_residual(t0)
                 times.append(t)
                 residuals.append(res)
                 counts.append(relaxations)
@@ -1110,10 +1063,7 @@ def distributed_run_async(
     # Final observation, skipped via the dirty flag when no row changed
     # since the last recorded one (recomputing would be pure waste).
     if commits_since_obs:
-        t0 = perf.tick() if perf is not None else 0.0
         res = observe_residual()
-        if perf is not None:
-            perf.tock_residual(t0)
         times.append(max(t_end, times[-1]))
         residuals.append(res)
         counts.append(relaxations)
@@ -1124,8 +1074,6 @@ def distributed_run_async(
     else:
         res = residuals[-1]
     converged = converged or res < tol
-    if perf is not None:
-        perf.total_seconds = _time.perf_counter() - run_start
     if trc is not None:
         trc.run_end(t_end, converged, relaxations)
     return SimulationResult(
@@ -1138,7 +1086,6 @@ def distributed_run_async(
         total_time=t_end,
         mode="eager" if eager else "async",
         telemetry=tm,
-        perf=perf,
     )
 
 

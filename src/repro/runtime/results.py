@@ -124,16 +124,9 @@ class SimulationResult:
         Simulated time at which the run ended.
     mode
         "sync" or "async".
-    trace
-        Optional :class:`~repro.core.reconstruct.ExecutionTrace` with
-        row-level read versions (recorded only when requested).
     telemetry
         Optional :class:`FaultTelemetry` with recovery counters/timelines
         (recorded whenever fault machinery was active).
-    perf
-        Optional :class:`~repro.perf.instrument.PerfCounters` with
-        per-kernel wall-clock attribution (recorded when the simulator ran
-        with ``instrument=True``).
     """
 
     x: np.ndarray
@@ -144,9 +137,7 @@ class SimulationResult:
     iterations: np.ndarray = None
     total_time: float = 0.0
     mode: str = "async"
-    trace: object = None
     telemetry: FaultTelemetry = None
-    perf: object = None
 
     @property
     def final_residual(self) -> float:

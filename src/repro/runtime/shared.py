@@ -25,9 +25,9 @@ GIL-bound host:
   *more* threads accelerate asynchronous convergence: oversubscription
   serializes neighboring blocks, making the iteration more multiplicative
   (Section IV-B/D);
-* optional trace recording captures, per relaxed row, the version of every
-  neighbor value read — the input to the propagation-matrix reconstruction
-  of Figure 2.
+* a tracer with ``trace_reads=True`` captures, per relaxed row, the version
+  of every neighbor value read — the input to the propagation-matrix
+  reconstruction of Figure 2 (:mod:`repro.observability.replay`).
 
 Convergence is observed by a zero-cost oracle that recomputes the global
 relative residual 1-norm on a configurable cadence (the real implementation
@@ -37,18 +37,16 @@ simulated timing).
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.reconstruct import ExecutionTrace
 from repro.faults.plan import NO_FAULTS, FaultPlan
 from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
 from repro.methods.kernels import sor_block_pending, sor_step_dense
-from repro.perf.instrument import PerfCounters
+from repro.observability.tracer import resolve as resolve_tracer
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
 from repro.runtime.engine import HeapEventQueue, JitterStream
 from repro.runtime.machine import KNL, MachineModel
@@ -166,7 +164,7 @@ class SharedMemoryJacobi:
         self.n_cores = min(self.n_threads, machine.cores)
 
     # ------------------------------------------------------------------
-    def _make_threads(self, record_trace: bool) -> list:
+    def _make_threads(self, trace_reads: bool) -> list:
         A = self.A
         bounds = np.linspace(0, self.n, self.n_threads + 1).astype(np.int64)
         rngs = spawn_rngs(self.seed, self.n_threads)
@@ -175,7 +173,7 @@ class SharedMemoryJacobi:
             lo, hi = int(bounds[tid]), int(bounds[tid + 1])
             nnz_lo, nnz_hi = int(A.indptr[lo]), int(A.indptr[hi])
             rowid_local = A._row_of_nnz[nnz_lo:nnz_hi] - lo
-            nbrs = [A.neighbors(i) for i in range(lo, hi)] if record_trace else []
+            nbrs = [A.neighbors(i) for i in range(lo, hi)] if trace_reads else []
             threads.append(
                 _Thread(
                     tid=tid,
@@ -211,12 +209,10 @@ class SharedMemoryJacobi:
         x0=None,
         tol: float = 1e-3,
         max_iterations: int = 10_000,
-        record_trace: bool = False,
         observe_every: int | None = None,
         run_until_all_reach: bool = False,
         residual_mode: str = "incremental",
         recompute_every: int = 64,
-        instrument: bool = False,
         tracer=None,
         legacy_engine: bool = False,
     ) -> SimulationResult:
@@ -237,16 +233,14 @@ class SharedMemoryJacobi:
         changes. A full recomputation every ``recompute_every``
         observations bounds float drift, and any tolerance crossing is
         confirmed against a fresh residual. ``"full"`` recomputes from
-        scratch at every observation (the naive reference). With
-        ``instrument=True`` the result carries per-kernel
-        :class:`PerfCounters` as ``result.perf``.
+        scratch at every observation (the naive reference).
 
         A live :class:`~repro.observability.Tracer` passed as ``tracer``
-        receives structured events: per-commit relax events (with per-row
-        read versions when the tracer has ``trace_reads=True`` — the same
-        bookkeeping ``record_trace`` pays), injected delays, scripted
-        crashes/restarts, residual observations, and the convergence
-        crossing. Tracing never perturbs the simulated trajectory;
+        receives structured events: per-commit relax events (with the
+        per-row read versions the trace→reconstruction bridge,
+        :mod:`repro.observability.replay`, consumes when the tracer has
+        ``trace_reads=True``), injected delays, scripted crashes/restarts,
+        residual observations, and the convergence crossing. Tracing never perturbs the simulated trajectory;
         ``tracer=None`` (default) or an all-null-sink tracer leaves the
         hot loop untouched.
 
@@ -265,10 +259,10 @@ class SharedMemoryJacobi:
 
             return shared_run_async(
                 self, x0=x0, tol=tol, max_iterations=max_iterations,
-                record_trace=record_trace, observe_every=observe_every,
+                observe_every=observe_every,
                 run_until_all_reach=run_until_all_reach,
                 residual_mode=residual_mode, recompute_every=recompute_every,
-                instrument=instrument, tracer=tracer,
+                tracer=tracer,
             )
         check_positive(tol, "tol")
         if residual_mode not in ("incremental", "full"):
@@ -279,18 +273,13 @@ class SharedMemoryJacobi:
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         data, cols = A.data, A.indices
         incremental = residual_mode == "incremental"
-        perf = PerfCounters(method=self.method.name) if instrument else None
-        run_start = _time.perf_counter() if instrument else 0.0
 
         # Resolved once: a missing or all-null-sink tracer costs one branch
         # per event afterwards (see repro.observability.tracer.resolve).
-        trc = tracer if (tracer is not None and tracer.enabled) else None
-        # Per-row read versions are captured when either consumer wants
-        # them; the bookkeeping is shared so the two never double-pay.
-        trace_rows = record_trace or (trc is not None and trc.trace_reads)
-        threads = self._make_threads(trace_rows)
-        trace = ExecutionTrace(self.n) if record_trace else None
-        version = np.zeros(self.n, dtype=np.int64) if trace_rows else None
+        trc = resolve_tracer(tracer)
+        trace_reads = trc is not None and trc.trace_reads
+        threads = self._make_threads(trace_reads)
+        version = np.zeros(self.n, dtype=np.int64) if trace_reads else None
         plan = self.fault_plan
         tm = FaultTelemetry()
         if trc is not None:
@@ -463,16 +452,12 @@ class SharedMemoryJacobi:
             if recompute_every and obs_since_recompute >= recompute_every:
                 r_vec = b - A.matvec(x)
                 obs_since_recompute = 0
-                if perf is not None:
-                    perf.full_recomputes += 1
             res = relnorm(r_vec)
             if res < tol:
                 # Confirm the crossing against a drift-free residual.
                 r_vec = b - A.matvec(x)
                 obs_since_recompute = 0
                 res = relnorm(r_vec)
-                if perf is not None:
-                    perf.full_recomputes += 1
             return res
 
         res0 = relnorm(r_vec)
@@ -497,8 +482,6 @@ class SharedMemoryJacobi:
 
         while queue and not converged:
             t, kind, agents, _objs = queue.pop_batch()
-            if perf is not None:
-                perf.events += len(agents)
             if kind == _REQUEST:
                 # Delayed (or restarted) threads' wake-ups: ask for the
                 # core again, in pop (seq) order.
@@ -561,7 +544,7 @@ class SharedMemoryJacobi:
                     # Read-to-write span: snapshot reads now, write at COMMIT.
                     if relaxed is None or tid not in relaxed:
                         relax(tid)
-                    if trace_rows:
+                    if trace_reads:
                         th.pending_reads = [
                             {int(j): int(version[j]) for j in nbrs}
                             for nbrs in th.neighbors_per_row
@@ -590,54 +573,41 @@ class SharedMemoryJacobi:
                     if one_row[tid]:
                         pv = pb[0]
                         if incremental:
-                            t0 = perf.tick() if perf is not None else 0.0
                             d0 = pv - x[lo]
                             x[lo] = pv
                             scatter[tid].apply1(r_vec, d0)
-                            if perf is not None:
-                                perf.tock_spmv(t0)
                         else:
                             x[lo] = pv
                     elif incremental:
-                        t0 = perf.tick() if perf is not None else 0.0
                         np.subtract(pb, x_seg[tid], out=dx_buf[tid])
                         x_seg[tid][:] = pb
                         scatter[tid].apply(r_vec, dx_buf[tid])
-                        if perf is not None:
-                            perf.tock_spmv(t0)
                     else:
                         x_seg[tid][:] = pb
                     th.iterations += 1
                     relaxations += hi - lo
                     t_end = t
-                    if trace_rows:
-                        if trc is not None and trc.trace_reads:
-                            # Staleness per row: how many commits behind the
-                            # freshest neighbor read was, measured pre-bump.
-                            stale = [
-                                max(
-                                    (int(version[j]) - ver for j, ver in reads.items()),
-                                    default=0,
-                                )
-                                for reads in th.pending_reads
-                            ]
-                            trc.relax(
-                                t, tid, range(lo, hi),
-                                reads=th.pending_reads, staleness=stale,
+                    if trace_reads:
+                        # Staleness per row: how many commits behind the
+                        # freshest neighbor read was, measured pre-bump.
+                        stale = [
+                            max(
+                                (int(version[j]) - ver for j, ver in reads.items()),
+                                default=0,
                             )
+                            for reads in th.pending_reads
+                        ]
+                        trc.relax(
+                            t, tid, range(lo, hi),
+                            reads=th.pending_reads, staleness=stale,
+                        )
                         version[lo:hi] += 1
-                        if record_trace:
-                            for i, reads in zip(range(lo, hi), th.pending_reads):
-                                trace.record(i, t, reads)
-                    if trc is not None and not trc.trace_reads:
+                    elif trc is not None:
                         trc.relax(t, tid, range(lo, hi))
                     commits_since_obs += 1
                     if commits_since_obs >= observe_every:
                         commits_since_obs = 0
-                        t0 = perf.tick() if perf is not None else 0.0
                         res = observe_residual()
-                        if perf is not None:
-                            perf.tock_residual(t0)
                         times.append(t)
                         residuals.append(res)
                         counts.append(relaxations)
@@ -703,10 +673,7 @@ class SharedMemoryJacobi:
         # (the dirty flag); otherwise the recorded history is already
         # current and recomputing the residual would be pure waste.
         if commits_since_obs:
-            t0 = perf.tick() if perf is not None else 0.0
             res = observe_residual()
-            if perf is not None:
-                perf.tock_residual(t0)
             times.append(max(t_end, times[-1]))
             residuals.append(res)
             counts.append(relaxations)
@@ -723,8 +690,6 @@ class SharedMemoryJacobi:
             for crash_at, restart_at in plan.crash_times(tid):
                 if crash_at < t_end:
                     tm.degraded_intervals.append((crash_at, min(restart_at, t_end)))
-        if perf is not None:
-            perf.total_seconds = _time.perf_counter() - run_start
         if trc is not None:
             trc.run_end(t_end, converged, relaxations)
         return SimulationResult(
@@ -736,9 +701,7 @@ class SharedMemoryJacobi:
             iterations=np.array([th.iterations for th in threads]),
             total_time=t_end,
             mode="async",
-            trace=trace,
             telemetry=tm,
-            perf=perf,
         )
 
     # ------------------------------------------------------------------
@@ -763,7 +726,7 @@ class SharedMemoryJacobi:
             )
         A, b, dinv = self.A, self.b, self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
-        threads = self._make_threads(record_trace=False)
+        threads = self._make_threads(trace_reads=False)
         barrier = self.machine.barrier_cost(self.n_threads)
 
         b_norm = vector_norm(b, 1)
@@ -817,7 +780,6 @@ class SharedMemoryJacobi:
             iterations=np.full(self.n_threads, k),
             total_time=t,
             mode="sync",
-            trace=None,
         )
 
     def run(self, mode: str, **kwargs) -> SimulationResult:

@@ -79,16 +79,6 @@ class SolveResult:
         when the backend recorded one, else None."""
         return self.info.get("telemetry")
 
-    @property
-    def perf(self):
-        """Profiling counters (:class:`~repro.perf.instrument.PerfCounters`)
-        when the backend ran with ``instrument=True``, else None."""
-        for key in ("model_result", "simulation", "history", "threaded_result"):
-            backend_result = self.info.get(key)
-            if backend_result is not None:
-                return getattr(backend_result, "perf", None)
-        return None
-
 
 def _as_csr(A) -> CSRMatrix:
     if isinstance(A, CSRMatrix):

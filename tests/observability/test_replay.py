@@ -15,7 +15,7 @@ from repro.core.model import AsyncJacobiModel
 from repro.core.schedules import SynchronousSchedule
 from repro.faults import FaultPlan, RankCrash
 from repro.matrices.laplacian import fd_laplacian_1d, fd_laplacian_2d
-from repro.observability import JSONLSink, Metrics, NullSink, Tracer
+from repro.observability import JSONLSink, Metrics, NullSink, RingBufferSink, Tracer
 from repro.observability.replay import replay_report, to_execution_trace
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.shared import SharedMemoryJacobi
@@ -42,18 +42,6 @@ class TestSharedMemoryReplay:
         # The replayed trajectory ends at least as converged as observed.
         assert report.residuals[-1] <= report.residuals[0]
 
-    def test_tracer_reads_match_record_trace(self, system):
-        """The shared pending-reads bookkeeping feeds both consumers alike."""
-        A, b = system
-        tracer = Tracer(trace_reads=True)
-        result = SharedMemoryJacobi(A, b, n_threads=3, seed=5).run_async(
-            tol=1e-6, max_iterations=60, record_trace=True, tracer=tracer
-        )
-        from_events = to_execution_trace(tracer.events(), A)
-        assert len(from_events) == len(result.trace)
-        for a, c in zip(from_events, result.trace):
-            assert (a.row, a.index, a.reads) == (c.row, c.index, c.reads)
-
     def test_trajectory_invariance(self, system):
         A, b = system
         kwargs = dict(tol=1e-6, max_iterations=100)
@@ -74,17 +62,14 @@ class TestSharedMemoryReplay:
         assert tracer.events() == []
         assert tracer._seq == 0  # resolved away: no event was even built
 
-    def test_instrument_and_tracer_compose(self, system):
-        """One instrumentation path: perf counters unchanged by tracing."""
+    def test_metrics_count_each_relaxation_once(self, system):
+        """One instrumentation path: the tracer feeds metrics exactly once."""
         A, b = system
-        kwargs = dict(tol=1e-6, max_iterations=60, instrument=True)
-        base = SharedMemoryJacobi(A, b, n_threads=4, seed=9).run_async(**kwargs)
         metrics = Metrics()
         traced = SharedMemoryJacobi(A, b, n_threads=4, seed=9).run_async(
-            tracer=Tracer(metrics=metrics, trace_reads=True), **kwargs
+            tol=1e-6, max_iterations=60,
+            tracer=Tracer(metrics=metrics, trace_reads=True),
         )
-        assert base.perf.events == traced.perf.events
-        assert base.perf.full_recomputes == traced.perf.full_recomputes
         # No double-counting: metrics relaxations == the result's own count.
         assert metrics.counter("relaxations").value == traced.relaxation_counts[-1]
         assert metrics.counter("steps").value == int(traced.iterations.sum())
@@ -177,6 +162,33 @@ class TestModelExecutorReplay:
         # Exact-information synthesis: the replay IS the original run.
         assert report.fraction_propagated == 1.0
         np.testing.assert_allclose(report.x, result.x, rtol=1e-12)
+
+    def test_truncated_stream_rejected(self, system):
+        """A ring that evicted the front of a run fails loudly on replay."""
+        A, b = system
+        sink = RingBufferSink(capacity=200)
+        tracer = Tracer(sinks=[sink], trace_reads=True)
+        SharedMemoryJacobi(A, b, n_threads=4, seed=11).run_async(
+            tol=1e-6, max_iterations=150, tracer=tracer
+        )
+        assert sink.dropped > 0
+        with pytest.raises(ScheduleError, match=r"seq=\d+ .*truncated"):
+            to_execution_trace(tracer.events(), A)
+        with pytest.raises(ScheduleError, match="truncated"):
+            replay_report(tracer.events(), A, b)
+
+    def test_prefix_cut_stays_legal(self, system):
+        """Dropping the *tail* of a complete stream is not truncation."""
+        A, b = system
+        tracer = Tracer(trace_reads=True)
+        SharedMemoryJacobi(A, b, n_threads=4, seed=11).run_async(
+            tol=1e-6, max_iterations=30, tracer=tracer
+        )
+        events = tracer.events()
+        cut = events[len(events) // 2].seq
+        report = replay_report([e for e in events if e.seq <= cut], A, b)
+        assert report.valid_sequence and report.monotone
+        assert 0 < report.n_relaxations < replay_report(events, A, b).n_relaxations
 
     def test_mismatched_reads_rejected(self):
         A = fd_laplacian_1d(4)

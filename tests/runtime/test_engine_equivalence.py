@@ -103,7 +103,6 @@ DIST_ASYNC_CASES = {
         dict(),
     ),
     "omega": (dict(omega=0.8), dict()),
-    "instrumented": (dict(), dict(instrument=True)),
 }
 
 
@@ -143,7 +142,6 @@ def test_distributed_sync_bit_identical(case):
 SHARED_CASES = {
     "plain": (dict(n_threads=8), dict()),
     "oversubscribed": (dict(n_threads=16), dict()),
-    "record_trace": (dict(n_threads=6), dict(record_trace=True)),
     "straggler": (dict(n_threads=8, delay=StragglerDelay({3: 3.0})), dict()),
     "stoch_stall": (dict(n_threads=8, delay=StochasticStall(0.3, 5e-5)), dict()),
     "faultplan": (dict(n_threads=8, fault_plan=THREAD_PLAN), dict()),
@@ -152,7 +150,6 @@ SHARED_CASES = {
         dict(run_until_all_reach=True, max_iterations=12),
     ),
     "full_residual": (dict(n_threads=8), dict(residual_mode="full")),
-    "instrumented": (dict(n_threads=8), dict(instrument=True)),
 }
 
 
@@ -163,14 +160,8 @@ def test_shared_async_bit_identical(case):
     outs = []
     for legacy in (False, True):
         solver = SharedMemoryJacobi(A, B, seed=3, **kwargs)
-        res = solver.run_async(legacy_engine=legacy, **run_kwargs)
-        outs.append(res)
-    a, c = outs
-    assert_results_identical(a, c)
-    if a.trace is not None or c.trace is not None:
-        ra = [(r.row, r.index, r.time, r.reads) for r in a.trace._all]
-        rc = [(r.row, r.index, r.time, r.reads) for r in c.trace._all]
-        assert ra == rc
+        outs.append(solver.run_async(legacy_engine=legacy, **run_kwargs))
+    assert_results_identical(*outs)
 
 
 def _trace_events(solver_fn, legacy, **run_kwargs):

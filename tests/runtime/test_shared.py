@@ -7,6 +7,8 @@ import pytest
 from repro.core.iteration import jacobi
 from repro.core.reconstruct import reconstruct_propagation_steps
 from repro.matrices.laplacian import fd_laplacian_2d, paper_fd_matrix
+from repro.observability import Tracer
+from repro.observability.replay import relax_events, to_execution_trace
 from repro.runtime.delays import ConstantDelay, HangDelay, StragglerDelay
 from repro.runtime.machine import KNL
 from repro.runtime.shared import SharedMemoryJacobi
@@ -160,28 +162,41 @@ class TestFixedIterationMode:
         assert np.all(res.iterations == 30)
 
 
+def read_trace(sim, **run_kwargs):
+    """The Section IV-A trace of one async run, via the tracer bridge."""
+    tracer = Tracer(trace_reads=True)
+    sim.run_async(tracer=tracer, **run_kwargs)
+    return to_execution_trace(tracer.events(), sim.A)
+
+
 class TestTracing:
     def test_trace_counts_and_versions(self, system):
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
-        res = sim.run_async(x0=x0, tol=1e-300, max_iterations=5, record_trace=True)
-        assert len(res.trace) == 5 * A.nrows
+        trace = read_trace(sim, x0=x0, tol=1e-300, max_iterations=5)
+        assert len(trace) == 5 * A.nrows
         # Reads reference only true matrix neighbors.
-        for rel in res.trace:
+        for rel in trace:
             assert set(rel.reads) == set(A.neighbors(rel.row).tolist())
 
     def test_trace_reconstructable(self, system):
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
-        res = sim.run_async(x0=x0, tol=1e-300, max_iterations=8, record_trace=True)
-        rec = reconstruct_propagation_steps(res.trace)
-        assert rec.total == len(res.trace)
+        trace = read_trace(sim, x0=x0, tol=1e-300, max_iterations=8)
+        rec = reconstruct_propagation_steps(trace)
+        assert rec.total == len(trace)
         assert rec.fraction_propagated > 0.5  # the paper's "majority"
 
     def test_no_trace_by_default(self, system):
+        """A tracer captures read versions only when asked to."""
         A, b, x0 = system
-        res = SharedMemoryJacobi(A, b, n_threads=4, seed=0).run_async(x0=x0, tol=1e-3)
-        assert res.trace is None
+        tracer = Tracer()
+        SharedMemoryJacobi(A, b, n_threads=4, seed=0).run_async(
+            x0=x0, tol=1e-3, tracer=tracer
+        )
+        rels = relax_events(tracer.events())
+        assert rels
+        assert all("reads" not in e.data for e in rels)
 
 
 class TestValidation:
@@ -250,8 +265,7 @@ class TestIncrementalResiduals:
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=8, seed=4)
         inc = sim.run_async(x0=x0, tol=1e-3, max_iterations=20_000,
-                            observe_every=1, instrument=True)
-        assert inc.perf is not None
-        # Every observation evaluates a residual; the terminal one must
-        # not add an extra full recompute when the state is clean.
-        assert inc.perf.residual_evals <= inc.perf.events + 1
+                            observe_every=1)
+        # One observation per commit plus the initial one: the terminal
+        # observation is skipped when the state is already clean.
+        assert len(inc.times) == int(inc.iterations.sum()) + 1

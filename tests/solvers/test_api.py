@@ -1,5 +1,7 @@
 """The one-call solver front-end."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -107,14 +109,28 @@ def test_block_jacobi_with_explicit_labels(system, rng):
     np.testing.assert_allclose(result.x, x_exact, atol=1e-3)
 
 
-def test_perf_counters_exposed(system):
-    A, b, _ = system
-    result = solve(A, b, method="shared_sim", n_threads=7, mode="async", seed=1,
-                   tol=1e-4, instrument=True)
-    assert result.perf is not None
-    assert result.perf.events > 0
-    assert result.perf.total_seconds > 0
+def test_executors_have_no_instrumentation_knobs(system):
+    """The tracer is the only hook: no ``instrument``/``record_trace``."""
+    from repro.core.model import AsyncJacobiModel
+    from repro.perf.batched import BatchedAsyncJacobiModel
+    from repro.runtime import legacy
+    from repro.runtime.distributed import DistributedJacobi
+    from repro.runtime.shared import SharedMemoryJacobi
 
-    plain = solve(A, b, method="shared_sim", n_threads=7, mode="async", seed=1,
-                  tol=1e-4)
-    assert plain.perf is None
+    entry_points = [
+        DistributedJacobi.run_async,
+        DistributedJacobi._run_async,
+        SharedMemoryJacobi.run_async,
+        AsyncJacobiModel.run,
+        BatchedAsyncJacobiModel.run,
+        legacy.shared_run_async,
+        legacy.distributed_run_async,
+    ]
+    for fn in entry_points:
+        params = inspect.signature(fn).parameters
+        assert "instrument" not in params, fn.__qualname__
+        assert "record_trace" not in params, fn.__qualname__
+    A, b, _ = system
+    with pytest.raises(TypeError):
+        solve(A, b, method="shared_sim", n_threads=7, mode="async", seed=1,
+              tol=1e-4, instrument=True)

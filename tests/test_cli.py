@@ -53,6 +53,18 @@ class TestCLI:
         assert main([]) == 0
         assert "--no-cache" in capsys.readouterr().out
 
+    def test_profile_flag(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # --profile implies --no-cache by setting the real environment;
+        # monkeypatch restores it afterwards.
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert main(["--profile", "fig1"]) == 0
+        out = capsys.readouterr().out
+        assert "=== fig1" in out
+        assert "cumulative" in out and "function calls" in out
+        assert "full profile written to profile.pstats" in out
+        assert (tmp_path / "profile.pstats").stat().st_size > 0
+
 
 class TestListGrouping:
     def test_list_groups_by_subsystem(self, capsys):

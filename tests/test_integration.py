@@ -16,8 +16,17 @@ from repro.core.reconstruct import reconstruct_propagation_steps
 from repro.core.schedules import SynchronousSchedule, TraceSchedule
 from repro.matrices.laplacian import fd_laplacian_2d, paper_fd_matrix
 from repro.matrices.suitesparse import load_problem
+from repro.observability import Tracer
+from repro.observability.replay import to_execution_trace
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.shared import SharedMemoryJacobi
+
+
+def traced_run(sim, **run_kwargs):
+    """Run ``sim`` asynchronously; return (result, Section IV-A trace)."""
+    tracer = Tracer(trace_reads=True)
+    res = sim.run_async(tracer=tracer, **run_kwargs)
+    return res, to_execution_trace(tracer.events(), sim.A)
 
 
 class TestTraceToModelPipeline:
@@ -35,10 +44,8 @@ class TestTraceToModelPipeline:
         b = rng.uniform(-1, 1, n)
         x0 = rng.uniform(-1, 1, n)
         sim = SharedMemoryJacobi(A, b, n_threads=6, machine=instrumented(KNL), seed=3)
-        sim_res = sim.run_async(
-            x0=x0, tol=1e-300, max_iterations=30, record_trace=True
-        )
-        rec = reconstruct_propagation_steps(sim_res.trace)
+        sim_res, trace = traced_run(sim, x0=x0, tol=1e-300, max_iterations=30)
+        rec = reconstruct_propagation_steps(trace)
         assert rec.fraction_propagated > 0.5
 
         steps = [(float(k + 1), rows) for k, rows in enumerate(rec.phi)]
@@ -57,8 +64,8 @@ class TestTraceToModelPipeline:
         b = rng.uniform(-1, 1, n)
         x0 = rng.uniform(-1, 1, n)
         sim = SharedMemoryJacobi(A, b, n_threads=1, seed=0)
-        sim_res = sim.run_async(x0=x0, tol=1e-300, max_iterations=12, record_trace=True)
-        rec = reconstruct_propagation_steps(sim_res.trace)
+        sim_res, trace = traced_run(sim, x0=x0, tol=1e-300, max_iterations=12)
+        rec = reconstruct_propagation_steps(trace)
         assert rec.fraction_propagated == 1.0
         steps = [(float(k + 1), rows) for k, rows in enumerate(rec.phi)]
         replay = AsyncJacobiModel(A, b).run(TraceSchedule(n, steps), x0=x0, tol=1e-300)
@@ -192,12 +199,12 @@ class TestCrossBackendProperties:
         assert len(res.times) > res.mean_iterations  # one record per commit
 
     def test_damped_trace_recording(self, rng):
-        """omega and record_trace compose."""
+        """omega and read-version tracing compose."""
         A = fd_laplacian_2d(4, 4)
         b = rng.uniform(-1, 1, 16)
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0, omega=0.9)
-        res = sim.run_async(tol=1e-300, max_iterations=5, record_trace=True)
-        assert len(res.trace) == 5 * 16
+        _res, trace = traced_run(sim, tol=1e-300, max_iterations=5)
+        assert len(trace) == 5 * 16
 
 
 class TestEndToEndProblems:
