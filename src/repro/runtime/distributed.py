@@ -64,7 +64,12 @@ from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
 from repro.util.rng import as_rng, spawn_rngs
-from repro.util.validation import check_positive, check_probability, check_vector
+from repro.util.validation import (
+    check_positive,
+    check_positive_int,
+    check_probability,
+    check_vector,
+)
 
 (
     _START,
@@ -232,18 +237,33 @@ class DistributedJacobi:
         reaches the neighbor only via a later iteration's put).
     """
 
-    # Below this rank count the turbo pre-pass loses to the plain block
-    # loop: its per-run setup (edge maps, width groups, stacked caches)
-    # is O(ranks + nnz) but batches are capped at ``observe_every``
-    # members, so small fleets never amortize it. Both paths are
-    # bitwise-identical, so the threshold is purely a performance knob.
+    # Below this rank count the turbo pre-pass is not tried: its per-run
+    # setup (edge maps, width groups, stacked caches) is O(ranks + nnz)
+    # but batches are capped at ``observe_every`` members, so small
+    # fleets never amortize it. Both paths are bitwise-identical, so the
+    # threshold is purely a performance knob. It was set against NumPy
+    # concatenation cost; re-measured on the native kernels (63x63 Fig. 8
+    # grid, BFS ranks, the fig8-dispatch per-rank budgets, turbo forced
+    # on vs off, medians of 15 runs on one core of a 2-core x86-64 VM),
+    # turbo vs block loop per async run: 4 ranks 2.28 vs 2.04 ms,
+    # 16 ranks 3.69 vs 3.51 ms, 64 ranks 7.24 vs 8.35 ms, 96 ranks 9.20
+    # vs 11.17 ms, 128 ranks 11.85 vs 14.73 ms, 256 ranks 18.34 vs
+    # 23.04 ms. Native turbo already wins at 64 ranks, so 96 is
+    # conservative; the value is unchanged.
     _TURBO_MIN_RANKS = 96
 
     # Above this many stored nonzeros per rank (on average) the block
     # loop relaxes rank-at-a-time instead of running the turbo pre-pass:
     # big blocks amortize NumPy call overhead on their own, and turbo's
     # per-batch concatenation of every member's local matrix turns into
-    # the dominant cost at paper scale.
+    # the dominant NumPy cost at paper scale. Re-measured on the native
+    # kernels (five-point stencils on 256 contiguous ranks, same method
+    # and machine as above), turbo vs block loop per async run: 308
+    # nnz/rank (126x126, 8 iterations) 21.98 vs 26.90 ms, 1,236
+    # (252x252, 8) 27.20 vs 30.90 ms, 4,875 (500x500, 4) 25.49 vs
+    # 28.04 ms, 19,516 (10^6 rows, 2) 56.98 vs 58.26 ms, within noise.
+    # Natively, turbo does not lose below ~5,000 nnz/rank, so 1024 is
+    # conservative; the value is unchanged.
     _STACK_MAX_NNZ_PER_RANK = 1024
 
     def __init__(
@@ -768,9 +788,15 @@ class DistributedJacobi:
         (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
         scratch buffer with the ghost layer aliased to its tail (no
         ``np.concatenate`` per relaxation), precompiled CSC scatter plans
-        for the observer's incremental residual, and chunked RNG streams —
-        all bit-identical to the pre-engine loop, which remains available
-        as ``legacy_engine=True`` (the equivalence-test oracle).
+        for the observer's incremental residual, and one jitter stream
+        per rank — all bit-identical to the pre-engine loop, which
+        remains available as ``legacy_engine=True`` (the equivalence-test
+        oracle). In the block loop every rank draws each iteration's
+        compute, put and overhead factors as one
+        :class:`~repro.runtime.engine.PatternJitterStream` step (a zero
+        sigma yields 1.0 without a draw; a rank whose delay model draws
+        from its generator steps without prefetching); the general loop
+        draws through a :class:`~repro.runtime.engine.NormalStream`.
 
         One-sided puts land through per-edge *mailboxes* (see
         docs/performance.md, "Mailbox delivery and the block loop"): the
@@ -788,11 +814,11 @@ class DistributedJacobi:
           machinery and no hang-capable delay model. One heap event per
           block iteration runs the whole read-relax-commit span at the
           iteration's virtual read cursor. From ``_TURBO_MIN_RANKS``
-          ranks, for scaled methods with small blocks and both jitters
-          drawn from pattern streams, a *turbo* pre-pass precomputes every
-          rank's timeline in vectorized chunks and relaxes admission
-          batches as one stacked kernel; an exact time tie it cannot order
-          reruns the plain block loop.
+          ranks, for scaled methods with small blocks, both jitters
+          active and every rank's stream prefetching, a *turbo* pre-pass
+          precomputes every rank's timeline from blocks of those streams'
+          factors and relaxes admission batches as one stacked kernel; an
+          exact time tie it cannot order reruns the plain block loop.
         * **The general loop** takes everything else, with one START and
           one COMMIT event per block iteration plus the protocol traffic.
 
@@ -835,7 +861,12 @@ class DistributedJacobi:
             down, incoming residual reports are lost, no failure is
             declared and no STOP is broadcast — if it never restarts, the
             survivors simply run to ``max_iterations``.
+        observe_every
+            Commits between residual observations (default: one per
+            rank). Anything but a positive integer raises ``ValueError``.
         """
+        if observe_every is not None:
+            observe_every = check_positive_int(observe_every, "observe_every")
         if legacy_engine:
             from repro.runtime.legacy import distributed_run_async
 
@@ -1388,31 +1419,8 @@ class DistributedJacobi:
                     send_reliable(rk, q, slots_q, rk.pending[local_rows], t, vers)
                 return
             pending = pend_buf[r]
-            if not (has_plan or drop_p or dup_p) and trc is None:
-                # Plan-free fire-and-forget hot path: no loss rolls, no
-                # tracing — base times are precompiled, the jitter draw is
-                # inlined, the per-put counter batched.
-                tm.puts_sent += len(entries)
-                st = streams[r]
-                if sigma_net <= 0:
-                    for q, slots_q, local_rows, mb in entries:
-                        queue.push(t + mb, _MESSAGE, q, (slots_q, pending[local_rows]))
-                elif st is not None:
-                    for q, slots_q, local_rows, mb in entries:
-                        queue.push(
-                            t + mb * math.exp(sigma_net * st.next()),
-                            _MESSAGE, q, (slots_q, pending[local_rows]),
-                        )
-                else:
-                    rng = rk.rng
-                    for q, slots_q, local_rows, mb in entries:
-                        queue.push(
-                            t + mb * float(rng.lognormal(0.0, sigma_net)),
-                            _MESSAGE, q, (slots_q, pending[local_rows]),
-                        )
-                return
-            # Fire-and-forget RMA puts under failure injection/tracing (RNG
-            # call order kept bit-identical to the legacy loop).
+            # Fire-and-forget RMA puts (RNG call order kept bit-identical to
+            # the legacy loop; an inactive network jitter's factor is 1.0).
             for q, slots_q, local_rows, mb in entries:
                 tm.puts_sent += 1
                 if trc is not None:
@@ -1451,7 +1459,7 @@ class DistributedJacobi:
                 n_copies = 1
                 if dup_p and fail_rng.random() < dup_p:
                     n_copies = 2
-                payload = (slots_q, values) if meta is None else (slots_q, values, meta)
+                payload = (slots_q, values, meta)
                 for _ in range(n_copies):
                     jit = net_jit(r) if sigma_net > 0 else 1.0
                     queue.push(t + mb * jit, _MESSAGE, q, payload)
@@ -1571,32 +1579,25 @@ class DistributedJacobi:
         )
         conv_cursor = None
         if plain:
-            # Per-rank pattern streams: in a plain run, a rank's generator
+            # One jitter stream per rank: in a plain run a rank's generator
             # is consumed in a fixed per-iteration pattern — one machine
             # jitter for the compute span, one network jitter per put at
             # the commit, one machine jitter for the next overhead span —
-            # so a whole iteration's factors come from one chunked
-            # PatternJitterStream step (bit-identical to the scalar draws;
-            # zero sigmas contribute no position, exactly like the scalar
-            # path makes no draw). Delay models that draw from the rank's
-            # generator fall back to scalar draws in legacy order.
-            fstreams: list = []
-            for fr, frk in enumerate(ranks):
-                if const_extra[fr] is None:
-                    fstreams.append(None)
-                    continue
-                pat: list = []
-                if sigma_m > 0:
-                    pat.append(sigma_m)
-                if sigma_net > 0:
-                    pat.extend([sigma_net] * len(put_plan[fr]))
-                if sigma_m > 0:
-                    pat.append(sigma_m)
-                fstreams.append(
-                    PatternJitterStream(frk.rng, pat) if pat else ()
+            # so a whole iteration's factors are one PatternJitterStream
+            # step, bit-identical to the scalar draws (a zero sigma yields
+            # 1.0 and draws nothing). A rank whose delay model draws from
+            # the same generator steps without prefetching; its
+            # ``extra_time`` draw then follows the step's factors, the
+            # scalar order.
+            fstreams = [
+                PatternJitterStream(
+                    frk.rng,
+                    [sigma_m] + [sigma_net] * len(put_plan[fr]) + [sigma_m],
+                    steps=1 if const_extra[fr] is None else 64,
                 )
+                for fr, frk in enumerate(ranks)
+            ]
             fbuf: list = [None] * n_ranks  # current iteration's factors
-            net_j0 = 1 if sigma_m > 0 else 0  # put factors start here
             ghosts_of = [rk.ghosts for rk in ranks]
             rows_of = [rk.rows for rk in ranks]
             delivered = 0
@@ -1628,10 +1629,11 @@ class DistributedJacobi:
                     in_boxes[q].append((box, slots_q))
                     off += local_rows.size
                 fire.append(entries_r)
-        # Turbo pre-pass: with both jitters drawn from per-rank pattern
-        # streams, a rank's event *schedule* is a fixed recurrence over
-        # its own generator — nothing about timing depends on relax
-        # values. The whole timeline is therefore precomputed in
+        # Turbo pre-pass: when every rank's stream prefetches (no delay
+        # model draws from a rank's generator), a rank's event *schedule*
+        # is a fixed recurrence over its stream — nothing about timing
+        # depends on relax values. The whole timeline is therefore
+        # precomputed from blocks of the same streams' factors in
         # vectorized chunks (compute/overhead deltas interleaved under one
         # cumsum, the running clock folded into the first delta — every
         # add bitwise the scalar engine's) and lexsorted once into the
@@ -1662,8 +1664,9 @@ class DistributedJacobi:
         # O(nnz per batch) of pure memory traffic, and its per-run setup
         # only amortizes over many ranks — hence the two class
         # thresholds. Exact time ties (measure zero under lognormal
-        # jitter) raise :class:`_TurboBail`; :meth:`run_async` then
-        # reruns the plain block loop, which orders them via seq stamps.
+        # jitter, hence the gate on both sigmas; certain without it) raise
+        # :class:`_TurboBail`; :meth:`run_async` then reruns the plain
+        # block loop, which orders them via seq stamps.
         if (
             turbo
             and plain
@@ -1675,7 +1678,7 @@ class DistributedJacobi:
             and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
             and sigma_m > 0
             and sigma_net > 0
-            and all(type(fs) is PatternJitterStream for fs in fstreams)
+            and all(ce is not None for ce in const_extra)
         ):
             n_grows = row_off[-1]
             st_idx, st_dat, st_row, st_pos, st_span, in_nbrs = (
@@ -1706,7 +1709,7 @@ class DistributedJacobi:
                     nat_batch_fn(
                         nbm, nat_members_ptr, mode, *nat_head, *nat_tab_ptrs
                     )
-            exp = math.exp
+            next_blocks = PatternJitterStream.next_blocks
             INF = math.inf
             npcat = np.concatenate
             n_e = [len(put_plan[r]) for r in range(n_ranks)]
@@ -1725,9 +1728,6 @@ class DistributedJacobi:
             groups = []
             for ne, rl in sorted(wgroups.items()):
                 w = 2 + ne
-                pat = np.array(
-                    [sigma_m] + [sigma_net] * ne + [sigma_m]
-                )
                 cb_c = np.array([cbase[r] for r in rl])[:, None]
                 sl_c = np.array([slow[r] for r in rl])[:, None]
                 pc_c = np.array([puts_const[r] for r in rl])[:, None]
@@ -1741,10 +1741,9 @@ class DistributedJacobi:
                     if ne
                     else None
                 )
-                rngs_g = [ranks[r].rng for r in rl]
                 groups.append(
-                    (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
-                     rngs_g)
+                    (rl, ne, w, cb_c, sl_c, pc_c, ce_c, mb_c,
+                     [fstreams[r] for r in rl])
                 )
             if incremental:
                 sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
@@ -1782,29 +1781,20 @@ class DistributedJacobi:
             def _gen_round() -> bool:
                 """Extend every rank's precomputed timeline one chunk.
 
-                Draw positions match the scalar engines' pattern
-                streams exactly: ``standard_normal`` yields the same
-                positional sequence under any chunking, and every
-                product/add below pairs the same operands the scalar
-                recurrences pair.
+                The factors are the ranks' own pattern streams'
+                blocks — the very draws the block loop would take step
+                by step — and every product/add below pairs the same
+                operands the scalar recurrences pair.
                 """
                 nonlocal gen_all, chunk
                 ns = min(chunk, max_iterations - gen_all)
                 if ns <= 0:
                     return False
                 chunk = min(chunk * 2, 64)
-                for (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
-                     rngs_g) in groups:
+                for (rl, ne, w, cb_c, sl_c, pc_c, ce_c, mb_c,
+                     sts_g) in groups:
                     nrg = len(rl)
-                    z = np.stack(
-                        [rg.standard_normal(ns * w) for rg in rngs_g]
-                    )
-                    prod = z.reshape(nrg, ns, w) * pat
-                    fac = np.fromiter(
-                        map(exp, prod.ravel().tolist()),
-                        np.float64,
-                        nrg * ns * w,
-                    ).reshape(nrg, ns, w)
+                    fac = next_blocks(sts_g, ns)
                     dcv = fac[:, :, 0] * cb_c
                     dcv *= sl_c
                     dov = fac[:, :, w - 1] * ovbase
@@ -2278,35 +2268,12 @@ class DistributedJacobi:
                 if kind == _START:
                     # Initial wake-up: realize the first virtual read at
                     # (t, s) and schedule the first block event.
-                    st = fstreams[rid]
-                    if st is None:
-                        base = cbase[rid]
-                        if sigma_m > 0:
-                            base *= float(rk.rng.lognormal(0.0, sigma_m))
-                        hpush(
-                            heap,
-                            (t + base * slow[rid], seq, _COMMIT, rid, (t, s)),
-                        )
-                    elif type(st) is tuple:
-                        hpush(
-                            heap,
-                            (t + cbase[rid] * slow[rid], seq, _COMMIT, rid,
-                             (t, s)),
-                        )
-                    else:
-                        fl = fbuf[rid] = st.next_step()
-                        if sigma_m > 0:
-                            hpush(
-                                heap,
-                                (t + (cbase[rid] * fl[0]) * slow[rid], seq,
-                                 _COMMIT, rid, (t, s)),
-                            )
-                        else:
-                            hpush(
-                                heap,
-                                (t + cbase[rid] * slow[rid], seq, _COMMIT,
-                                 rid, (t, s)),
-                            )
+                    fl = fbuf[rid] = fstreams[rid].next_step()
+                    hpush(
+                        heap,
+                        (t + (cbase[rid] * fl[0]) * slow[rid], seq, _COMMIT,
+                         rid, (t, s)),
+                    )
                     seq += 1
                     continue
                 # _COMMIT: flush the mailbox at the virtual read cursor,
@@ -2358,30 +2325,9 @@ class DistributedJacobi:
                 fent = fire[rid]
                 if fent:
                     vals = pb.take(cat_rows[rid])
-                    if f is not None:
-                        if sigma_net > 0:
-                            j = net_j0
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb * f[j], seq, vals[lo:hi]))
-                                seq += 1
-                                j += 1
-                        else:
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb, seq, vals[lo:hi]))
-                                seq += 1
-                    else:
-                        rng = rk.rng if fstreams[rid] is None else None
-                        if rng is not None and sigma_net > 0:
-                            for box, mb, lo, hi in fent:
-                                box.append(
-                                    (t + mb * float(rng.lognormal(0.0, sigma_net)),
-                                     seq, vals[lo:hi])
-                                )
-                                seq += 1
-                        else:
-                            for box, mb, lo, hi in fent:
-                                box.append((t + mb, seq, vals[lo:hi]))
-                                seq += 1
+                    for j, (box, mb, lo, hi) in enumerate(fent, 1):
+                        box.append((t + mb * f[j], seq, vals[lo:hi]))
+                        seq += 1
                 tm.puts_sent += len(fent)
                 commits_since_obs += 1
                 if commits_since_obs >= observe_every:
@@ -2404,57 +2350,20 @@ class DistributedJacobi:
                     continue
                 # Next block event: the virtual START at t + overhead
                 # consumes the seq its real push would have, then the
-                # next iteration's compute factor is drawn — the same
-                # per-rank draw positions the general loop uses.
-                f = fbuf[rid]
-                if f is not None:
-                    if sigma_m > 0:
-                        nts = t + ((ovbase * f[-1] + puts_const[rid])
-                                   * slow[rid] + const_extra[rid])
-                    else:
-                        nts = t + ((ovbase + puts_const[rid]) * slow[rid]
-                                   + const_extra[rid])
-                else:
-                    base = ovbase
-                    rng = rk.rng
-                    if fstreams[rid] is None and sigma_m > 0:
-                        base *= float(rng.lognormal(0.0, sigma_m))
-                    ce = const_extra[rid]
-                    if ce is None:
-                        ce = self.delay.extra_time(rid, rk.iterations, rng)
-                    nts = t + ((base + puts_const[rid]) * slow[rid] + ce)
+                # next iteration's factors are drawn — the same per-rank
+                # draw positions the general loop uses.
+                ce = const_extra[rid]
+                if ce is None:
+                    ce = self.delay.extra_time(rid, rk.iterations, rk.rng)
+                nts = t + ((ovbase * f[-1] + puts_const[rid]) * slow[rid] + ce)
                 nsv = seq
                 seq += 1
-                st = fstreams[rid]
-                if st is None:
-                    base = cbase[rid]
-                    if sigma_m > 0:
-                        base *= float(rk.rng.lognormal(0.0, sigma_m))
-                    hpush(
-                        heap,
-                        (nts + base * slow[rid], seq, _COMMIT, rid,
-                         (nts, nsv)),
-                    )
-                elif type(st) is tuple:
-                    hpush(
-                        heap,
-                        (nts + cbase[rid] * slow[rid], seq, _COMMIT, rid,
-                         (nts, nsv)),
-                    )
-                else:
-                    fl = fbuf[rid] = st.next_step()
-                    if sigma_m > 0:
-                        hpush(
-                            heap,
-                            (nts + (cbase[rid] * fl[0]) * slow[rid], seq,
-                             _COMMIT, rid, (nts, nsv)),
-                        )
-                    else:
-                        hpush(
-                            heap,
-                            (nts + cbase[rid] * slow[rid], seq, _COMMIT,
-                             rid, (nts, nsv)),
-                        )
+                fl = fbuf[rid] = fstreams[rid].next_step()
+                hpush(
+                    heap,
+                    (nts + (cbase[rid] * fl[0]) * slow[rid], seq, _COMMIT, rid,
+                     (nts, nsv)),
+                )
                 seq += 1
         if plain:
             queue._seq = seq
@@ -2485,17 +2394,9 @@ class DistributedJacobi:
                         tm.puts_dropped += 1
                         continue
                     if not reliable:
-                        # Fire-and-forget puts carry lean payloads: the ghost
-                        # scatter below IS the one-sided RMA landing.
-                        if trc is None:
-                            slots, values = payload
-                            pend_scatter[rid][id(slots)] = (slots, values, None)
-                            tm.puts_delivered += 1
-                            fresh[rid] = True
-                            if eager and idle[rid] and not rk.stopped:
-                                idle[rid] = False
-                                queue.push(t, _START, rid, rk.epoch)
-                            continue
+                        # Fire-and-forget puts: the ghost scatter below IS
+                        # the one-sided RMA landing (``meta`` is None when
+                        # untraced).
                         slots, values, meta = payload
                         vers = (
                             meta["vers"]
@@ -2505,10 +2406,11 @@ class DistributedJacobi:
                         )
                         pend_scatter[rid][id(slots)] = (slots, values, vers)
                         tm.puts_delivered += 1
-                        trc.recv(
-                            t, rid, None, values.size, seq=None,
-                            latency=(t - meta["sent_at"]) if meta else None,
-                        )
+                        if trc is not None:
+                            trc.recv(
+                                t, rid, None, values.size, seq=None,
+                                latency=(t - meta["sent_at"]) if meta else None,
+                            )
                         fresh[rid] = True
                         if eager and idle[rid] and not rk.stopped:
                             idle[rid] = False
@@ -2840,10 +2742,14 @@ class DistributedJacobi:
 
         The sweep timing draws a fixed per-rank pattern every sweep — two
         machine-jitter lognormals plus one network lognormal per outgoing
-        message — so the draws are served from a per-rank
-        :class:`~repro.runtime.engine.PatternJitterStream` (bit-identical
-        to the scalar draws; ``legacy_engine=True`` runs the pre-engine
-        scalar loop kept in :mod:`repro.runtime.legacy`).
+        message. Unless a delay model draws from a rank's generator, the
+        draws come in blocks of sweeps from one
+        :class:`~repro.runtime.engine.PatternJitterStream` per rank and
+        the sweep costs are reduced as arrays; otherwise every rank draws
+        scalar lognormals in the order compute, overhead, delay, messages.
+        Both sources feed the same sweep and are bit-identical to the
+        pre-engine scalar loop, which ``legacy_engine=True`` runs (kept in
+        :mod:`repro.runtime.legacy`).
         """
         if legacy_engine:
             from repro.runtime import legacy
@@ -2861,7 +2767,6 @@ class DistributedJacobi:
 
         # Per-rank constants of the sweep-timing recurrence (exact legacy
         # arithmetic: ``(cbase*jit)*slow + (ovbase*jit + puts)*slow + extra``).
-        n_ranks = self.n_ranks
         thr = node.smt_throughput(1)
         sigma_m = node.effective_jitter(1)
         sigma_net = net.jitter_sigma
@@ -2882,121 +2787,88 @@ class DistributedJacobi:
             [lat + local_rows.size * tpv for _, _, local_rows in rk.send_plan]
             for rk in ranks
         ]
-        # A rank's per-sweep draw pattern on its private generator:
-        # [sigma_m, sigma_m] then sigma_net per message — each sigma present
-        # only when that jitter is active (no draw happens otherwise).
-        # Ranks whose delay model draws from the same generator
-        # (``constant_extra() is None``) cannot prefetch and fall back to
-        # scalar draws in the legacy order.
-        streams: list = []
-        for r, rk in enumerate(ranks):
-            if const_extra[r] is None:
-                streams.append(None)
-                continue
-            pattern = []
-            if sigma_m > 0:
-                pattern += [sigma_m, sigma_m]
-            if sigma_net > 0:
-                pattern += [sigma_net] * len(rk.send_plan)
-            streams.append(
-                PatternJitterStream(rk.rng, pattern) if pattern else ()
-            )
-
-        # Vectorized sweep timing: when every rank prefetches (all
-        # streams are PatternJitterStreams), whole blocks of sweeps can
-        # be drawn, exponentiated and max-reduced as arrays. Ranks are
-        # grouped by draw-pattern width so each group's normals stack
-        # into one rectangular block; ``max`` is exact, so reducing
-        # across ranks elementwise is bitwise the scalar running max.
-        # Per-factor arithmetic keeps the scalar operand order
-        # (``(cbase*f)*slow`` etc.), and ``math.exp`` stays libm.
-        vec = n_ranks > 0 and all(
-            type(st) is PatternJitterStream for st in streams
-        )
+        # Two timing sources, chosen by the delay model. When no rank's
+        # delay model draws from its generator, every rank's per-sweep
+        # draws — [sigma_m, sigma_m] then sigma_net per message — come
+        # from its PatternJitterStream, and whole blocks of sweeps are
+        # drawn, exponentiated and max-reduced as arrays. Ranks are
+        # grouped by pattern width so each group stacks into one
+        # rectangular block; ``max`` is exact, so reducing across ranks
+        # elementwise (from 0.0, like the scalar running max) is bitwise
+        # the scalar loop, and per-factor arithmetic keeps the scalar
+        # operand order (``(cbase*f)*slow`` etc.). An inactive jitter's
+        # factor is exactly 1.0. Otherwise every rank draws scalar
+        # lognormals in the sync order — compute, overhead, the delay's
+        # ``extra_time``, then one per message.
+        vec = all(ce is not None for ce in const_extra)
         if vec:
-            const_comp = 0.0  # jitter-free cycle contributions
-            const_comm = 0.0  # jitter-free message contributions
-            gmeta = []
+            next_blocks = PatternJitterStream.next_blocks
             groups: dict = {}
             for ri, rk in enumerate(ranks):
-                e = len(rk.send_plan) if sigma_net > 0 else 0
-                w = (2 if sigma_m > 0 else 0) + e
-                groups.setdefault(w, []).append(ri)
-                if sigma_m <= 0:
-                    cyc = cbase[ri] * slow[ri] + (
-                        (ovbase + puts_const[ri]) * slow[ri] + const_extra[ri]
+                groups.setdefault(len(rk.send_plan), []).append(ri)
+            gmeta = []
+            for ne, idxs in groups.items():
+                sts = [
+                    PatternJitterStream(
+                        ranks[ri].rng, [sigma_m, sigma_m] + [sigma_net] * ne
                     )
-                    if cyc > const_comp:
-                        const_comp = cyc
-                if sigma_net <= 0:
-                    for mb in msg_bases[ri]:
-                        if mb > const_comm:
-                            const_comm = mb
-            for w, idxs in groups.items():
-                nrg = len(idxs)
-                if sigma_m > 0:
-                    pat = [sigma_m, sigma_m] + [sigma_net] * (w - 2)
-                else:
-                    pat = [sigma_net] * w
-                pat_a = np.asarray(pat, dtype=np.float64)
+                    for ri in idxs
+                ]
                 cb = np.array([cbase[ri] for ri in idxs])[:, None]
                 sl = np.array([slow[ri] for ri in idxs])[:, None]
                 pc = np.array([puts_const[ri] for ri in idxs])[:, None]
                 ce = np.array([const_extra[ri] for ri in idxs])[:, None]
-                j0 = 2 if sigma_m > 0 else 0
                 mb_mat = (
                     np.array([msg_bases[ri] for ri in idxs])[:, None, :]
-                    if w > j0
+                    if ne
                     else None
                 )
-                rngs = [ranks[ri].rng for ri in idxs]
-                gmeta.append((w, nrg, pat_a, cb, sl, pc, ce, j0, mb_mat, rngs))
-
-            exp = math.exp
+                gmeta.append((sts, cb, sl, pc, ce, mb_mat))
 
             def _sweep_chunk(S: int):
                 """(compute, comm) lists for the next ``S`` sweeps."""
-                comp_c = None
-                comm_c = None
-                for w, nrg, pat_a, cb, sl, pc, ce, j0, mb_mat, rngs in gmeta:
-                    z = np.empty((nrg, S * w))
-                    for gi, rng in enumerate(rngs):
-                        z[gi] = rng.standard_normal(S * w)
-                    prod = z.reshape(nrg, S, w) * pat_a
-                    fac = np.array(
-                        [exp(v) for v in prod.ravel().tolist()]
-                    ).reshape(nrg, S, w)
-                    if sigma_m > 0:
-                        t1 = fac[:, :, 0] * cb
-                        t1 *= sl
-                        t2 = fac[:, :, 1] * ovbase
-                        t2 += pc
-                        t2 *= sl
-                        t2 += ce
-                        t1 += t2
-                        gcomp = np.max(t1, axis=0)
-                        if comp_c is None:
-                            comp_c = gcomp
-                        else:
-                            np.maximum(comp_c, gcomp, out=comp_c)
+                comp_c = np.zeros(S)
+                comm_c = np.zeros(S)
+                for sts, cb, sl, pc, ce, mb_mat in gmeta:
+                    fac = next_blocks(sts, S)
+                    t1 = fac[:, :, 0] * cb
+                    t1 *= sl
+                    t2 = fac[:, :, 1] * ovbase
+                    t2 += pc
+                    t2 *= sl
+                    t2 += ce
+                    t1 += t2
+                    np.maximum(comp_c, np.max(t1, axis=0), out=comp_c)
                     if mb_mat is not None:
-                        mv = fac[:, :, j0:] * mb_mat
-                        gcomm = np.max(mv, axis=(0, 2))
-                        if comm_c is None:
-                            comm_c = gcomm
-                        else:
-                            np.maximum(comm_c, gcomm, out=comm_c)
-                if comp_c is None:
-                    comp_l = [const_comp] * S
-                else:
-                    np.maximum(comp_c, const_comp, out=comp_c)
-                    comp_l = comp_c.tolist()
-                if comm_c is None:
-                    comm_l = [const_comm] * S
-                else:
-                    np.maximum(comm_c, const_comm, out=comm_c)
-                    comm_l = comm_c.tolist()
-                return comp_l, comm_l
+                        mv = fac[:, :, 2:] * mb_mat
+                        np.maximum(comm_c, np.max(mv, axis=(0, 2)), out=comm_c)
+                return comp_c.tolist(), comm_c.tolist()
+
+        else:
+
+            def lognormal(rng, sigma: float) -> float:
+                """A scalar jitter factor; an inactive jitter draws nothing."""
+                return float(rng.lognormal(0.0, sigma)) if sigma > 0 else 1.0
+
+            def _sweep_scalar():
+                """(compute, comm) of one sweep from scalar draws."""
+                compute = 0.0
+                comm = 0.0
+                for ri, rk in enumerate(ranks):
+                    rng = rk.rng
+                    t1 = (cbase[ri] * lognormal(rng, sigma_m)) * slow[ri]
+                    t2 = ovbase * lognormal(rng, sigma_m)
+                    ce = const_extra[ri]
+                    if ce is None:
+                        ce = self.delay.extra_time(ri, rk.iterations, rng)
+                    cyc = t1 + ((t2 + puts_const[ri]) * slow[ri] + ce)
+                    if cyc > compute:
+                        compute = cyc
+                    for mb in msg_bases[ri]:
+                        v = mb * lognormal(rng, sigma_net)
+                        if v > comm:
+                            comm = v
+                return compute, comm
 
         wp = self._warm_plan(ranks)
         b_norm = wp.b_norm1
@@ -3037,97 +2909,8 @@ class DistributedJacobi:
                 compute = comp_buf[vi]
                 comm = comm_buf[vi]
                 vi += 1
-                t += compute + comm + allreduce
-                if self.local_sweep == "jacobi":
-                    if mom_prev is None:
-                        x += dinv * r
-                    else:
-                        dx = dinv * r + mom_beta * (x - mom_prev)
-                        mom_prev[:] = x
-                        x += dx
-                else:
-                    updates = []
-                    for rk in ranks:
-                        if rk.ghost_cols.size:
-                            rk.ghosts[:] = x[rk.ghost_cols]
-                        updates.append(self._relax_block(rk, x))
-                    for rk, new in zip(ranks, updates):
-                        x[rk.rows] = new
-                relaxations += self.n
-                k += 1
-                res = relnorm(residual(x, r))
-                times.append(t)
-                residuals.append(res)
-                counts.append(relaxations)
-                converged = res < tol
-                continue
-            compute = 0.0
-            comm = 0.0
-            # One pass per rank: cycle time then message times, exactly the
-            # draws the legacy two-loop version made on this rank's private
-            # generator (inter-rank interleaving is unobservable — the
-            # generators are independent).
-            for ri in range(n_ranks):
-                st = streams[ri]
-                if st is None:
-                    # Scalar fallback: the delay model shares the generator.
-                    rk = ranks[ri]
-                    rng = rk.rng
-                    t1 = cbase[ri]
-                    t2 = ovbase
-                    if sigma_m > 0:
-                        t1 *= float(rng.lognormal(0.0, sigma_m))
-                        t2 *= float(rng.lognormal(0.0, sigma_m))
-                    t1 *= slow[ri]
-                    t2 = (t2 + puts_const[ri]) * slow[ri] + self.delay.extra_time(
-                        ri, rk.iterations, rng
-                    )
-                    cyc = t1 + t2
-                    if cyc > compute:
-                        compute = cyc
-                    if sigma_net > 0:
-                        for mb in msg_bases[ri]:
-                            v = mb * float(rng.lognormal(0.0, sigma_net))
-                            if v > comm:
-                                comm = v
-                    else:
-                        for mb in msg_bases[ri]:
-                            if mb > comm:
-                                comm = mb
-                    continue
-                if type(st) is tuple:
-                    # No jitter at all: the sweep cost is a constant.
-                    cyc = cbase[ri] * slow[ri] + (
-                        (ovbase + puts_const[ri]) * slow[ri] + const_extra[ri]
-                    )
-                    if cyc > compute:
-                        compute = cyc
-                    for mb in msg_bases[ri]:
-                        if mb > comm:
-                            comm = mb
-                    continue
-                f = st.next_step()
-                if sigma_m > 0:
-                    t1 = (cbase[ri] * f[0]) * slow[ri]
-                    t2 = (ovbase * f[1] + puts_const[ri]) * slow[ri] + const_extra[ri]
-                    j = 2
-                else:
-                    t1 = cbase[ri] * slow[ri]
-                    t2 = (ovbase + puts_const[ri]) * slow[ri] + const_extra[ri]
-                    j = 0
-                cyc = t1 + t2
-                if cyc > compute:
-                    compute = cyc
-                if sigma_net > 0:
-                    for mb in msg_bases[ri]:
-                        v = mb * f[j]
-                        j += 1
-                        if v > comm:
-                            comm = v
-                else:
-                    for mb in msg_bases[ri]:
-                        if mb > comm:
-                            comm = mb
+            else:
+                compute, comm = _sweep_scalar()
             t += compute + comm + allreduce
             if self.local_sweep == "jacobi":
                 if mom_prev is None:

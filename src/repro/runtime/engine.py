@@ -30,13 +30,26 @@ scalar dispatch (their seq is larger).
 
 Jitter streams
 --------------
-:class:`JitterStream` precomputes an agent's lognormal timing-jitter draws
-in chunks. NumPy's ``Generator.lognormal(mean, sigma, size=k)`` consumes
-the bit stream exactly like ``k`` scalar calls, so the cached draws are
-**bit-identical** to the legacy per-call draws — provided nothing else
-draws from the same generator in between. The shared-memory simulator
-therefore only enables streams for threads whose delay model is
-RNG-free (see :meth:`~repro.runtime.delays.DelayModel.constant_extra`).
+Each simulated agent draws its lognormal timing jitter through one stream
+over its private generator, so its draw order — the basis of every
+bit-identity contract — is written down once:
+
+* :class:`JitterStream` — one sigma per agent (shared-memory threads);
+* :class:`PatternJitterStream` — a fixed per-step sigma pattern
+  (distributed ranks in the block loop, its turbo pre-pass and
+  ``run_sync``), served as per-step lists or as blocks for vectorised
+  consumers;
+* :class:`NormalStream` — raw normals for the distributed general loop,
+  whose draws are irregular (retries, reports, heartbeats, STOP).
+
+All three are **bit-identical** to the scalar per-call draws: NumPy's
+array draws consume the bit stream exactly like repeated scalar calls. A
+stream may prefetch only while nothing else draws from its generator;
+an agent whose delay model draws from the same generator (see
+:meth:`~repro.runtime.delays.DelayModel.constant_extra`) gets a stream
+that draws one step at a time (``chunk=1`` / ``steps=1``). The two
+lognormal streams yield exactly ``1.0`` for a zero sigma without drawing,
+so callers never branch on whether a jitter is active.
 """
 
 from __future__ import annotations
@@ -149,14 +162,19 @@ def make_event_queue(backend: str = "auto", size_hint: int = 0) -> HeapEventQueu
 
 
 class JitterStream:
-    """Chunked lognormal draws, bit-identical to scalar per-call draws.
+    """One agent's single-sigma lognormal jitter factors.
 
     ``rng.lognormal(0.0, sigma, size=k)`` consumes the generator exactly
     like ``k`` scalar ``rng.lognormal(0.0, sigma)`` calls, so refilling a
-    buffer in chunks reproduces the legacy draw sequence bit for bit —
+    buffer in chunks reproduces the scalar draw sequence bit for bit —
     as long as no *other* distribution is drawn from the same generator
-    between refills. Callers gate on that (see
-    :meth:`~repro.runtime.delays.DelayModel.constant_extra`).
+    between refills. An agent whose delay model draws from its generator
+    (see :meth:`~repro.runtime.delays.DelayModel.constant_extra`) takes
+    ``chunk=1``: every refill is then one draw made at the call, which is
+    a scalar ``lognormal``. A zero ``sigma`` yields exactly ``1.0`` and
+    never touches the generator — the scalar engines make no draw for an
+    inactive jitter either, and ``v * 1.0 == v`` — so a caller multiplies
+    by the factor unconditionally.
     """
 
     __slots__ = ("_rng", "_sigma", "_chunk", "_buf", "_i")
@@ -177,20 +195,26 @@ class JitterStream:
         i = self._i
         buf = self._buf
         if buf is None or i >= self._chunk:
-            buf = self._buf = self._rng.lognormal(
-                0.0, self._sigma, size=self._chunk
-            ).tolist()
+            if self._sigma > 0:
+                buf = self._rng.lognormal(0.0, self._sigma, size=self._chunk)
+                buf = buf.tolist()
+            else:
+                buf = [1.0] * self._chunk
+            self._buf = buf
             i = 0
         self._i = i + 1
         return buf[i]
 
 
 class NormalStream:
-    """Chunked standard-normal draws for agents that mix jitter sigmas.
+    """Chunked standard-normal draws for the distributed general loop.
 
     A distributed rank draws machine jitter (sigma ~0.08) and network
-    jitter (sigma 0.25) from the *same* generator, so a single-sigma
-    :class:`JitterStream` cannot serve it. But NumPy computes
+    jitter (sigma 0.25) from the *same* generator, and in the general
+    loop those draws are irregular — retries, reports, heartbeats and
+    STOP messages interleave with them — so neither a single-sigma
+    :class:`JitterStream` nor a fixed :class:`PatternJitterStream` can
+    serve it. But NumPy computes
     ``lognormal(0.0, sigma)`` as ``exp(0.0 + sigma * standard_normal())``
     in C-double arithmetic, and ``standard_normal(size=k)`` consumes the
     generator exactly like ``k`` scalar calls — so chunking the *raw
@@ -223,41 +247,81 @@ class NormalStream:
 
 
 class PatternJitterStream:
-    """Batched lognormal factors for a *fixed per-step sigma pattern*.
+    """One agent's lognormal jitter factors for a fixed per-step sigma pattern.
 
-    The synchronous distributed sweep draws, from each rank's generator,
-    the same sequence every sweep: two machine-jitter lognormals (compute
-    and overhead spans) followed by one network-jitter lognormal per
-    outgoing message. That fixed pattern lets a whole block of sweeps be
-    prefetched at once: draw ``len(pattern) * sweeps`` standard normals in
-    one chunk, scale by the tiled sigma pattern (exact — an elementwise
-    float multiply is the same operation the scalar path performs), and
-    apply ``math.exp`` per element (libm, identical to NumPy's scalar
-    ``lognormal`` path). :meth:`next_step` then hands back one sweep's
-    factors as a plain list slice.
+    This is the single draw path of the distributed simulator's block
+    loop, its turbo pre-pass and ``run_sync``. A rank draws, from its own
+    generator, the same sequence every step — in the block loop one
+    machine-jitter factor for the compute span, one network-jitter factor
+    per outgoing put and one machine-jitter factor for the overhead span;
+    in ``run_sync`` two machine factors then one network factor per
+    message. :meth:`next_step` hands back one step's factors as a list in
+    pattern order; :meth:`next_blocks` hands back the next ``steps`` steps
+    of a group of streams as one array for vectorised consumers.
 
-    Bit-identical to per-call scalar ``rng.lognormal(0.0, sigma_i)`` under
-    the same gating rule as :class:`JitterStream`: no other draws may hit
-    the generator between refills. Draws prefetched beyond the last
-    consumed step are simply discarded with the generator. Refills keep
-    the scaled normals raw and ``math.exp`` runs lazily per consumed
-    step, so overdrawn tail positions never pay for the (libm, scalar)
-    exponential; the chunk size starts small and grows geometrically
-    toward ``steps`` to bound even the raw-draw waste on short runs.
+    Three rules make every consumer bit-identical to per-call scalar
+    ``rng.lognormal(0.0, sigma_i)``:
+
+    * *Zero sigmas draw nothing.* A position whose sigma is zero yields
+      exactly ``1.0`` (``math.exp(0.0) == 1.0``) without consuming the
+      generator, as the scalar engines skip the draw; since ``v * 1.0 ==
+      v``, consumers multiply by every factor unconditionally.
+    * *Chunking is invisible.* NumPy computes ``lognormal(0.0, s)`` as
+      ``exp(0.0 + s * standard_normal())`` and ``standard_normal(size=k)``
+      consumes the generator exactly like ``k`` scalar calls, so the
+      stream draws raw normals for many steps at once, scales them by the
+      pattern (the same float multiply) and applies ``math.exp`` (libm,
+      as NumPy's scalar path). Refills keep the scaled normals and
+      ``math.exp`` runs lazily per consumed step, so overdrawn tail
+      positions never pay for the exponential; the chunk starts at 8
+      steps and grows geometrically toward ``steps`` to bound the raw
+      overdraw on short runs. Draws prefetched beyond the last consumed
+      step are discarded with the generator, so no other draw may hit it
+      between refills.
+    * *``steps=1`` does not prefetch.* An agent whose delay model draws
+      from the same generator (``DelayModel.constant_extra() is None``)
+      refills exactly one step at a time, when the step begins; its delay
+      draw follows the step's factors, which is the scalar engines'
+      ``[compute, puts..., overhead]`` then ``extra_time`` order.
+
+    Block draws continue the same sequence: a block holds exactly the
+    factors that as many :meth:`next_step` calls would have returned,
+    consuming any buffered steps first.
     """
 
-    __slots__ = ("_rng", "_pattern", "_width", "_max_steps", "_steps",
-                 "_size", "_buf", "_i")
+    __slots__ = ("_rng", "_pattern", "_nz", "_width", "_max_steps",
+                 "_steps", "_size", "_buf", "_i")
 
     def __init__(self, rng, sigmas, steps: int = 64):
         self._rng = rng
-        self._pattern = np.asarray(sigmas, dtype=np.float64)
-        self._width = int(self._pattern.size)
+        pattern = np.asarray(sigmas, dtype=np.float64)
+        self._width = int(pattern.size)
+        # ``_nz`` is None when every position draws (no scatter needed);
+        # otherwise it indexes the drawing positions, and ``_pattern``
+        # holds only their sigmas.
+        self._nz = None
+        self._pattern = pattern
+        if not all(s > 0 for s in pattern.tolist()):
+            self._nz = np.flatnonzero(pattern > 0)
+            self._pattern = pattern[self._nz]
         self._max_steps = max(int(steps), 1)
         self._steps = min(8, self._max_steps)
         self._size = 0
         self._buf = None
         self._i = 0
+
+    def _scaled(self, steps: int) -> np.ndarray:
+        """Fresh ``sigma * z`` for ``steps`` steps, shape ``(steps, width)``;
+        zero-sigma positions hold ``0.0`` and draw nothing."""
+        nz = self._nz
+        if nz is None:
+            z = self._rng.standard_normal(steps * self._width)
+            return z.reshape(steps, self._width) * self._pattern
+        out = np.zeros((steps, self._width))
+        if nz.size:
+            z = self._rng.standard_normal(steps * nz.size)
+            out[:, nz] = z.reshape(steps, nz.size) * self._pattern
+        return out
 
     def next_step(self) -> list:
         """Factors for one step, in pattern order (a list of floats)."""
@@ -267,11 +331,45 @@ class PatternJitterStream:
             if steps < self._max_steps:
                 self._steps = min(steps * 4, self._max_steps)
             self._size = steps * self._width
-            z = self._rng.standard_normal(self._size)
-            self._buf = (
-                z.reshape(steps, self._width) * self._pattern
-            ).ravel().tolist()
+            self._buf = self._scaled(steps).ravel().tolist()
             i = 0
         self._i = i + self._width
         exp = math.exp
         return [exp(v) for v in self._buf[i : i + self._width]]
+
+    def _take(self, steps: int) -> np.ndarray:
+        """Scaled normals for the next ``steps`` steps: buffered ones
+        first, then exactly as many fresh draws as are still missing."""
+        i = self._i
+        if i >= self._size:
+            return self._scaled(steps)
+        w = self._width
+        k = min(steps, (self._size - i) // w)
+        self._i = i + k * w
+        head = np.array(self._buf[i : self._i]).reshape(k, w)
+        if k == steps:
+            return head
+        return np.concatenate((head, self._scaled(steps - k)))
+
+    @staticmethod
+    def next_blocks(streams, steps: int) -> np.ndarray:
+        """The next ``steps`` steps of several equal-width streams.
+
+        Shape ``(len(streams), steps, width)``: row ``i`` holds exactly
+        the factors ``steps`` :meth:`next_step` calls on ``streams[i]``
+        would have returned, buffered steps first. The scaling and the
+        exponentials run in one pass over the whole stack whenever no
+        stream holds buffered steps or zero sigmas (the vectorised
+        consumers' steady state).
+        """
+        if all(st._i >= st._size and st._nz is None for st in streams):
+            w = streams[0]._width
+            z = np.stack([st._rng.standard_normal(steps * w) for st in streams])
+            s = z.reshape(len(streams), steps, w) * np.stack(
+                [st._pattern for st in streams]
+            )[:, None, :]
+        else:
+            s = np.stack([st._take(steps) for st in streams])
+        return np.fromiter(
+            map(math.exp, s.ravel().tolist()), np.float64, s.size
+        ).reshape(s.shape)

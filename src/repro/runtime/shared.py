@@ -54,7 +54,7 @@ from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SimulationError, SingularMatrixError
 from repro.util.norms import relative_residual_norm, vector_norm
 from repro.util.rng import spawn_rngs
-from repro.util.validation import check_positive, check_vector
+from repro.util.validation import check_positive, check_positive_int, check_vector
 
 _START, _COMMIT, _RELEASE, _REQUEST = 0, 1, 2, 3
 
@@ -247,13 +247,22 @@ class SharedMemoryJacobi:
         The event loop runs on :mod:`repro.runtime.engine`: typed events
         on a preallocated queue, relax kernels writing into reused
         per-thread buffers, a precompiled column-scatter plan for the
-        incremental residual, chunked jitter streams, and batched
+        incremental residual, one jitter stream per thread (a
+        :class:`~repro.runtime.engine.JitterStream` that prefetches unless
+        the thread's delay model draws from the same generator; a zero
+        sigma yields 1.0 without a draw), and batched
         dispatch — events sharing a ``(time, kind)`` pop as one slice,
         and coincident STARTs relax as a single vectorized gather +
         ``bincount``. Trajectories are bit-identical to the pre-engine
         implementation, which remains available for one release as
         ``legacy_engine=True`` (the equivalence-test oracle).
+
+        ``observe_every`` (default: one per thread) counts commits between
+        residual observations; anything but a positive integer raises
+        ``ValueError``.
         """
+        if observe_every is not None:
+            observe_every = check_positive_int(observe_every, "observe_every")
         if legacy_engine:
             from repro.runtime.legacy import shared_run_async
 
@@ -313,10 +322,10 @@ class SharedMemoryJacobi:
             for th in threads
         ]
         slow = [self._slowdown(tid) for tid in range(T)]
-        # A constant injected delay unlocks a chunked jitter stream (the
-        # thread's RNG then serves jitter only); a stochastic model keeps
-        # that thread on scalar draws so delay and jitter draws interleave
-        # in exactly the legacy order.
+        # A constant injected delay lets a thread's jitter stream prefetch
+        # (its RNG then serves jitter only); a stochastic model draws from
+        # the same RNG, so that thread's stream draws one factor per call
+        # and delay and jitter draws interleave in exactly the legacy order.
         const_extra = [self.delay.constant_extra(tid) for tid in range(T)]
         delay_hung = type(self.delay).is_hung is not DelayModel.is_hung
 
@@ -423,12 +432,14 @@ class SharedMemoryJacobi:
         order = np.argsort([th.rng.random() for th in threads])
         for rank, tid in enumerate(order):
             request_run(threads[tid], float(rank) * 1e-9)
-        # Jitter streams attach only after the stagger draws so the RNG
-        # call order matches the scalar implementation exactly.
+        # One jitter stream per thread (a zero sigma yields 1.0 and draws
+        # nothing). They draw only after the stagger draws above, so the
+        # RNG call order matches the scalar implementation exactly.
         streams = [
-            JitterStream(threads[tid].rng, sigma)
-            if sigma > 0 and const_extra[tid] is not None
-            else None
+            JitterStream(
+                threads[tid].rng, sigma,
+                chunk=512 if const_extra[tid] is not None else 1,
+            )
             for tid in range(T)
         ]
 
@@ -549,16 +560,7 @@ class SharedMemoryJacobi:
                             {int(j): int(version[j]) for j in nbrs}
                             for nbrs in th.neighbors_per_row
                         ]
-                    if sigma > 0:
-                        st = streams[tid]
-                        jit = (
-                            st.next()
-                            if st is not None
-                            else float(th.rng.lognormal(0.0, sigma))
-                        )
-                        compute = compute_base[tid] * jit * slow[tid]
-                    else:
-                        compute = compute_base[tid] * slow[tid]
+                    compute = compute_base[tid] * streams[tid].next() * slow[tid]
                     queue.push(t + compute, _COMMIT, tid)
             elif kind == _COMMIT:
                 for tid in agents:
@@ -620,16 +622,7 @@ class SharedMemoryJacobi:
                             break
                     # Post-span per-iteration overhead (norms, flags) still
                     # occupies the core; the core frees at RELEASE.
-                    if sigma > 0:
-                        st = streams[tid]
-                        jit = (
-                            st.next()
-                            if st is not None
-                            else float(th.rng.lognormal(0.0, sigma))
-                        )
-                        overhead = ov_base * jit * slow[tid]
-                    else:
-                        overhead = ov_base * slow[tid]
+                    overhead = ov_base * streams[tid].next() * slow[tid]
                     queue.push(t + overhead, _RELEASE, tid)
                 if converged:
                     break

@@ -23,6 +23,15 @@ def check_positive(value, name: str) -> float:
     return float(value)
 
 
+def check_positive_int(value, name: str) -> int:
+    """Return ``value`` as an int if it is an integer > 0, else raise ValueError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return int(value)
+
+
 def check_nonnegative(value, name: str) -> float:
     """Return ``value`` if it is a finite number >= 0, else raise ValueError."""
     if not isinstance(value, numbers.Real) or not np.isfinite(value):

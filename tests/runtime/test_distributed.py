@@ -161,6 +161,29 @@ class TestValidation:
         with pytest.raises(ShapeError):
             DistributedJacobi(A, b, n_ranks=3, partition=labels)
 
+    @pytest.mark.parametrize("n_ranks", [4, 128])
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("observe_every", [0, -3, 2.5, True])
+    def test_observe_every_must_be_positive_int(self, n_ranks, legacy, observe_every):
+        """A non-positive cadence used to hang the turbo pre-pass at 128
+        ranks (its batch cap was 0) and observe every commit at 4 ranks."""
+        A = fd_laplacian_2d(16, 16)
+        b = np.ones(A.nrows)
+        dj = DistributedJacobi(A, b, n_ranks=n_ranks, partition="contiguous", seed=0)
+        with pytest.raises(ValueError, match="observe_every"):
+            dj.run_async(
+                tol=1e-3, max_iterations=4, observe_every=observe_every,
+                legacy_engine=legacy,
+            )
+
+    def test_observe_every_accepts_integer_types(self):
+        A = fd_laplacian_2d(16, 16)
+        b = np.ones(A.nrows)
+        dj = DistributedJacobi(A, b, n_ranks=4, partition="contiguous", seed=0)
+        a = dj.run_async(tol=1e-3, max_iterations=4, observe_every=np.int64(3))
+        c = dj.run_async(tol=1e-3, max_iterations=4, observe_every=3)
+        assert a.residual_norms == c.residual_norms
+
     def test_mode_dispatch(self, system):
         A, b, x0 = system
         dj = DistributedJacobi(A, b, n_ranks=3, seed=0)

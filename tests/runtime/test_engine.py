@@ -177,6 +177,73 @@ class TestStreamsBitIdentical:
             want = [float(b.lognormal(0.0, s)) for s in pattern]
             assert got == want
 
+    @staticmethod
+    def _scalar_step(rng, pattern):
+        """One step of scalar draws: an inactive jitter draws nothing."""
+        return [float(rng.lognormal(0.0, s)) if s > 0 else 1.0 for s in pattern]
+
+    @pytest.mark.parametrize(
+        "pattern", [[0.1, 0.0, 0.25, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0]]
+    )
+    def test_zero_sigma_positions_make_no_draw(self, pattern):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        st = PatternJitterStream(a, pattern, steps=1)
+        for _ in range(20):
+            assert st.next_step() == self._scalar_step(b, pattern)
+        # Nothing was drawn beyond the scalar draws: both generators agree.
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_jitter_stream_zero_sigma_makes_no_draw(self):
+        a = np.random.default_rng(3)
+        before = a.bit_generator.state
+        st = JitterStream(a, 0.0, chunk=7)
+        assert [st.next() for _ in range(20)] == [1.0] * 20
+        assert a.bit_generator.state == before
+
+    def test_unprefetched_streams_interleave_with_foreign_draws(self):
+        """``steps=1`` / ``chunk=1`` streams draw at the call, so another
+        consumer of the same generator (a stochastic delay model) sees
+        exactly the scalar sequence."""
+        pattern = [0.08, 0.25, 0.0, 0.08]
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        st = PatternJitterStream(a, pattern, steps=1)
+        js = JitterStream(a, 0.3, chunk=1)
+        for _ in range(30):
+            assert st.next_step() == self._scalar_step(b, pattern)
+            assert a.random() == b.random()
+            assert js.next() == float(b.lognormal(0.0, 0.3))
+            assert a.exponential(2.0) == b.exponential(2.0)
+
+    @pytest.mark.parametrize("pattern", [[0.08, 0.25, 0.25, 0.08], [0.08, 0.0, 0.08]])
+    def test_block_draws_equal_repeated_steps(self, pattern):
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        st = PatternJitterStream(a, pattern, steps=16)
+        ref = PatternJitterStream(b, pattern, steps=16)
+        # Blocks that start mid-buffer, span refills and start fresh.
+        for kind, k in [("step", 3), ("block", 4), ("block", 30), ("step", 9),
+                        ("block", 1), ("step", 1), ("block", 7)]:
+            want = [ref.next_step() for _ in range(k)]
+            if kind == "step":
+                got = [st.next_step() for _ in range(k)]
+            else:
+                blk = PatternJitterStream.next_blocks([st], k)[0]
+                assert blk.shape == (k, len(pattern))
+                got = blk.tolist()
+            assert got == want
+
+    def test_stacked_blocks_equal_per_stream_steps(self):
+        pattern = [0.08, 0.25, 0.08]
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        refs = [PatternJitterStream(np.random.default_rng(s), pattern) for s in range(4)]
+        sts = [PatternJitterStream(r, pattern) for r in rngs]
+        sts[2].next_step()  # one stream holds buffered steps
+        refs[2].next_step()
+        for k in (5, 12, 20):  # the last call finds every buffer drained
+            blocks = PatternJitterStream.next_blocks(sts, k)
+            assert blocks.shape == (4, k, 3)
+            for i, ref in enumerate(refs):
+                assert blocks[i].tolist() == [ref.next_step() for _ in range(k)]
+
 
 class TestNoPerRelaxationConcatenate:
     """The relax hot path must not rebuild ``local_x`` per relaxation.

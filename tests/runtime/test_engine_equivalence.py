@@ -12,6 +12,8 @@ the compiled kernels whenever they load; CI also runs this file under
 ``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.runtime.delays import (
     StragglerDelay,
 )
 from repro.runtime.distributed import DistributedJacobi
+from repro.runtime.machine import HASWELL_CLUSTER, KNL
 from repro.runtime.shared import SharedMemoryJacobi
 
 A = fd_laplacian_2d(10, 10)
@@ -43,6 +46,23 @@ CORRUPT_PLAN = FaultPlan(
     [Crash(5, 0.0005), CorruptBurst(0.0001, 0.001, 0.3)], seed=7
 )
 THREAD_PLAN = FaultPlan([Crash(1, 2e-4, restart_after=4e-4)], seed=5)
+
+
+def _cluster(sigma_m, sigma_net):
+    """HASWELL_CLUSTER with the machine and network jitter sigmas replaced."""
+    return replace(
+        HASWELL_CLUSTER,
+        node=replace(HASWELL_CLUSTER.node, jitter_sigma=sigma_m),
+        network=replace(HASWELL_CLUSTER.network, jitter_sigma=sigma_net),
+    )
+
+
+# A zero sigma yields a factor of exactly 1.0 and draws nothing, in every
+# loop; these clusters pin that each jitter can be off on its own.
+NO_JITTER = _cluster(0.0, 0.0)
+NET_JITTER_ONLY = _cluster(0.0, HASWELL_CLUSTER.network.jitter_sigma)
+MACHINE_JITTER_ONLY = _cluster(HASWELL_CLUSTER.node.jitter_sigma, 0.0)
+STALL = StochasticStall(0.3, 5e-5)
 
 
 def canon(v):
@@ -103,6 +123,16 @@ DIST_ASYNC_CASES = {
         dict(),
     ),
     "omega": (dict(omega=0.8), dict()),
+    "no_jitter": (dict(cluster=NO_JITTER), dict()),
+    "net_jitter_only": (dict(cluster=NET_JITTER_ONLY), dict()),
+    "machine_jitter_only": (dict(cluster=MACHINE_JITTER_ONLY), dict()),
+    "no_jitter_stoch_stall": (dict(cluster=NO_JITTER, delay=STALL), dict()),
+    "net_jitter_only_stoch_stall": (
+        dict(cluster=NET_JITTER_ONLY, delay=STALL), dict()
+    ),
+    "machine_jitter_only_stoch_stall": (
+        dict(cluster=MACHINE_JITTER_ONLY, delay=STALL), dict()
+    ),
 }
 
 
@@ -124,6 +154,14 @@ DIST_SYNC_CASES = {
     "stoch_stall": dict(delay=StochasticStall(0.3, 5e-5)),
     "omega": dict(omega=1.2),
     "one_rank": dict(n_ranks=1),
+    "no_jitter": dict(cluster=NO_JITTER),
+    "net_jitter_only": dict(cluster=NET_JITTER_ONLY),
+    "machine_jitter_only": dict(cluster=MACHINE_JITTER_ONLY),
+    "no_jitter_stoch_stall": dict(cluster=NO_JITTER, delay=STALL),
+    "net_jitter_only_stoch_stall": dict(cluster=NET_JITTER_ONLY, delay=STALL),
+    "machine_jitter_only_stoch_stall": dict(
+        cluster=MACHINE_JITTER_ONLY, delay=STALL
+    ),
 }
 
 
@@ -150,6 +188,11 @@ SHARED_CASES = {
         dict(run_until_all_reach=True, max_iterations=12),
     ),
     "full_residual": (dict(n_threads=8), dict(residual_mode="full")),
+    "no_jitter": (dict(n_threads=8, machine=replace(KNL, jitter_sigma=0.0)), dict()),
+    "no_jitter_stoch_stall": (
+        dict(n_threads=8, machine=replace(KNL, jitter_sigma=0.0), delay=STALL),
+        dict(),
+    ),
 }
 
 

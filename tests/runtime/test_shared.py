@@ -207,6 +207,17 @@ class TestValidation:
         with pytest.raises(ShapeError):
             SharedMemoryJacobi(A, b, n_threads=A.nrows + 1)
 
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("observe_every", [0, -3, 2.5, True])
+    def test_observe_every_must_be_positive_int(self, system, legacy, observe_every):
+        A, b, x0 = system
+        sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
+        with pytest.raises(ValueError, match="observe_every"):
+            sim.run_async(
+                x0=x0, tol=1e-3, max_iterations=4, observe_every=observe_every,
+                legacy_engine=legacy,
+            )
+
     def test_mode_dispatch(self, system):
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
