@@ -20,23 +20,32 @@ NumPy path it replaces, so trajectories stay byte-for-byte equal to the
   into a sum that starts at ``0.0`` — exactly how ``np.bincount`` sums
   its weights in ``CSRMatrix.matvec`` — and ``b`` is subtracted last, so
   the result is bitwise ``b - A.matvec(x)``.
-* ``repro_relax_rank`` mirrors the buffered relax closure: the row-subset
+* ``repro_relax`` mirrors the buffered relax closure: the row-subset
   SpMV sums ``data[k] * lb[indices[k]]`` per row in storage order (the
   same ``bincount`` order, held in a register), and the elementwise tail
   ``own + dinv * (b - mv)`` (plus the optional second-order Richardson
   momentum term) rounds each operation separately.
-* ``repro_commit_rank`` mirrors the commit: the ``x[rows]`` store,
-  ``dx = pend - own`` and the :class:`~repro.matrices.sparse.ColumnScatterPlan`
-  residual update (per-entry products, bin accumulation in the plan's
-  storage order, one full-span subtract).
-* ``repro_relax_batch`` is the turbo pre-pass's inner block relax: one
-  call relaxes and commits a whole admission batch, member by member in
-  cursor order — the order the batched NumPy phases are proven
-  equivalent to. It runs the same per-rank relax and commit code.
+* ``repro_relax_commit`` runs that relax and then the commit: the
+  ``x[rows]`` store, ``dx = pend - own`` and the
+  :class:`~repro.matrices.sparse.ColumnScatterPlan` residual update
+  (per-entry products, bin accumulation in the plan's storage order, one
+  full-span subtract). It is one whole block iteration of the block
+  loop; ``repro_relax`` alone serves the general loop, which commits in
+  NumPy.
+
+Packed argument row
+-------------------
+Both entry points take one pointer to a per-rank int64 row, whose
+columns are :data:`ROW_FIELDS` (sizes, offsets and buffer addresses),
+plus the momentum ``beta``. ctypes marshals every argument on every
+call: with no rows to relax, a call taking the twelve fields as separate
+arguments cost 1.6-2.5 us, and a packed-row call ~0.65 us (2-core x86-64
+VM). At a few thousand commits per run on blocks of a few dozen rows,
+that marshalling outweighed the arithmetic.
 
 Compact layout
 --------------
-All three relax/commit kernels read one layout, built once per solver by
+The row points at one layout, built once per solver by
 ``DistributedJacobi``'s warm plan. The relax loops over the rank's local
 CSR row pointers (int64) with its column indices as int32; the commit
 loops over per-column pointers into the scatter plan's entries with their
@@ -53,11 +62,12 @@ What the solver keeps across runs
 keeps them for its lifetime (its warm plan; see docs/performance.md):
 the int32 column and span-row copies, the column pointers, the per-rank
 ``b``/``dinv`` gathers the relax reads, one zeroed bin scratch per rank
-and the uint64 pointer tables of the batch kernel. They are safe to
-keep because they are functions of ``A``, the partition and the
-solver's private read-only copy of ``b`` alone, and the commit kernels
-leave every bin zeroed when they return. Each run passes its own ``x``,
-``local_x`` scratch, pending buffers and residual vector.
+and the run-invariant columns of the packed rows. They are safe to keep
+because they are functions of ``A``, the partition and the solver's
+private read-only copy of ``b`` alone, and the commit leaves every bin
+zeroed when it returns. Each run fills the per-run columns with its own
+``x``, ``local_x`` scratch, pending buffers, momentum state and residual
+vector.
 
 The library is compiled with ``-ffp-contract=off`` so the compiler cannot
 fuse the multiply-add chains into FMAs (which would round differently
@@ -185,65 +195,32 @@ static void commit_one(int64_t m, const int64_t *rows, double *x,
     memset(binc, 0, (size_t) span * sizeof(double));
 }
 
-void repro_relax_rank(int64_t m, const double *x, const int64_t *rows,
-                      double *lb, const int64_t *indptr,
-                      const int32_t *indices, const double *data,
-                      const double *b_loc, const double *dinv_loc,
-                      double *pend, double beta, double *mom_prev)
+/* The packed argument row: one int64 per field, pointers as addresses.
+ * Its column order is ROW_FIELDS on the Python side. r_vec == 0 makes
+ * the commit a plain x store (residual_mode="full"); mom_prev == 0 drops
+ * the momentum tail. */
+enum { F_M, F_X, F_ROWS, F_LX, F_INDPTR, F_IDX, F_DATA, F_B, F_DINV, F_PEND,
+       F_MOM, F_COLPTR, F_LOCAL, F_VALS, F_BASE, F_SPAN, F_BINC, F_RVEC };
+#define P(type, f) ((type) (intptr_t) row[f])
+
+void repro_relax(const int64_t *row, double beta)
 {
-    relax_one(m, x, rows, lb, indptr, indices, data, b_loc, dinv_loc, pend,
-              beta, mom_prev);
+    relax_one(row[F_M], P(const double *, F_X), P(const int64_t *, F_ROWS),
+              P(double *, F_LX), P(const int64_t *, F_INDPTR),
+              P(const int32_t *, F_IDX), P(const double *, F_DATA),
+              P(const double *, F_B), P(const double *, F_DINV),
+              P(double *, F_PEND), beta, P(double *, F_MOM));
 }
 
-void repro_commit_rank(int64_t m, const int64_t *rows, double *x,
-                       const double *own, const int64_t *colptr,
-                       const int32_t *local, const double *vals,
-                       int64_t base, int64_t span, double *binc,
-                       const double *pend, double *r_vec)
+/* One whole block iteration of the block loop: relax, then commit. */
+void repro_relax_commit(const int64_t *row, double beta)
 {
-    commit_one(m, rows, x, own, pend, colptr, local, vals, base, span, binc,
-               r_vec);
-}
-
-/* Stacked batch relax: the turbo pre-pass's inner block relax and
- * commit. Processes batch members in admission (cursor) order; members
- * are distinct ranks relaxing disjoint x rows, so the sequential
- * per-member loop is bitwise the batched NumPy phases (per-row
- * accumulation order and the elementwise chain are member-local either
- * way). Per-rank arrays arrive as uint64 pointer tables indexed by rank
- * id. pend_cat receives the members' pending values back to back.
- *
- * mode 1: relax + commit + incremental-residual scatter per member
- *         (batches are never pushed back, observation can only strike
- *         after the last member's residual update).
- * mode 2: relax + commit, no residual scatter (residual_mode="full"). */
-void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
-                       double *x, double *r_vec, double *pend_cat,
-                       const int64_t *m_tab, const uint64_t *rows_tab,
-                       const uint64_t *lb_tab, const uint64_t *indptr_tab,
-                       const uint64_t *idx_tab, const uint64_t *data_tab,
-                       const uint64_t *b_tab, const uint64_t *dinv_tab,
-                       const uint64_t *colptr_tab, const uint64_t *loc_tab,
-                       const uint64_t *val_tab, const int64_t *base_tab,
-                       const int64_t *span_tab, const uint64_t *binc_tab)
-{
-    int64_t bi, off = 0;
-    for (bi = 0; bi < nb; bi++) {
-        int64_t r = members[bi], m = m_tab[r];
-        const int64_t *rows = (const int64_t *) rows_tab[r];
-        double *lb = (double *) lb_tab[r];
-        double *pend = pend_cat + off;
-        relax_one(m, x, rows, lb, (const int64_t *) indptr_tab[r],
-                  (const int32_t *) idx_tab[r], (const double *) data_tab[r],
-                  (const double *) b_tab[r], (const double *) dinv_tab[r],
-                  pend, 0.0, 0);
-        commit_one(m, rows, x, lb, pend,
-                   (const int64_t *) colptr_tab[r],
-                   (const int32_t *) loc_tab[r],
-                   (const double *) val_tab[r], base_tab[r], span_tab[r],
-                   (double *) binc_tab[r], mode == 1 ? r_vec : 0);
-        off += m;
-    }
+    repro_relax(row, beta);
+    commit_one(row[F_M], P(const int64_t *, F_ROWS), P(double *, F_X),
+               P(const double *, F_LX), P(const double *, F_PEND),
+               P(const int64_t *, F_COLPTR), P(const int32_t *, F_LOCAL),
+               P(const double *, F_VALS), row[F_BASE], row[F_SPAN],
+               P(double *, F_BINC), P(double *, F_RVEC));
 }
 """
 
@@ -269,6 +246,16 @@ class NativeLayoutError(ValueError):
 #: Exclusive bound of the int32 index streams (local columns, span rows).
 INT32_LIMIT = 2**31
 
+#: Columns of the packed argument row ``repro_relax`` and
+#: ``repro_relax_commit`` read (the C ``enum`` order): one int64 per
+#: field, buffers as raw addresses. ``mom_prev = 0`` drops the momentum
+#: tail and ``r_vec = 0`` makes the commit a plain ``x`` store.
+ROW_FIELDS = (
+    "m", "x", "rows", "local_x", "indptr", "indices", "data", "b", "dinv",
+    "pend", "mom_prev", "colptr", "local", "vals", "base", "span", "binc",
+    "r_vec",
+)
+
 
 def int32_index(idx, extent: int, what: str) -> np.ndarray:
     """``idx`` (indices into ``range(extent)``) as a fresh int32 array.
@@ -288,8 +275,8 @@ def int32_index(idx, extent: int, what: str) -> np.ndarray:
 class NativeKernels:
     """A loaded native kernel library plus its build provenance."""
 
-    __slots__ = ("lib", "path", "build_ms", "residual_fn", "relax_rank",
-                 "commit_rank", "relax_batch")
+    __slots__ = ("lib", "path", "build_ms", "residual_fn", "relax",
+                 "relax_commit")
 
     def __init__(self, lib: ctypes.CDLL, path: Path, build_ms: float):
         self.lib = lib
@@ -302,18 +289,14 @@ class NativeKernels:
         fn.restype = None
         fn.argtypes = [i64] + [ptr] * 6
         self.residual_fn = fn
-        fn = lib.repro_relax_rank
+        fn = lib.repro_relax
         fn.restype = None
-        fn.argtypes = [i64] + [ptr] * 9 + [dbl, ptr]
-        self.relax_rank = fn
-        fn = lib.repro_commit_rank
+        fn.argtypes = [ptr, dbl]
+        self.relax = fn
+        fn = lib.repro_relax_commit
         fn.restype = None
-        fn.argtypes = [i64] + [ptr] * 6 + [i64, i64, ptr, ptr, ptr]
-        self.commit_rank = fn
-        fn = lib.repro_relax_batch
-        fn.restype = None
-        fn.argtypes = [i64, ptr, i64] + [ptr] * 17
-        self.relax_batch = fn
+        fn.argtypes = [ptr, dbl]
+        self.relax_commit = fn
 
     def residual(self, A, x, b, out) -> np.ndarray:
         """``out[:] = b - A x``, bit-identical to ``b - A.matvec(x)``.

@@ -91,13 +91,6 @@ from repro.util.validation import (
 _HB_KINDS = frozenset({_HEARTBEAT, _HB_ARRIVE, _HB_CHECK})
 
 
-class _TurboBail(Exception):
-    """Raised when the turbo pre-pass meets an exact time tie it cannot
-    order without seq stamps; :meth:`DistributedJacobi.run_async` reruns
-    on the plain block loop, which resolves such ties bitwise.
-    Measure-zero under any nonzero jitter."""
-
-
 @dataclass
 class _Rank:
     """Per-rank compiled state.
@@ -148,8 +141,7 @@ class _WarmPlan:
     __slots__ = (
         "templates", "nrows_loc", "lb_off", "row_off", "nnz_off", "b_loc",
         "dinv_loc", "b_norm1", "abs_scratch", "put_plan", "cat_rows",
-        "splans", "native", "native_commit", "native_tabs", "stacked",
-        "turbo_edges", "turbo_idx",
+        "splans", "native", "native_commit",
     )
 
     def __init__(self):
@@ -236,35 +228,6 @@ class DistributedJacobi:
         Retry budget per put before the sender gives up (information then
         reaches the neighbor only via a later iteration's put).
     """
-
-    # Below this rank count the turbo pre-pass is not tried: its per-run
-    # setup (edge maps, width groups, stacked caches) is O(ranks + nnz)
-    # but batches are capped at ``observe_every`` members, so small
-    # fleets never amortize it. Both paths are bitwise-identical, so the
-    # threshold is purely a performance knob. It was set against NumPy
-    # concatenation cost; re-measured on the native kernels (63x63 Fig. 8
-    # grid, BFS ranks, the fig8-dispatch per-rank budgets, turbo forced
-    # on vs off, medians of 15 runs on one core of a 2-core x86-64 VM),
-    # turbo vs block loop per async run: 4 ranks 2.28 vs 2.04 ms,
-    # 16 ranks 3.69 vs 3.51 ms, 64 ranks 7.24 vs 8.35 ms, 96 ranks 9.20
-    # vs 11.17 ms, 128 ranks 11.85 vs 14.73 ms, 256 ranks 18.34 vs
-    # 23.04 ms. Native turbo already wins at 64 ranks, so 96 is
-    # conservative; the value is unchanged.
-    _TURBO_MIN_RANKS = 96
-
-    # Above this many stored nonzeros per rank (on average) the block
-    # loop relaxes rank-at-a-time instead of running the turbo pre-pass:
-    # big blocks amortize NumPy call overhead on their own, and turbo's
-    # per-batch concatenation of every member's local matrix turns into
-    # the dominant NumPy cost at paper scale. Re-measured on the native
-    # kernels (five-point stencils on 256 contiguous ranks, same method
-    # and machine as above), turbo vs block loop per async run: 308
-    # nnz/rank (126x126, 8 iterations) 21.98 vs 26.90 ms, 1,236
-    # (252x252, 8) 27.20 vs 30.90 ms, 4,875 (500x500, 4) 25.49 vs
-    # 28.04 ms, 19,516 (10^6 rows, 2) 56.98 vs 58.26 ms, within noise.
-    # Natively, turbo does not lose below ~5,000 nnz/rank, so 1024 is
-    # conservative; the value is unchanged.
-    _STACK_MAX_NNZ_PER_RANK = 1024
 
     def __init__(
         self,
@@ -528,22 +491,32 @@ class DistributedJacobi:
             wp.splans = [self.A.column_scatter_plan(rk.rows) for rk in ranks]
         return wp.splans
 
-    def _warm_native(self, ranks, incremental: bool) -> _WarmPlan:
-        """The compact native layout of every rank, built on first use.
+    def _warm_native(self, ranks, incremental: bool) -> np.ndarray:
+        """The packed native argument rows of every rank, built on first use.
 
-        Relax: the local CSR's int64 row pointers, its columns as int32
-        and the rank's data, ``b`` and ``dinv`` gathers. Commit (first
-        incremental run): per-column pointers into the scatter plan's
-        entries, its span-local rows as int32, and a zeroed bin scratch.
-        ``native_tabs`` holds the same addresses as the uint64 tables the
-        batch kernel reads. Raises :class:`~repro.perf.native.NativeLayoutError`
-        when a rank's local column count or span reaches 2^31.
+        One int64 row per rank, its columns in
+        :data:`~repro.perf.native.ROW_FIELDS` order. The warm plan fills the
+        run-invariant columns; each run copies the table and fills ``x``,
+        ``local_x``, ``pend``, ``mom_prev`` and ``r_vec``. Relax columns:
+        the block size, the local CSR's int64 row pointers, its columns as
+        int32 and the rank's data, ``b`` and ``dinv`` gathers. Commit
+        columns (first incremental run): per-column pointers into the
+        scatter plan's entries, its span-local rows as int32, and a zeroed
+        bin scratch; until then they are zero, and a run that leaves
+        ``r_vec = 0`` never reads them. Raises
+        :class:`~repro.perf.native.NativeLayoutError` when a rank's local
+        column count or span reaches 2^31.
         """
-        from repro.perf.native import int32_index
+        from repro.perf.native import ROW_FIELDS, int32_index
 
         wp = self._warm_plan(ranks)
+        col = ROW_FIELDS.index
         if wp.native is None:
-            keep, consts = [], []
+            tab = np.zeros((self.n_ranks, len(ROW_FIELDS)), dtype=np.int64)
+            tab[:, col("m")] = wp.nrows_loc
+            relax_cols = [col(f) for f in (
+                "rows", "indptr", "indices", "data", "b", "dinv")]
+            keep = []
             for rk in ranks:
                 loc = rk.local
                 rows = np.ascontiguousarray(rk.rows, dtype=np.int64)
@@ -554,10 +527,13 @@ class DistributedJacobi:
                         np.ascontiguousarray(loc.data), wp.b_loc[rk.rank],
                         wp.dinv_loc[rk.rank])
                 keep.append(arrs)
-                consts.append(tuple(a.ctypes.data for a in arrs))
-            wp.native = (keep, consts)
+                tab[rk.rank, relax_cols] = [a.ctypes.data for a in arrs]
+            wp.native = (keep, tab)
+        tab = wp.native[1]
         if incremental and wp.native_commit is None:
-            keep, consts = [], []
+            keep = []
+            commit_cols = [col(f) for f in (
+                "colptr", "local", "vals", "base", "span", "binc")]
             for rk, sp in zip(ranks, self._warm_splans(ranks)):
                 colptr = np.zeros(rk.rows.size + 1, dtype=np.int64)
                 np.cumsum(
@@ -569,102 +545,12 @@ class DistributedJacobi:
                 )
                 binc = np.zeros(max(int(sp.span), 1))
                 keep.append((colptr, loc, sp.vals, binc))
-                consts.append((
+                tab[rk.rank, commit_cols] = (
                     colptr.ctypes.data, loc.ctypes.data, sp.vals.ctypes.data,
                     int(sp.base), int(sp.span), binc.ctypes.data,
-                ))
-            wp.native_commit = (keep, consts)
-            wp.native_tabs = None  # rebuilt with the commit columns filled
-        return wp
-
-    def _native_tabs(self, ranks, incremental: bool) -> tuple:
-        """Uint64 pointer tables for the batch kernel, indexed by rank id."""
-        wp = self._warm_native(ranks, incremental)
-        if wp.native_tabs is None:
-            relax = wp.native[1]
-            cols = [np.array([c[j] for c in relax], dtype=np.uint64)
-                    for j in range(6)]
-            m_tab = np.array(wp.nrows_loc, dtype=np.int64)
-            if wp.native_commit is not None:
-                com = wp.native_commit[1]
-                ctabs = [np.array([c[j] for c in com], dtype=np.uint64)
-                         for j in (0, 1, 2)]
-                base_tab = np.array([c[3] for c in com], dtype=np.int64)
-                span_tab = np.array([c[4] for c in com], dtype=np.int64)
-                binc_tab = np.array([c[5] for c in com], dtype=np.uint64)
-            else:
-                # Modes 0 and 2 never read the commit columns.
-                zero = np.zeros(self.n_ranks, dtype=np.uint64)
-                ctabs = [zero] * 3
-                base_tab = span_tab = np.zeros(self.n_ranks, dtype=np.int64)
-                binc_tab = zero
-            wp.native_tabs = (m_tab, *cols, *ctabs, base_tab, span_tab,
-                              binc_tab)
-        return wp.native_tabs
-
-    def _warm_stacked(self, ranks) -> tuple:
-        """Index tables of the turbo pre-pass's stacked relax, built on
-        first use.
-
-        Per rank: compact columns in ``local_x``-parent coordinates, the
-        data, rows in global-row numbering, own-row parent positions and
-        global-row spans; plus each rank's in-neighbours (senders in rank
-        order — the mailbox order).
-        """
-        wp = self._plan
-        if wp.stacked is None:
-            lb_off, row_off, n_ranks = wp.lb_off, wp.row_off, self.n_ranks
-            in_nbrs: list = [[] for _ in range(n_ranks)]
-            for p, plan_r in enumerate(wp.put_plan):
-                for q, _slots, _rows, _mb in plan_r:
-                    in_nbrs[q].append(p)
-            wp.stacked = (
-                [lb_off[rk.rank] + rk.local.indices for rk in ranks],
-                [rk.local.data for rk in ranks],
-                [row_off[rk.rank] + rk.local._row_of_nnz for rk in ranks],
-                [np.arange(lb_off[r], lb_off[r] + wp.nrows_loc[r])
-                 for r in range(n_ranks)],
-                [np.arange(row_off[r], row_off[r + 1])
-                 for r in range(n_ranks)],
-                in_nbrs,
-            )
-        return wp.stacked
-
-    def _warm_turbo(self, ranks, numpy_relax: bool) -> tuple:
-        """Directed-edge maps of the turbo engine (and its NumPy relax plans).
-
-        ``emap[p][q]`` is p's put index toward q; ``recv_edges[q]`` lists
-        q's in-edges with the slice of the sender's fired row holding the
-        edge's values and the edge's ghost slots in *parent-buffer*
-        coordinates (ghost layers are views into ``loc_parent``, so every
-        member's winner scatter can fuse into one store). With
-        ``numpy_relax`` also the per-rank (rows, parent-pos, global row)
-        and (compact col, global row) stacks, so a batch needs three
-        concatenations, not six.
-        """
-        wp = self._plan
-        if wp.turbo_edges is None:
-            n_ranks = self.n_ranks
-            emap: list = [{} for _ in range(n_ranks)]
-            recv_edges: list = [[] for _ in range(n_ranks)]
-            for p in range(n_ranks):
-                voff = 0
-                for ei, (q, slots_q, lrows, _mb) in enumerate(wp.put_plan[p]):
-                    emap[p][q] = ei
-                    recv_edges[q].append(
-                        (p, ei, wp.lb_off[q] + wp.nrows_loc[q] + slots_q,
-                         voff, voff + lrows.size)
-                    )
-                    voff += lrows.size
-            wp.turbo_edges = (emap, recv_edges)
-        if numpy_relax and wp.turbo_idx is None:
-            st_idx, _dat, st_row, st_pos, st_span, _nb = self._warm_stacked(ranks)
-            wp.turbo_idx = (
-                [np.stack([rk.rows, st_pos[r], st_span[r]])
-                 for r, rk in enumerate(ranks)],
-                [np.stack([st_idx[r], st_row[r]]) for r in range(self.n_ranks)],
-            )
-        return (*wp.turbo_edges, *(wp.turbo_idx or (None, None)))
+                )
+            wp.native_commit = keep
+        return tab
 
     def _residual_fn(self):
         """``(x, out) -> out``: the residual ``b - A x`` written into ``out``.
@@ -813,12 +699,8 @@ class DistributedJacobi:
           rolls, no tracer, no reliable puts, no eager/detect/heartbeat
           machinery and no hang-capable delay model. One heap event per
           block iteration runs the whole read-relax-commit span at the
-          iteration's virtual read cursor. From ``_TURBO_MIN_RANKS``
-          ranks, for scaled methods with small blocks, both jitters
-          active and every rank's stream prefetching, a *turbo* pre-pass
-          precomputes every rank's timeline from blocks of those streams'
-          factors and relaxes admission batches as one stacked kernel; an
-          exact time tie it cannot order reruns the plain block loop.
+          iteration's virtual read cursor; with the native library that
+          span's relax and commit are one compiled call.
         * **The general loop** takes everything else, with one START and
           one COMMIT event per block iteration plus the protocol traffic.
 
@@ -861,10 +743,14 @@ class DistributedJacobi:
             down, incoming residual reports are lost, no failure is
             declared and no STOP is broadcast — if it never restarts, the
             survivors simply run to ``max_iterations``.
+        max_iterations
+            Local iterations per rank (see ``termination``). Anything but
+            a positive integer raises ``ValueError``.
         observe_every
             Commits between residual observations (default: one per
             rank). Anything but a positive integer raises ``ValueError``.
         """
+        max_iterations = check_positive_int(max_iterations, "max_iterations")
         if observe_every is not None:
             observe_every = check_positive_int(observe_every, "observe_every")
         if legacy_engine:
@@ -877,28 +763,6 @@ class DistributedJacobi:
                 residual_mode=residual_mode, recompute_every=recompute_every,
                 tracer=tracer,
             )
-        kwargs = dict(
-            x0=x0, tol=tol, max_iterations=max_iterations,
-            observe_every=observe_every, eager=eager, termination=termination,
-            report_every=report_every, residual_mode=residual_mode,
-            recompute_every=recompute_every, tracer=tracer,
-        )
-        try:
-            return self._run_async(turbo=True, **kwargs)
-        except _TurboBail:
-            # An exact tie the turbo pre-pass cannot order: rerun on the
-            # plain block loop, whose seq stamps resolve it. Nothing
-            # observable leaked — per-run state (ranks, queue, telemetry)
-            # is rebuilt from scratch, ``x0`` was never mutated and turbo
-            # runs carry no tracer.
-            return self._run_async(turbo=False, **kwargs)
-
-    def _run_async(
-        self, x0, tol, max_iterations, observe_every, eager, termination,
-        report_every, residual_mode, recompute_every, tracer, turbo: bool,
-    ) -> SimulationResult:
-        """The engine behind :meth:`run_async`; ``turbo=False`` skips the
-        turbo pre-pass (the rerun after a :class:`_TurboBail`)."""
         check_positive(tol, "tol")
         if termination not in ("count", "detect"):
             raise ValueError(
@@ -918,8 +782,7 @@ class DistributedJacobi:
             from repro.perf.native import native_kernels
 
             nat = native_kernels()
-        use_native = nat is not None
-        A, b, dinv = self.A, self.b, self.dinv
+        A = self.A
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         ranks = self._compile_ranks()
         net = self.cluster.network
@@ -973,8 +836,8 @@ class DistributedJacobi:
         # ``np.concatenate`` and the ``dinv[rows]``/``b[rows]`` gathers of
         # the legacy loop are gone. All ranks' ``local_x`` scratch is
         # carved from one parent buffer: per-rank views behave exactly
-        # like separate arrays, and the turbo pre-pass can then gather
-        # *across* ranks in one take. The other per-rank scratch
+        # like separate arrays, and a native row addresses its slice as an
+        # offset from the parent. The other per-rank scratch
         # is carved the same way, one allocation per kind.
         loc_parent = np.zeros(lb_off[-1])
         pend_parent = np.empty(row_off[-1])
@@ -1038,46 +901,46 @@ class DistributedJacobi:
         residual = self._residual_fn()
         r_vec = residual(x, np.empty(self.n))
 
-        nat_commit_args = None
-        if use_native:
-            # Precompiled argument tuples for the native kernels. The
-            # run-invariant half (compact CSR layout, gathers, scatter
-            # columns) comes from the warm plan; the per-run buffers (``x``,
-            # the scratch parents, ``r_vec``) are allocated exactly once
-            # for the whole run, so their raw addresses are stable and each
-            # call is one ctypes dispatch with no per-event marshalling. The
-            # kernels read and write the same buffers the NumPy closures
-            # use — drop-in, bit-identical replacements (contract in
-            # repro.perf.native).
-            self._warm_native(ranks, incremental)
-            x_ptr = x.ctypes.data
-            lb0 = loc_parent.ctypes.data
-            pend0 = pend_parent.ctypes.data
-            r_ptr = r_vec.ctypes.data
+        nat_rows = None
+        if nat is not None:
+            # One packed argument row per rank (``ROW_FIELDS`` in
+            # repro.perf.native): the run-invariant columns (compact CSR
+            # layout, gathers, scatter columns) come from the warm plan;
+            # the per-run buffers (``x``, the scratch parents, momentum
+            # state, ``r_vec``) are allocated exactly once for the whole
+            # run, so their raw addresses are stable and each kernel call
+            # marshals two arguments. The kernels read and write the same
+            # buffers the NumPy closures use — drop-in, bit-identical
+            # replacements (contract in repro.perf.native). ``r_vec = 0``
+            # makes the commit a plain ``x`` store.
+            from repro.perf.native import ROW_FIELDS
+
+            col = ROW_FIELDS.index
+            nat_tab = self._warm_native(ranks, incremental).copy()
+            nat_tab[:, col("x")] = x.ctypes.data
+            nat_tab[:, col("local_x")] = (
+                loc_parent.ctypes.data + 8 * np.asarray(lb_off[:-1])
+            )
+            nat_tab[:, col("pend")] = (
+                pend_parent.ctypes.data + 8 * np.asarray(row_off[:-1])
+            )
+            if momentum_m:
+                nat_tab[:, col("mom_prev")] = [
+                    mp.ctypes.data for mp in mom_prev_loc
+                ]
+            if incremental:
+                nat_tab[:, col("r_vec")] = r_vec.ctypes.data
+            # Raw row addresses: ``nat_tab`` must outlive the loops, which
+            # it does as a local of this call.
+            nat_rows = (
+                nat_tab.ctypes.data + nat_tab.strides[0] * np.arange(n_ranks)
+            ).tolist()
             nat_beta = float(mom_beta) if momentum_m else 0.0
-            nat_relax_args = [
-                (m, x_ptr, c[0], lb0 + 8 * lo, c[1], c[2], c[3], c[4], c[5],
-                 pend0 + 8 * ro, nat_beta,
-                 mom_prev_loc[r].ctypes.data if momentum_m else None)
-                for r, (m, c, lo, ro) in enumerate(
-                    zip(nrows_loc, wp.native[1], lb_off, row_off)
-                )
-            ]
-            nat_relax = nat.relax_rank
+            nat_relax, nat_relax_commit = nat.relax, nat.relax_commit
 
             def relax(rk: _Rank) -> None:
                 """Native relax: same buffers, same bits, one C call."""
-                nat_relax(*nat_relax_args[rk.rank])
-
-            if incremental:
-                nat_commit_args = [
-                    (m, c[0], x_ptr, lb0 + 8 * lo, *cc)
-                    for m, c, cc, lo in zip(
-                        nrows_loc, wp.native[1], wp.native_commit[1], lb_off
-                    )
-                ]
-                nat_commit = nat.commit_rank
-            nat_pend_ptr = [pend0 + 8 * ro for ro in row_off[:-1]]
+                nat_relax(nat_rows[rk.rank], nat_beta)
 
         def local_residual_norm(rk: _Rank) -> float:
             """Block residual 1-norm from the rank's current (stale) view."""
@@ -1629,613 +1492,6 @@ class DistributedJacobi:
                     in_boxes[q].append((box, slots_q))
                     off += local_rows.size
                 fire.append(entries_r)
-        # Turbo pre-pass: when every rank's stream prefetches (no delay
-        # model draws from a rank's generator), a rank's event *schedule*
-        # is a fixed recurrence over its stream — nothing about timing
-        # depends on relax values. The whole timeline is therefore
-        # precomputed from blocks of the same streams' factors in
-        # vectorized chunks (compute/overhead deltas interleaved under one
-        # cumsum, the running clock folded into the first delta — every
-        # add bitwise the scalar engine's) and lexsorted once into the
-        # global (commit, cursor) pop order, which is exactly how the
-        # block loop resolves same-time ties. Mailboxes collapse into
-        # per-edge integer frontiers over precomputed arrival rows, so
-        # Python only makes the irreducibly sequential decisions — batch
-        # admission, winner picks, observations — while all arithmetic is
-        # array work.
-        #
-        # Consecutive commits in that order are *batched* whenever no
-        # member's read cursor can still be affected by an earlier
-        # member's commit: a put fired by member i arrives strictly after
-        # its commit, so member j's cut is safe as long as no in-batch
-        # sender's put reaches j's cursor (ranks that never put to j
-        # cannot disturb it at all). Each rank appears at most once, so
-        # the members read disjoint ``x`` rows and write disjoint scratch.
-        # A batch runs in three phases: every member's mailbox cut, ONE
-        # gather/multiply/bincount over the concatenated local matrices
-        # (global row numbering keeps each row's accumulation order, so
-        # the result is bitwise the per-rank relax), then the commits,
-        # fires and observations in cursor order. Batches are capped at
-        # the observation cadence so convergence can only strike at the
-        # last member.
-        #
-        # Stacking only pays while rank blocks are small: a batch
-        # concatenates every member's local matrix, so its cost is
-        # O(nnz per batch) of pure memory traffic, and its per-run setup
-        # only amortizes over many ranks — hence the two class
-        # thresholds. Exact time ties (measure zero under lognormal
-        # jitter, hence the gate on both sigmas; certain without it) raise
-        # :class:`_TurboBail`; :meth:`run_async` then reruns the plain
-        # block loop, which orders them via seq stamps.
-        if (
-            turbo
-            and plain
-            and heap
-            and not converged
-            and not gauss_seidel
-            and self.method.is_scaled
-            and n_ranks >= self._TURBO_MIN_RANKS
-            and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
-            and sigma_m > 0
-            and sigma_net > 0
-            and all(ce is not None for ce in const_extra)
-        ):
-            n_grows = row_off[-1]
-            st_idx, st_dat, st_row, st_pos, st_span, in_nbrs = (
-                self._warm_stacked(ranks)
-            )
-            if use_native:
-                # Per-rank pointer tables for the batched native kernel:
-                # uint64 arrays of raw addresses indexed by rank id, read
-                # in C as double**/int64_t** equivalents. All but the
-                # ``local_x`` table come from the warm plan, which keeps
-                # the arrays behind them alive.
-                nat_members = np.empty(n_ranks, dtype=np.int64)
-                nat_pend_cat = np.empty(n_grows)
-                nat_tabs = self._native_tabs(ranks, incremental)
-                nat_lb_tab = np.array(
-                    [lb0 + 8 * lo for lo in lb_off[:-1]], dtype=np.uint64
-                )
-                nat_tab_ptrs = [t.ctypes.data for t in nat_tabs]
-                nat_tab_ptrs.insert(2, nat_lb_tab.ctypes.data)
-                nat_head = (x_ptr, r_ptr, nat_pend_cat.ctypes.data)
-                nat_members_ptr = nat_members.ctypes.data
-                nat_batch_fn = nat.relax_batch
-
-                def nat_relax_batch(members, mode) -> None:
-                    """One compiled call per admission batch (modes 1/2)."""
-                    nbm = len(members)
-                    nat_members[:nbm] = members
-                    nat_batch_fn(
-                        nbm, nat_members_ptr, mode, *nat_head, *nat_tab_ptrs
-                    )
-            next_blocks = PatternJitterStream.next_blocks
-            INF = math.inf
-            npcat = np.concatenate
-            n_e = [len(put_plan[r]) for r in range(n_ranks)]
-            # Directed-edge maps and relax-plan stacks (warm plan).
-            emap, recv_edges, i3, i2 = self._warm_turbo(
-                ranks, not use_native
-            )
-            # Rank groups by put fan-out: every rank in a group
-            # shares the draw pattern width, so one stacked sweep
-            # per group generates a whole chunk of per-rank
-            # timelines (draws stay per-rank generators; chunking
-            # does not change ``standard_normal`` streams).
-            wgroups: dict = {}
-            for r in range(n_ranks):
-                wgroups.setdefault(n_e[r], []).append(r)
-            groups = []
-            for ne, rl in sorted(wgroups.items()):
-                w = 2 + ne
-                cb_c = np.array([cbase[r] for r in rl])[:, None]
-                sl_c = np.array([slow[r] for r in rl])[:, None]
-                pc_c = np.array([puts_const[r] for r in rl])[:, None]
-                ce_c = np.array(
-                    [const_extra[r] for r in rl]
-                )[:, None]
-                mb_c = (
-                    np.array(
-                        [[pe[3] for pe in put_plan[r]] for r in rl]
-                    )[:, None, :]
-                    if ne
-                    else None
-                )
-                groups.append(
-                    (rl, ne, w, cb_c, sl_c, pc_c, ce_c, mb_c,
-                     [fstreams[r] for r in rl])
-                )
-            if incremental:
-                sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
-                sp_loc = [splans[r].local for r in range(n_ranks)]
-                sp_val = [splans[r].vals for r in range(n_ranks)]
-                sp_base = [splans[r].base for r in range(n_ranks)]
-                sp_span = [splans[r].span for r in range(n_ranks)]
-                sp_n = [splans[r].vals.size for r in range(n_ranks)]
-            cr_len = [cat_rows[r].size for r in range(n_ranks)]
-            tc_l: list = [[] for _ in range(n_ranks)]  # commit times
-            ts_l: list = [[] for _ in range(n_ranks)]  # read cursors
-            arr_l: list = [[] for _ in range(n_ranks)]  # arrival rows
-            carry = [0.0] * n_ranks  # cursor of next ungenerated iter
-            cover = [0.0] * n_ranks
-            gen_all = 0  # generated iterations (lockstep, all ranks)
-            chunk = 8
-            iters = [0] * n_ranks
-            eptr = [[0] * n_e[r] for r in range(n_ranks)]
-            espill: list = [[None] * n_e[r] for r in range(n_ranks)]
-            sent_l: list = [[] for _ in range(n_ranks)]
-            sbase = [0] * n_ranks
-            puts_fired = 0
-            conv_t = None
-            # The heap holds exactly the initial wake-ups; their pop
-            # does nothing but anchor each rank's clock and consume
-            # one seq, so processing them out of time order is
-            # unobservable (total seq advance is order-independent).
-            while heap:
-                sev = hpop(heap)
-                if sev[2] != _START:
-                    raise _TurboBail
-                carry[sev[3]] = sev[0]
-                seq += 1
-
-            def _gen_round() -> bool:
-                """Extend every rank's precomputed timeline one chunk.
-
-                The factors are the ranks' own pattern streams'
-                blocks — the very draws the block loop would take step
-                by step — and every product/add below pairs the same
-                operands the scalar recurrences pair.
-                """
-                nonlocal gen_all, chunk
-                ns = min(chunk, max_iterations - gen_all)
-                if ns <= 0:
-                    return False
-                chunk = min(chunk * 2, 64)
-                for (rl, ne, w, cb_c, sl_c, pc_c, ce_c, mb_c,
-                     sts_g) in groups:
-                    nrg = len(rl)
-                    fac = next_blocks(sts_g, ns)
-                    dcv = fac[:, :, 0] * cb_c
-                    dcv *= sl_c
-                    dov = fac[:, :, w - 1] * ovbase
-                    dov += pc_c
-                    dov *= sl_c
-                    dov += ce_c
-                    inter = np.empty((nrg, 2 * ns))
-                    inter[:, 0::2] = dcv
-                    inter[:, 1::2] = dov
-                    inter[:, 0] += [carry[r] for r in rl]
-                    cs_ = np.cumsum(inter, axis=1)
-                    tcg = cs_[:, 0::2]
-                    if ne:
-                        arr = fac[:, :, 1 : w - 1] * mb_c
-                        arr += tcg[:, :, None]
-                        arr_rows = arr.tolist()
-                    tc_rows = tcg.tolist()
-                    ts_rows = cs_[:, 1::2].tolist()
-                    for i, r in enumerate(rl):
-                        tc_l[r].extend(tc_rows[i])
-                        tr = ts_rows[i]
-                        ts_l[r].append(carry[r])
-                        ts_l[r].extend(tr[:-1])
-                        carry[r] = tr[-1]
-                        if ne:
-                            arr_l[r].extend(arr_rows[i])
-                        cover[r] = carry[r]
-                gen_all += ns
-                if gen_all >= max_iterations:
-                    for r in range(n_ranks):
-                        cover[r] = INF
-                return True
-
-            merged = 0
-            otc: list = []
-            ots: list = []
-            orr: list = []
-            ork: list = []
-            pos = 0
-
-            def _merge() -> None:
-                """Re-lexsort pending plus newly generated events."""
-                nonlocal otc, ots, orr, ork, pos, merged
-                tps = [np.array(otc[pos:], dtype=np.float64)]
-                sps = [np.array(ots[pos:], dtype=np.float64)]
-                rps = [np.array(orr[pos:], dtype=np.int64)]
-                kps = [np.array(ork[pos:], dtype=np.int64)]
-                if merged < gen_all:
-                    ks = np.arange(merged, gen_all, dtype=np.int64)
-                    for r in range(n_ranks):
-                        tps.append(np.array(tc_l[r][merged:gen_all]))
-                        sps.append(np.array(ts_l[r][merged:gen_all]))
-                        rps.append(
-                            np.full(gen_all - merged, r, np.int64)
-                        )
-                        kps.append(ks)
-                    merged = gen_all
-                tca = npcat(tps)
-                tsa = npcat(sps)
-                idx = np.lexsort((tsa, tca))
-                tca = tca.take(idx)
-                tsa = tsa.take(idx)
-                if tca.size > 1:
-                    tie = np.flatnonzero(np.diff(tca) == 0.0)
-                    if tie.size and bool(
-                        np.any(tsa.take(tie) == tsa.take(tie + 1))
-                    ):
-                        raise _TurboBail
-                otc = tca.tolist()
-                ots = tsa.tolist()
-                orr = npcat(rps).take(idx).tolist()
-                ork = npcat(kps).take(idx).tolist()
-                pos = 0
-
-            _gen_round()
-            _merge()
-            n_ord = len(otc)
-            hor = min(cover)
-            bat_of = [-1] * n_ranks
-            b_r: list = []
-            b_k: list = []
-            b_tc: list = []
-            b_ts: list = []
-            gs_parts: list = []
-            gv_parts: list = []
-            while not converged:
-                if pos >= n_ord or otc[pos] >= hor:
-                    # Horizon exhausted: extend every rank at once —
-                    # extending only the binding rank would re-merge
-                    # the whole order once per rank, and the chunk
-                    # cap bounds each round's overdraw.
-                    if _gen_round():
-                        _merge()
-                        n_ord = len(otc)
-                        hor = min(cover)
-                        continue
-                    if pos >= n_ord:
-                        break
-                    hor = min(cover)
-                    continue
-                # Batch assembly over the static order: stop at a
-                # repeated rank (its next commit is already sorted in
-                # place, so no push-back machinery is needed), the
-                # observation cadence, the generation horizon, or an
-                # *exact-arrival* conflict — refuse candidate j when
-                # an in-batch sender's put would reach j's cursor,
-                # since phase-1 cuts cannot see in-batch fires.
-                # Refusing on arrival == cursor is safe: such a put
-                # carries a later stamp than the cursor seq and would
-                # not deliver sequentially either.
-                cap = observe_every - commits_since_obs
-                del b_r[:], b_k[:], b_tc[:], b_ts[:]
-                while pos < n_ord and len(b_r) < cap:
-                    tcv = otc[pos]
-                    if tcv >= hor:
-                        break
-                    br = orr[pos]
-                    if bat_of[br] >= 0:
-                        break
-                    tsv = ots[pos]
-                    ok = True
-                    for p in in_nbrs[br]:
-                        bj = bat_of[p]
-                        if bj >= 0 and (
-                            arr_l[p][b_k[bj]][emap[p][br]] <= tsv
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    bat_of[br] = len(b_r)
-                    b_r.append(br)
-                    b_k.append(ork[pos])
-                    b_tc.append(tcv)
-                    b_ts.append(tsv)
-                    pos += 1
-                nb = len(b_r)
-                for br in b_r:
-                    bat_of[br] = -1
-                # Phase 1: every member's mailbox cut at its own
-                # cursor. Per directed edge an integer frontier walks
-                # the sender's arrival rows in fire order; records
-                # passed over unripe go to a (rare) spill list. The
-                # latest qualifying fire wins — arrival ties on one
-                # edge resolve to the later fire, matching the
-                # sequential stamp tiebreak. Winner scatters collect
-                # into one fused parent-buffer store per batch
-                # (members own disjoint ghost segments, and the
-                # relax gather only runs in phase 2).
-                del gs_parts[:], gv_parts[:]
-                for bi in range(nb):
-                    bq = b_r[bi]
-                    tsv = b_ts[bi]
-                    for p, ei, gsl, lo, hi in recv_edges[bq]:
-                        ep_p = eptr[p]
-                        wv = ep_p[ei]
-                        fcp = iters[p]
-                        esp = espill[p]
-                        sp = esp[ei]
-                        if not sp:
-                            if wv >= fcp:
-                                continue
-                            if wv + 1 == fcp:
-                                # Steady state: exactly one fresh
-                                # record on the edge.
-                                a_ = arr_l[p][wv][ei]
-                                ep_p[ei] = fcp
-                                if a_ < tsv:
-                                    delivered += 1
-                                    gs_parts.append(gsl)
-                                    gv_parts.append(
-                                        sent_l[p][wv - sbase[p]][
-                                            lo:hi
-                                        ]
-                                    )
-                                elif a_ == tsv:
-                                    raise _TurboBail
-                                else:
-                                    esp[ei] = [(a_, wv)]
-                                continue
-                        nd = 0
-                        best_a = None
-                        bk = -1
-                        if sp:
-                            keep = None
-                            for ent in sp:
-                                a_ = ent[0]
-                                if a_ < tsv:
-                                    nd += 1
-                                    if best_a is None or a_ >= best_a:
-                                        best_a = a_
-                                        bk = ent[1]
-                                elif a_ == tsv:
-                                    raise _TurboBail
-                                elif keep is None:
-                                    keep = [ent]
-                                else:
-                                    keep.append(ent)
-                            esp[ei] = keep
-                        if wv < fcp:
-                            ap = arr_l[p]
-                            sp = esp[ei]
-                            while wv < fcp:
-                                a_ = ap[wv][ei]
-                                if a_ < tsv:
-                                    nd += 1
-                                    if best_a is None or a_ >= best_a:
-                                        best_a = a_
-                                        bk = wv
-                                elif a_ == tsv:
-                                    raise _TurboBail
-                                elif sp is None:
-                                    sp = esp[ei] = [(a_, wv)]
-                                else:
-                                    sp.append((a_, wv))
-                                wv += 1
-                            ep_p[ei] = fcp
-                        if nd:
-                            delivered += nd
-                            gs_parts.append(gsl)
-                            gv_parts.append(
-                                sent_l[p][bk - sbase[p]][lo:hi]
-                            )
-                if gs_parts:
-                    loc_parent[npcat(gs_parts)] = npcat(gv_parts)
-                # Phase 2: one stacked relax for the whole batch, then
-                # one batched x commit — safe because turbo batches are
-                # never pushed back.
-                if use_native:
-                    # Fused phase 2 + commit: one compiled call relaxes
-                    # the members in cursor order and, member by member,
-                    # writes ``x`` and applies the incremental residual
-                    # scatter (mode 1). Turbo batches are never pushed
-                    # back and observation can only strike at the last
-                    # member, so the sequential per-member interleaving
-                    # is bitwise the phased NumPy path below.
-                    nat_relax_batch(
-                        b_r, 1 if incremental else 2
-                    )
-                    pend_cat = nat_pend_cat
-                    seg = None
-                elif nb == 1:
-                    b0 = b_r[0]
-                    rows_cat = rows_of[b0]
-                    st_pos_c = st_pos[b0]
-                    st_span_c = st_span[b0]
-                    st_idx_c = st_idx[b0]
-                    st_row_c = st_row[b0]
-                    st_dat_c = st_dat[b0]
-                else:
-                    i3c = npcat([i3[r] for r in b_r], axis=1)
-                    rows_cat = i3c[0]
-                    st_pos_c = i3c[1]
-                    st_span_c = i3c[2]
-                    i2c = npcat([i2[r] for r in b_r], axis=1)
-                    st_idx_c = i2c[0]
-                    st_row_c = i2c[1]
-                    st_dat_c = npcat([st_dat[r] for r in b_r])
-                if not use_native:
-                    own_cat = x.take(rows_cat)
-                    loc_parent[st_pos_c] = own_cat
-                    g = loc_parent.take(st_idx_c)
-                    np.multiply(st_dat_c, g, out=g)
-                    mv_all = np.bincount(
-                        st_row_c, weights=g, minlength=n_grows
-                    )
-                    mv_cat = mv_all.take(st_span_c)
-                    np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
-                    np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
-                    pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
-                    x[rows_cat] = pend_cat
-                    seg = None
-                if incremental and not use_native:
-                    dx_cat = np.subtract(
-                        pend_cat, own_cat, out=own_cat
-                    )
-                    # Batched scatter-plan apply: concatenate the
-                    # per-member plans with np.repeat-broadcast
-                    # offsets, bincount once, then subtract each
-                    # member's span slice in commit order (bins are
-                    # member-disjoint, so per-row accumulation order
-                    # is bitwise the per-member bincounts).
-                    rep_ps: list = []
-                    loc_ps: list = []
-                    val_ps: list = []
-                    doffs: list = []
-                    goffs: list = []
-                    plens: list = []
-                    seg = []
-                    doff = 0
-                    goff = 0
-                    for bq in b_r:
-                        if sp_n[bq]:
-                            rep_ps.append(sp_rep[bq])
-                            loc_ps.append(sp_loc[bq])
-                            val_ps.append(sp_val[bq])
-                            doffs.append(doff)
-                            goffs.append(goff)
-                            plens.append(sp_n[bq])
-                            seg.append(
-                                (sp_base[bq], sp_span[bq], goff)
-                            )
-                            goff += sp_span[bq]
-                        else:
-                            seg.append(None)
-                        doff += nrows_loc[bq]
-                    if rep_ps:
-                        if len(rep_ps) == 1:
-                            ri = rep_ps[0] + doffs[0]
-                            li = loc_ps[0] + goffs[0]
-                            vv_ = val_ps[0]
-                        else:
-                            pl = np.array(plens)
-                            ri = npcat(rep_ps) + np.repeat(
-                                np.array(doffs), pl
-                            )
-                            li = npcat(loc_ps) + np.repeat(
-                                np.array(goffs), pl
-                            )
-                            vv_ = npcat(val_ps)
-                        sg = dx_cat.take(ri)
-                        np.multiply(vv_, sg, out=sg)
-                        contrib = np.bincount(
-                            li, weights=sg, minlength=goff
-                        )
-                # Fired rows for the whole batch in one gather; the
-                # per-member views slice out of it in commit order.
-                s_parts: list = []
-                s_offs: list = []
-                s_lens: list = []
-                soff = 0
-                for bq in b_r:
-                    if n_e[bq]:
-                        s_parts.append(cat_rows[bq])
-                        s_offs.append(soff)
-                        s_lens.append(cr_len[bq])
-                    soff += nrows_loc[bq]
-                if s_parts:
-                    if len(s_parts) == 1:
-                        svals = pend_cat.take(
-                            s_parts[0] + s_offs[0]
-                        )
-                    else:
-                        svals = pend_cat.take(
-                            npcat(s_parts)
-                            + np.repeat(
-                                np.array(s_offs), np.array(s_lens)
-                            )
-                        )
-                # Phase 3: commits in cursor order — residual
-                # updates, fires, observations and seq advances
-                # exactly as the sequential path interleaves them.
-                scur = 0
-                for bi in range(nb):
-                    bq = b_r[bi]
-                    t = b_tc[bi]
-                    if seg is not None:
-                        sg_ = seg[bi]
-                        if sg_ is not None:
-                            sb_, ssp, go = sg_
-                            r_vec[sb_ : sb_ + ssp] -= contrib[
-                                go : go + ssp
-                            ]
-                    iters[bq] += 1
-                    relaxations += nrows_loc[bq]
-                    t_end = t
-                    ne_q = n_e[bq]
-                    if ne_q:
-                        sl_q = sent_l[bq]
-                        nxt = scur + cr_len[bq]
-                        sl_q.append(svals[scur:nxt])
-                        scur = nxt
-                        seq += ne_q
-                        puts_fired += ne_q
-                        if len(sl_q) >= 96:
-                            # Trim rows every consumer is past.
-                            mn = iters[bq]
-                            for ei in range(ne_q):
-                                sp = espill[bq][ei]
-                                k0 = (
-                                    sp[0][1]
-                                    if sp
-                                    else eptr[bq][ei]
-                                )
-                                if k0 < mn:
-                                    mn = k0
-                            if mn > sbase[bq]:
-                                del sl_q[: mn - sbase[bq]]
-                                sbase[bq] = mn
-                    commits_since_obs += 1
-                    if commits_since_obs >= observe_every:
-                        # Cap placement guarantees this is the
-                        # batch's last member.
-                        commits_since_obs = 0
-                        res = observe_residual()
-                        times.append(t)
-                        residuals.append(res)
-                        counts.append(relaxations)
-                        if res < tol:
-                            converged = True
-                            conv_t = t
-                            break
-                    if iters[bq] >= max_iterations:
-                        continue
-                    seq += 2
-            # Exit bookkeeping. Boxed-record reconciliation below
-            # sees only empty boxes; pending deliveries live in the
-            # spill lists and unconsumed frontier ranges instead.
-            for r in range(n_ranks):
-                frk = ranks[r]
-                frk.iterations = iters[r]
-                if iters[r] >= max_iterations:
-                    frk.stopped = True
-            tm.puts_sent += puts_fired
-            if converged:
-                ct = conv_t
-                for p in range(n_ranks):
-                    ap = arr_l[p]
-                    fcp = iters[p]
-                    for ei in range(n_e[p]):
-                        sp = espill[p][ei]
-                        if sp:
-                            for a_, _k in sp:
-                                if a_ < ct:
-                                    delivered += 1
-                                elif a_ == ct:
-                                    raise _TurboBail
-                        for wv in range(eptr[p][ei], fcp):
-                            a_ = ap[wv][ei]
-                            if a_ < ct:
-                                delivered += 1
-                            elif a_ == ct:
-                                raise _TurboBail
-            else:
-                for p in range(n_ranks):
-                    fcp = iters[p]
-                    for ei in range(n_e[p]):
-                        sp = espill[p][ei]
-                        delivered += (
-                            len(sp) if sp else 0
-                        ) + fcp - eptr[p][ei]
         # The block loop: one heap event per block iteration. A _START
         # appears only as each rank's initial wake-up; every other event
         # is a _COMMIT carrying the iteration's *virtual read cursor*
@@ -2299,25 +1555,27 @@ class DistributedJacobi:
                             box.clear()
                         else:
                             box[:] = rest
-                relax(rk)
-                # Inlined commit_rows: the commit directly follows the
-                # rank's own relax, so ``own_view`` still holds ``x[rows]``
-                # as of the take in ``relax`` (only the owner writes its
-                # rows) — the old-value gather is free. Gauss-Seidel
-                # relaxes in place through ``own_view``, so it re-gathers.
                 pb = pend_buf[rid]
-                if incremental:
-                    if nat_commit_args is not None:
-                        nat_commit(*nat_commit_args[rid], nat_pend_ptr[rid],
-                                   r_ptr)
-                    else:
+                if nat_rows is not None:
+                    # One compiled call: the relax, the ``x`` store and, in
+                    # incremental mode, the residual scatter.
+                    nat_relax_commit(nat_rows[rid], nat_beta)
+                else:
+                    relax(rk)
+                    # Inlined commit_rows: the commit directly follows the
+                    # rank's own relax, so ``own_view`` still holds
+                    # ``x[rows]`` as of the take in ``relax`` (only the
+                    # owner writes its rows) — the old-value gather is
+                    # free. Gauss-Seidel relaxes in place through
+                    # ``own_view``, so it re-gathers.
+                    if incremental:
                         if gauss_seidel:
                             x.take(rows_of[rid], out=own_view[rid])
                         np.subtract(pb, own_view[rid], out=dx_buf[rid])
                         x[rows_of[rid]] = pb
                         splans[rid].apply(r_vec, dx_buf[rid])
-                else:
-                    x[rows_of[rid]] = pb
+                    else:
+                        x[rows_of[rid]] = pb
                 rk.iterations += 1
                 relaxations += nrows_loc[rid]
                 t_end = t
@@ -2749,8 +2007,10 @@ class DistributedJacobi:
         scalar lognormals in the order compute, overhead, delay, messages.
         Both sources feed the same sweep and are bit-identical to the
         pre-engine scalar loop, which ``legacy_engine=True`` runs (kept in
-        :mod:`repro.runtime.legacy`).
+        :mod:`repro.runtime.legacy`). ``max_iterations`` must be a
+        positive integer (``ValueError`` otherwise).
         """
+        max_iterations = check_positive_int(max_iterations, "max_iterations")
         if legacy_engine:
             from repro.runtime import legacy
 

@@ -36,9 +36,8 @@ bit-identity contract — is written down once:
 
 * :class:`JitterStream` — one sigma per agent (shared-memory threads);
 * :class:`PatternJitterStream` — a fixed per-step sigma pattern
-  (distributed ranks in the block loop, its turbo pre-pass and
-  ``run_sync``), served as per-step lists or as blocks for vectorised
-  consumers;
+  (distributed ranks in the block loop and ``run_sync``), served as
+  per-step lists or, for ``run_sync``'s vectorised sweeps, as blocks;
 * :class:`NormalStream` — raw normals for the distributed general loop,
   whose draws are irregular (retries, reports, heartbeats, STOP).
 
@@ -250,7 +249,7 @@ class PatternJitterStream:
     """One agent's lognormal jitter factors for a fixed per-step sigma pattern.
 
     This is the single draw path of the distributed simulator's block
-    loop, its turbo pre-pass and ``run_sync``. A rank draws, from its own
+    loop and ``run_sync``. A rank draws, from its own
     generator, the same sequence every step — in the block loop one
     machine-jitter factor for the compute span, one network-jitter factor
     per outgoing put and one machine-jitter factor for the overhead span;

@@ -258,9 +258,10 @@ class SharedMemoryJacobi:
         ``legacy_engine=True`` (the equivalence-test oracle).
 
         ``observe_every`` (default: one per thread) counts commits between
-        residual observations; anything but a positive integer raises
-        ``ValueError``.
+        residual observations; for it and ``max_iterations`` anything but
+        a positive integer raises ``ValueError``.
         """
+        max_iterations = check_positive_int(max_iterations, "max_iterations")
         if observe_every is not None:
             observe_every = check_positive_int(observe_every, "observe_every")
         if legacy_engine:
@@ -709,8 +710,10 @@ class SharedMemoryJacobi:
         Each sweep is exact Jacobi; its simulated duration is the *maximum
         per-core* duration — cores run their pinned threads' iterations
         back to back, everyone waits for the slowest core (including any
-        injected delay) — plus the barrier cost.
+        injected delay) — plus the barrier cost. ``max_iterations`` must
+        be a positive integer (``ValueError`` otherwise).
         """
+        max_iterations = check_positive_int(max_iterations, "max_iterations")
         check_positive(tol, "tol")
         if self.fault_plan.agents():
             raise SimulationError(

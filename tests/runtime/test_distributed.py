@@ -165,8 +165,8 @@ class TestValidation:
     @pytest.mark.parametrize("legacy", [False, True])
     @pytest.mark.parametrize("observe_every", [0, -3, 2.5, True])
     def test_observe_every_must_be_positive_int(self, n_ranks, legacy, observe_every):
-        """A non-positive cadence used to hang the turbo pre-pass at 128
-        ranks (its batch cap was 0) and observe every commit at 4 ranks."""
+        """A non-positive cadence once hung 128-rank runs and observed
+        every commit at 4 ranks."""
         A = fd_laplacian_2d(16, 16)
         b = np.ones(A.nrows)
         dj = DistributedJacobi(A, b, n_ranks=n_ranks, partition="contiguous", seed=0)
@@ -175,6 +175,22 @@ class TestValidation:
                 tol=1e-3, max_iterations=4, observe_every=observe_every,
                 legacy_engine=legacy,
             )
+
+    @pytest.mark.parametrize("n_ranks", [4, 128])
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    @pytest.mark.parametrize("max_iterations", [0, -1, 2.5, True])
+    def test_max_iterations_must_be_positive_int(
+        self, n_ranks, legacy, mode, max_iterations
+    ):
+        """``max_iterations=0`` once ran one iteration per rank at 4 ranks
+        and none at 128, and ``2.5`` ran three or raised ``TypeError``."""
+        A = fd_laplacian_2d(16, 16)
+        b = np.ones(A.nrows)
+        dj = DistributedJacobi(A, b, n_ranks=n_ranks, partition="contiguous", seed=0)
+        run = dj.run_async if mode == "async" else dj.run_sync
+        with pytest.raises(ValueError, match="max_iterations"):
+            run(tol=1e-3, max_iterations=max_iterations, legacy_engine=legacy)
 
     def test_observe_every_accepts_integer_types(self):
         A = fd_laplacian_2d(16, 16)

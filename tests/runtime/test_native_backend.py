@@ -3,9 +3,8 @@
 Distributed runs use the compiled kernels whenever the library loads, and
 their contract is the strongest the repo offers: at small n they must be
 *bit-identical* to the legacy oracle across the same feature matrix the
-engine-equivalence suite covers (methods, fault plans, tracing), at turbo
-scale bit-identical to the plain block loop, and at 10^4 rows
-bit-identical to the NumPy kernels. When the toolchain probe fails — no
+engine-equivalence suite covers (methods, fault plans, tracing), and at
+10^4 rows bit-identical to the NumPy kernels. When the toolchain probe fails — no
 ``cc``, or ``REPRO_NO_NATIVE=1`` — every entry point must fall back
 silently and reproduce the same trajectories exactly.
 
@@ -103,38 +102,6 @@ def test_native_traced_run_matches_untraced_trajectory():
     assert_results_identical(*results)
 
 
-TURBO_A = fd_laplacian_2d(16, 16)
-TURBO_RANKS = 128  # >= _TURBO_MIN_RANKS: the turbo pre-pass runs
-
-
-def _turbo_run(turbo, **extra):
-    """A 128-rank plain run, with or without the turbo pre-pass.
-
-    Returns the result and whether the turbo pre-pass ran (it is the only
-    user of the warm plan's turbo edge maps).
-    """
-    b = as_rng(7).uniform(-1, 1, TURBO_A.shape[0])
-    sim = DistributedJacobi(
-        TURBO_A, b, n_ranks=TURBO_RANKS, partition="contiguous", seed=7
-    )
-    if not turbo:
-        sim._TURBO_MIN_RANKS = TURBO_RANKS + 1
-    res = sim.run_async(
-        tol=1e-8, max_iterations=60, observe_every=TURBO_RANKS, **extra
-    )
-    return res, sim._plan.turbo_edges is not None
-
-
-@needs_native
-@pytest.mark.parametrize("extra", [{}, {"residual_mode": "full"}])
-def test_native_turbo_bit_identical_to_block(extra):
-    """At turbo rank counts the fused batch kernel matches the block loop."""
-    fast, ran_turbo = _turbo_run(True, **extra)
-    plain, ran_plain = _turbo_run(False, **extra)
-    assert ran_turbo and not ran_plain
-    assert_results_identical(fast, plain)
-
-
 SEEDS = (1, 2, 3)
 LARGE_A = fd_laplacian_2d(100, 100)  # 10^4 rows
 LARGE_RANKS = 128
@@ -174,12 +141,12 @@ def test_native_statistically_equivalent_at_large_n():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count calls into the compiled per-rank relax and commit kernels.
+    """Count calls into the compiled packed-row relax and relax-commit entries.
 
     Wraps the ``NativeKernels`` slots class-wide, so every loaded library
     instance — including one re-probed during the test — is counted.
     """
-    calls = {"relax_rank": 0, "commit_rank": 0}
+    calls = {"relax": 0, "relax_commit": 0}
     for name in calls:
         slot = getattr(native.NativeKernels, name)
 
@@ -198,6 +165,9 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+NO_CALLS = {"relax": 0, "relax_commit": 0}
+
+
 class TestFallbackAndValidation:
     def test_env_knob_disables_and_falls_back_bitwise(self, kernel_calls):
         """REPRO_NO_NATIVE=1: runs silently use the NumPy kernels."""
@@ -205,16 +175,28 @@ class TestFallbackAndValidation:
             tol=1e-6, max_iterations=40
         )
         if native.native_available():
-            assert kernel_calls["relax_rank"] > 0
-            assert kernel_calls["commit_rank"] > 0
-        kernel_calls.update(relax_rank=0, commit_rank=0)
+            # A plain run takes the block loop: one fused call per commit.
+            assert kernel_calls["relax_commit"] > 0
+            assert kernel_calls["relax"] == 0
+        kernel_calls.update(NO_CALLS)
         with numpy_kernels():
             assert native.native_available() is False
             res = DistributedJacobi(A, B, n_ranks=8, seed=3).run_async(
                 tol=1e-6, max_iterations=40
             )
-        assert kernel_calls == {"relax_rank": 0, "commit_rank": 0}
+        assert kernel_calls == NO_CALLS
         assert_results_identical(res, reference)
+
+    @needs_native
+    def test_general_loop_relaxes_natively_and_commits_in_numpy(
+        self, kernel_calls
+    ):
+        """An eager run takes the general loop: relax-only native calls."""
+        DistributedJacobi(A, B, n_ranks=8, seed=3).run_async(
+            tol=1e-6, max_iterations=10, eager=True
+        )
+        assert kernel_calls["relax"] > 0
+        assert kernel_calls["relax_commit"] == 0
 
     @staticmethod
     def _assert_numpy_only(kernel_calls, **kwargs):
@@ -225,7 +207,7 @@ class TestFallbackAndValidation:
             )
             for legacy in (False, True)
         ]
-        assert kernel_calls == {"relax_rank": 0, "commit_rank": 0}
+        assert kernel_calls == NO_CALLS
         assert_results_identical(*runs)
 
     def test_gauss_seidel_sweep_rejects_native(self, kernel_calls):

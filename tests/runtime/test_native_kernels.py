@@ -114,7 +114,7 @@ def test_residual_fallback_matches_numpy_bytes(monkeypatch):
 @pytest.mark.parametrize("partition", ["bfs", "contiguous"])
 @pytest.mark.parametrize("method", ["jacobi", "damped_jacobi", "richardson2"])
 def test_compact_relax_and_commit_match_numpy_closures(partition, method):
-    """One relax + commit per rank, native vs the run_async NumPy closures."""
+    """Both packed-row entries per rank vs the run_async NumPy closures."""
     A = _wide_matrix(14, 3)
     rng = np.random.default_rng(5)
     b = _vector(rng, A.nrows)
@@ -122,15 +122,28 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         A, b, n_ranks=6, partition=partition, seed=0, method=method
     )
     ranks = sim._compile_ranks()
-    wp = sim._warm_native(ranks, incremental=True)
+    tab = sim._warm_native(ranks, incremental=True)
+    wp = sim._plan
     splans = sim._warm_splans(ranks)
     kernels = native.native_kernels()
+    col = native.ROW_FIELDS.index
     momentum = sim.method.kind == "momentum"
     beta = float(sim.method.beta) if momentum else 0.0
     x = _vector(rng, A.nrows)
     r_vec = _vector(rng, A.nrows)
     if partition == "bfs":
         assert any(np.any(np.diff(rk.rows) != 1) for rk in ranks)
+
+    def packed(r, x_buf, lb_buf, pend_buf, mom_buf, r_buf):
+        """Rank r's warm row with this call's per-run buffers filled."""
+        row = tab[r].copy()
+        row[col("x")] = x_buf.ctypes.data
+        row[col("local_x")] = lb_buf.ctypes.data
+        row[col("pend")] = pend_buf.ctypes.data
+        row[col("mom_prev")] = mom_buf.ctypes.data if momentum else 0
+        row[col("r_vec")] = 0 if r_buf is None else r_buf.ctypes.data
+        return row
+
     for rk in ranks:
         r, m = rk.rank, rk.rows.size
         lb = _vector(rng, m + rk.ghost_cols.size)
@@ -152,25 +165,34 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         dx = np.subtract(pend_ref, own)
         x_ref[rk.rows] = pend_ref
         splans[r].apply(r_ref, dx)
-        # Native: compact relax, then compact commit on copies.
-        c = wp.native[1][r]
+        # repro_relax: the relax alone leaves x and r_vec untouched.
         lb_nat, mom_nat, pend = lb.copy(), mom.copy(), np.empty(m)
-        kernels.relax_rank(
-            m, x.ctypes.data, c[0], lb_nat.ctypes.data, c[1], c[2], c[3],
-            c[4], c[5], pend.ctypes.data, beta,
-            mom_nat.ctypes.data if momentum else None,
-        )
+        x_nat, r_nat = x.copy(), r_vec.copy()
+        row = packed(r, x_nat, lb_nat, pend, mom_nat, r_nat)
+        kernels.relax(row.ctypes.data, beta)
         assert pend.tobytes() == pend_ref.tobytes()
         assert lb_nat.tobytes() == lb_ref.tobytes()
         assert mom_nat.tobytes() == mom_ref.tobytes()
-        x_nat, r_nat = x.copy(), r_vec.copy()
-        kernels.commit_rank(
-            m, c[0], x_nat.ctypes.data, lb_nat.ctypes.data,
-            *wp.native_commit[1][r], pend.ctypes.data, r_nat.ctypes.data,
-        )
+        assert x_nat.tobytes() == x.tobytes()
+        assert r_nat.tobytes() == r_vec.tobytes()
+        # repro_relax_commit: the relax, the x store, the residual scatter.
+        lb_nat, mom_nat, pend = lb.copy(), mom.copy(), np.empty(m)
+        row = packed(r, x_nat, lb_nat, pend, mom_nat, r_nat)
+        kernels.relax_commit(row.ctypes.data, beta)
+        assert pend.tobytes() == pend_ref.tobytes()
+        assert lb_nat.tobytes() == lb_ref.tobytes()
+        assert mom_nat.tobytes() == mom_ref.tobytes()
         assert x_nat.tobytes() == x_ref.tobytes()
         assert r_nat.tobytes() == r_ref.tobytes()
-        assert not np.any(wp.native_commit[0][r][3])  # bins re-zeroed
+        assert not np.any(wp.native_commit[r][3])  # bins re-zeroed
+        # r_vec = 0 (residual_mode="full"): a plain x store.
+        lb_nat, mom_nat, pend = lb.copy(), mom.copy(), np.empty(m)
+        x_nat = x.copy()
+        row = packed(r, x_nat, lb_nat, pend, mom_nat, None)
+        kernels.relax_commit(row.ctypes.data, beta)
+        assert pend.tobytes() == pend_ref.tobytes()
+        assert mom_nat.tobytes() == mom_ref.tobytes()
+        assert x_nat.tobytes() == x_ref.tobytes()
 
 
 def _trajectory(A, b, n_ranks, partition, method, **run):
@@ -186,10 +208,8 @@ def _trajectory(A, b, n_ranks, partition, method, **run):
 @pytest.mark.parametrize(
     "shape",
     [
-        # (grid, ranks): below 96 ranks the block loop runs the per-rank
-        # kernels; at 128 ranks scaled methods with small blocks run the
-        # batch kernel in the turbo pre-pass (modes 1 and 2). Momentum
-        # always runs per rank.
+        # (grid, ranks): big and small blocks on 8 ranks, and 128 ranks
+        # of a few rows each.
         (48, 8),
         (24, 8),
         (16, 128),

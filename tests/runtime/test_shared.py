@@ -218,13 +218,29 @@ class TestValidation:
                 legacy_engine=legacy,
             )
 
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("max_iterations", [0, -1, 2.5, True])
+    def test_max_iterations_must_be_positive_int(
+        self, system, legacy, max_iterations
+    ):
+        """``max_iterations=0`` once relaxed rows before stopping."""
+        A, b, x0 = system
+        sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            sim.run_async(
+                x0=x0, tol=1e-3, max_iterations=max_iterations,
+                legacy_engine=legacy,
+            )
+        with pytest.raises(ValueError, match="max_iterations"):
+            sim.run_sync(x0=x0, tol=1e-3, max_iterations=max_iterations)
+
     def test_mode_dispatch(self, system):
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
         assert sim.run("sync", x0=x0, tol=1e-3).mode == "sync"
         assert sim.run("async", x0=x0, tol=1e-3).mode == "async"
         with pytest.raises(ValueError):
-            sim.run("turbo")
+            sim.run("bogus")
 
 
 class TestIncrementalResiduals:

@@ -31,13 +31,13 @@ SCHEDULE = (
 )
 
 #: (matrix, n_ranks, partition, constructor kwargs, async kwargs). The
-#: cases reach the block loop with small and big blocks, the turbo
-#: pre-pass (128 ranks), momentum and the general loop.
+#: cases reach the block loop with small and big blocks and with many
+#: ranks (128), momentum and the general loop.
 SETUPS = {
     "native_small": (A, 8, "bfs", {}, {}),
     "native_big_blocks": (fd_laplacian_2d(48, 48), 8, "contiguous", {}, {}),
-    "turbo": (fd_laplacian_2d(16, 16), 128, "contiguous", {}, {}),
-    "turbo_bfs": (fd_laplacian_2d(16, 16), 128, "bfs", {}, {}),
+    "many_ranks": (fd_laplacian_2d(16, 16), 128, "contiguous", {}, {}),
+    "many_ranks_bfs": (fd_laplacian_2d(16, 16), 128, "bfs", {}, {}),
     "richardson2": (A, 8, "contiguous", dict(method="richardson2"), {}),
     "detect_delay": (
         A, 8, "bfs", dict(delay=ConstantDelay({3: 2e-5})),

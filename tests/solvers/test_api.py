@@ -119,7 +119,6 @@ def test_executors_have_no_instrumentation_knobs(system):
 
     entry_points = [
         DistributedJacobi.run_async,
-        DistributedJacobi._run_async,
         SharedMemoryJacobi.run_async,
         AsyncJacobiModel.run,
         BatchedAsyncJacobiModel.run,
