@@ -10,7 +10,11 @@ available offline, so we provide:
 * :func:`bfs_bisection_partition` — a recursive BFS ("graph growing")
   bisection over the matrix graph, the classic cheap METIS substitute: each
   half is grown breadth-first from a peripheral vertex, yielding connected,
-  low-cut parts;
+  low-cut parts. The recursion runs level by level: one multi-source BFS
+  over the edges inside the current parts bisects every part of a level
+  at once;
+* :func:`rcm_ordering` — reverse Cuthill-McKee, sharing the same BFS
+  distance helper for its pseudo-peripheral start;
 * :func:`partition_permutation` — renumber rows so every part is contiguous,
   matching the paper's "each process owns contiguous rows" layout.
 
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.matrices.sparse import CSRMatrix, _concat_ranges
 from repro.util.errors import PartitionError
+from repro.util.validation import check_positive_int
 
 
 def contiguous_partition(n: int, parts: int) -> np.ndarray:
@@ -31,8 +36,7 @@ def contiguous_partition(n: int, parts: int) -> np.ndarray:
     The first ``n % parts`` blocks get one extra row, so block sizes differ
     by at most one.
     """
-    if parts < 1:
-        raise PartitionError(f"parts must be >= 1, got {parts}")
+    parts = check_positive_int(parts, "parts", PartitionError)
     if parts > n:
         raise PartitionError(f"cannot split {n} rows into {parts} parts")
     base, extra = divmod(n, parts)
@@ -46,72 +50,79 @@ def part_sizes(labels: np.ndarray, parts: int) -> np.ndarray:
     return np.bincount(labels, minlength=parts)
 
 
-def _bfs_order(A: CSRMatrix, nodes: np.ndarray, start: int) -> np.ndarray:
-    """BFS order over the subgraph induced by ``nodes`` from ``start``.
+def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
+    """Hop distances from the nearest of ``sources`` over a CSR graph (-1: unreached).
 
-    Unreached nodes (disconnected components) are appended in index order so
-    the result is always a permutation of ``nodes``.
+    One NumPy frontier step per BFS level advances every source at once, so
+    sources in disconnected pieces of the graph share the same steps.
     """
-    in_set = np.zeros(A.nrows, dtype=bool)
-    in_set[nodes] = True
-    visited = np.zeros(A.nrows, dtype=bool)
-    order = []
-    frontier = np.array([start], dtype=np.int64)
-    visited[start] = True
+    dist = np.full(indptr.size - 1, -1, dtype=np.int64)
+    frontier = np.asarray(sources, dtype=np.int64)
+    dist[frontier] = 0
+    level = 0
     while frontier.size:
-        order.append(frontier)
-        starts = A.indptr[frontier]
-        counts = A.indptr[frontier + 1] - starts
-        nz = _concat_ranges(starts, counts)
-        nbrs = A.indices[nz]
-        nbrs = np.unique(nbrs[in_set[nbrs] & ~visited[nbrs]])
-        visited[nbrs] = True
-        frontier = nbrs
-    ordered = np.concatenate(order) if order else np.empty(0, dtype=np.int64)
-    if ordered.size < nodes.size:
-        rest = nodes[~visited[nodes]]
-        ordered = np.concatenate((ordered, rest))
-    return ordered
-
-
-def _peripheral_vertex(A: CSRMatrix, nodes: np.ndarray) -> int:
-    """A pseudo-peripheral vertex of the induced subgraph (2 BFS sweeps)."""
-    first = int(nodes[0])
-    far = int(_bfs_order(A, nodes, first)[-1])
-    return int(_bfs_order(A, nodes, far)[-1])
+        level += 1
+        starts = indptr[frontier]
+        nbrs = indices[_concat_ranges(starts, indptr[frontier + 1] - starts)]
+        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        dist[frontier] = level
+    return dist
 
 
 def bfs_bisection_partition(A: CSRMatrix, parts: int) -> np.ndarray:
     """Recursive BFS bisection of the matrix graph into ``parts`` parts.
 
-    At each level the node set is ordered breadth-first from a
-    pseudo-peripheral vertex and split by target sizes, producing connected,
+    Each part still to be cut into ``k > 1`` parts is ordered breadth-first
+    from a pseudo-peripheral vertex (the far end of two BFS sweeps started
+    at its lowest-index row) and split after ``size * (k // 2) // k`` rows
+    (clamped so each side keeps a row per part), producing connected,
     roughly balanced parts with modest edge cuts — the behaviour the paper
-    relies on METIS for. ``parts`` need not be a power of two.
+    relies on METIS for. Rows at equal distance are ordered by index, and
+    rows the sweep cannot reach go last, in index order. ``parts`` need not
+    be a power of two.
+
+    The bisection is level-synchronous: the edges inside every part of a
+    level form one graph with no edge between parts, so one multi-source
+    BFS sweeps all of that level's parts together.
     """
-    if parts < 1:
-        raise PartitionError(f"parts must be >= 1, got {parts}")
+    parts = check_positive_int(parts, "parts", PartitionError)
     n = A.nrows
     if parts > n:
         raise PartitionError(f"cannot split {n} rows into {parts} parts")
+    # A part is named by its first label; k[label] parts remain to cut from it.
     labels = np.zeros(n, dtype=np.int64)
-
-    # Work queue of (node_set, first_label, n_parts_for_set).
-    stack = [(np.arange(n, dtype=np.int64), 0, parts)]
-    while stack:
-        nodes, label0, k = stack.pop()
-        if k == 1:
-            labels[nodes] = label0
-            continue
-        k_left = k // 2
-        # Split node count proportionally to the part counts.
-        n_left = (nodes.size * k_left) // k
-        n_left = min(max(n_left, k_left), nodes.size - (k - k_left))
-        start = _peripheral_vertex(A, nodes)
-        order = _bfs_order(A, nodes, start)
-        stack.append((np.sort(order[:n_left]), label0, k_left))
-        stack.append((np.sort(order[n_left:]), label0 + k_left, k - k_left))
-    return labels
+    k = np.zeros(parts, dtype=np.int64)
+    k[0] = parts
+    rows, cols = A._row_of_nnz, A.indices
+    while True:
+        cutting = k[labels] > 1
+        nodes = np.flatnonzero(cutting)
+        if not nodes.size:
+            return labels
+        keep = cutting[rows] & (labels[rows] == labels[cols])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+        indices = cols[keep]
+        group = labels[nodes]
+        heads, first, sizes = np.unique(group, return_index=True, return_counts=True)
+        last = np.cumsum(sizes) - 1
+        # Three sweeps: from each part's lowest index, from the farthest row
+        # found, then from the pseudo-peripheral row; order by (part, dist, index).
+        start = nodes[first]
+        for _ in range(3):
+            dist = _bfs_distances(indptr, indices, start)[nodes]
+            dist[dist < 0] = n
+            order = nodes[np.argsort(group * (n + 1) + dist, kind="stable")]
+            start = order[last]
+        kp = k[heads]
+        k_left = kp // 2
+        n_left = np.minimum(np.maximum(sizes * k_left // kp, k_left), sizes - (kp - k_left))
+        # Rows past n_left in their part's order take the right half's labels.
+        rank = np.arange(nodes.size) - np.repeat(last + 1 - sizes, sizes)
+        right = rank >= np.repeat(n_left, sizes)
+        labels[order[right]] += np.repeat(k_left, sizes)[right]
+        k[heads + k_left] = kp - k_left
+        k[heads] = k_left
 
 
 def rcm_ordering(A: CSRMatrix) -> np.ndarray:
@@ -135,13 +146,19 @@ def rcm_ordering(A: CSRMatrix) -> np.ndarray:
     while pos < n:
         unvisited = np.nonzero(~visited)[0]
         start = int(unvisited[np.argmin(degree[unvisited])])
-        # Pseudo-peripheral refinement: one BFS hop to a farthest vertex.
-        far = _bfs_order(A, unvisited, start)[-1]
-        start = int(far)
-        queue = [start]
-        visited[start] = True
-        while queue:
-            v = queue.pop(0)
+        # Pseudo-peripheral refinement: restart from the unvisited vertex
+        # farthest from ``start`` (highest index among ties; unreached
+        # vertices count as farthest). Visited vertices are closed under
+        # neighbors, so a sweep over the whole graph gives the same distances
+        # as one over the unvisited subgraph.
+        dist = _bfs_distances(A.indptr, A.indices, [start])[unvisited]
+        dist[dist < 0] = n
+        queue = [int(unvisited[np.flatnonzero(dist == dist.max())[-1]])]
+        visited[queue[0]] = True
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             order[pos] = v
             pos += 1
             nbrs = A.neighbors(v)

@@ -61,7 +61,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
-from repro.util.errors import ShapeError, SingularMatrixError
+from repro.util.errors import PartitionError, ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import (
@@ -256,7 +256,8 @@ class DistributedJacobi:
         if A.nrows != A.ncols:
             raise ShapeError(f"matrix must be square, got {A.shape}")
         n = A.nrows
-        if not 1 <= n_ranks <= n:
+        n_ranks = check_positive_int(n_ranks, "n_ranks", ShapeError)
+        if n_ranks > n:
             raise ShapeError(f"n_ranks must lie in [1, {n}], got {n_ranks}")
         if not 0 < omega < 2:
             raise ValueError(f"omega must lie in (0, 2), got {omega}")
@@ -293,7 +294,7 @@ class DistributedJacobi:
             raise ValueError(
                 f"ranks_per_node must be >= 1, got {self.ranks_per_node}"
             )
-        self.n_ranks = int(n_ranks)
+        self.n_ranks = n_ranks
         self.cluster = cluster
         self.delay = delay
         self.drop_probability = check_probability(drop_probability, "drop_probability")
@@ -337,7 +338,13 @@ class DistributedJacobi:
                     f"partition must be 'bfs', 'contiguous' or a label array, got {partition!r}"
                 )
         else:
-            labels = np.asarray(partition, dtype=np.int64)
+            labels = np.asarray(partition)
+            if labels.shape != (n,) or labels.dtype.kind not in "iu":
+                raise PartitionError(
+                    f"partition must be an integer label array of shape ({n},), "
+                    f"got {labels.dtype} of shape {labels.shape}"
+                )
+            labels = labels.astype(np.int64)
             if int(labels.max()) + 1 != n_ranks:
                 raise ShapeError(
                     f"label array defines {int(labels.max()) + 1} parts, expected {n_ranks}"

@@ -125,7 +125,8 @@ class SharedMemoryJacobi:
         if A.nrows != A.ncols:
             raise ShapeError(f"matrix must be square, got {A.shape}")
         n = A.nrows
-        if not 1 <= n_threads <= n:
+        n_threads = check_positive_int(n_threads, "n_threads", ShapeError)
+        if n_threads > n:
             raise ShapeError(
                 f"n_threads must lie in [1, {n}] (one row per thread max), got {n_threads}"
             )
@@ -139,7 +140,7 @@ class SharedMemoryJacobi:
         self.b = check_vector(b, n, "b")
         self.omega = float(omega)
         self.dinv = self.method.scale(A)
-        self.n_threads = int(n_threads)
+        self.n_threads = n_threads
         self.machine = machine
         self.delay = delay
         self.seed = seed

@@ -23,12 +23,17 @@ def check_positive(value, name: str) -> float:
     return float(value)
 
 
-def check_positive_int(value, name: str) -> int:
-    """Return ``value`` as an int if it is an integer > 0, else raise ValueError."""
+def check_positive_int(value, name: str, error: type = ValueError) -> int:
+    """Return ``value`` as an int if it is an integer > 0, else raise ``error``.
+
+    Bools and non-integral numbers (``2.5``) are rejected, not truncated.
+    ``error`` lets a caller keep its own ValueError subclass (for example
+    :class:`~repro.util.errors.PartitionError`).
+    """
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise error(f"{name} must be positive, got {value!r}")
     return int(value)
 
 

@@ -39,6 +39,17 @@ class TestContiguousPartition:
         with pytest.raises(PartitionError):
             contiguous_partition(n, parts)
 
+    @pytest.mark.parametrize("parts", [0, -1, 2.5, True])
+    def test_part_count_must_be_positive_int(self, parts):
+        """2.5 used to raise a TypeError from ``np.full``."""
+        with pytest.raises(PartitionError, match="parts must be"):
+            contiguous_partition(36, parts)
+
+    def test_numpy_integer_part_count_accepted(self):
+        np.testing.assert_array_equal(
+            contiguous_partition(6, np.int64(3)), contiguous_partition(6, 3)
+        )
+
 
 class TestBFSBisection:
     @pytest.mark.parametrize("parts", [1, 2, 3, 5, 8, 13])
@@ -70,6 +81,18 @@ class TestBFSBisection:
         A = fd_laplacian_2d(2, 2)
         with pytest.raises(PartitionError):
             bfs_bisection_partition(A, 5)
+
+    @pytest.mark.parametrize("parts", [0, -1, 2.5, True])
+    def test_part_count_must_be_positive_int(self, parts):
+        """True used to return one part and 2.5 to raise a TypeError."""
+        with pytest.raises(PartitionError, match="parts must be"):
+            bfs_bisection_partition(fd_laplacian_2d(6, 6), parts)
+
+    def test_numpy_integer_part_count_accepted(self):
+        A = fd_laplacian_2d(6, 6)
+        np.testing.assert_array_equal(
+            bfs_bisection_partition(A, np.int64(5)), bfs_bisection_partition(A, 5)
+        )
 
 
 class TestEdgeCut:

@@ -9,7 +9,7 @@ from repro.matrices.suitesparse import dubcova2_like
 from repro.partition.partitioner import bfs_bisection_partition
 from repro.runtime.delays import ConstantDelay, HangDelay
 from repro.runtime.distributed import DistributedJacobi
-from repro.util.errors import ShapeError
+from repro.util.errors import PartitionError, ShapeError
 
 
 @pytest.fixture
@@ -160,6 +160,39 @@ class TestValidation:
         labels = np.zeros(A.nrows, dtype=np.int64)
         with pytest.raises(ShapeError):
             DistributedJacobi(A, b, n_ranks=3, partition=labels)
+
+    @pytest.mark.parametrize("partition", ["bfs", "contiguous"])
+    @pytest.mark.parametrize("n_ranks", [0, -1, 2.5, True])
+    def test_rank_count_must_be_positive_int(self, system, n_ranks, partition):
+        """2.5 once raised a TypeError inside the partitioner and True ran
+        one rank."""
+        A, b, _ = system
+        with pytest.raises(ShapeError, match="n_ranks"):
+            DistributedJacobi(A, b, n_ranks=n_ranks, partition=partition)
+
+    def test_numpy_integer_rank_count_accepted(self, system):
+        A, b, _ = system
+        dj = DistributedJacobi(A, b, n_ranks=np.int64(3))
+        assert dj.n_ranks == 3 and type(dj.n_ranks) is int
+        assert dj.decomposition.n_parts == 3
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.repeat([0.0, 1.7], [40, 41]),
+            np.arange(81) % 2 == 1,
+            np.zeros(0, dtype=np.int64),
+            np.zeros(80, dtype=np.int64),
+            np.zeros((81, 1), dtype=np.int64),
+        ],
+        ids=["float", "bool", "empty", "short", "2-d"],
+    )
+    def test_label_array_must_be_integer_and_one_per_row(self, system, labels):
+        """Float labels used to be truncated (1.7 ran as rank 1), and an
+        empty array failed inside ``labels.max()``."""
+        A, b, _ = system
+        with pytest.raises(PartitionError, match=r"integer label array of shape \(81,\)"):
+            DistributedJacobi(A, b, n_ranks=2, partition=labels)
 
     @pytest.mark.parametrize("n_ranks", [4, 128])
     @pytest.mark.parametrize("legacy", [False, True])

@@ -207,6 +207,18 @@ class TestValidation:
         with pytest.raises(ShapeError):
             SharedMemoryJacobi(A, b, n_threads=A.nrows + 1)
 
+    @pytest.mark.parametrize("n_threads", [0, -1, 2.5, True])
+    def test_thread_count_must_be_positive_int(self, system, n_threads):
+        """2.5 once ran two threads and True one."""
+        A, b, _ = system
+        with pytest.raises(ShapeError, match="n_threads"):
+            SharedMemoryJacobi(A, b, n_threads=n_threads)
+
+    def test_numpy_integer_thread_count_accepted(self, system):
+        A, b, _ = system
+        sim = SharedMemoryJacobi(A, b, n_threads=np.int64(4))
+        assert sim.n_threads == 4 and type(sim.n_threads) is int
+
     @pytest.mark.parametrize("legacy", [False, True])
     @pytest.mark.parametrize("observe_every", [0, -3, 2.5, True])
     def test_observe_every_must_be_positive_int(self, system, legacy, observe_every):
