@@ -30,7 +30,11 @@ from repro.methods.kernels import sor_step_dense, sor_step_incremental
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import relative_residual_norm, vector_norm
 from repro.util.rng import as_rng
-from repro.util.validation import check_positive, check_vector
+from repro.util.validation import (
+    check_nonnegative_int,
+    check_positive,
+    check_vector,
+)
 
 
 @dataclass
@@ -149,10 +153,11 @@ class AsyncJacobiModel:
         relaxing rows ``R`` reads ``r[R]`` directly and then only updates the
         residual entries in the column support of ``R`` (one CSC scatter
         instead of a row-subset SpMV plus a full SpMV per recorded step). A
-        full recomputation every ``recompute_every`` relaxing steps bounds
-        float drift, and any tolerance crossing is confirmed against a fresh
-        residual before the run stops. ``"full"`` recomputes the residual
-        from scratch at every recorded step (the naive reference path;
+        full recomputation every ``recompute_every`` relaxing steps (a
+        nonnegative integer; 0: never) bounds float drift, and any
+        tolerance crossing is confirmed against a fresh residual before the
+        run stops. ``"full"`` recomputes the residual from scratch at
+        every recorded step (the naive reference path;
         bit-identical to the pre-incremental executor). Histories of the two
         modes agree to within accumulated rounding (~1e-14 relative between
         recomputations; see docs/performance.md).
@@ -164,6 +169,7 @@ class AsyncJacobiModel:
         tracer leaves the hot loop untouched.
         """
         check_positive(tol, "tol")
+        recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if residual_mode not in ("incremental", "full"):
             raise ValueError(
                 f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"

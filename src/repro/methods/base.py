@@ -295,9 +295,10 @@ class StepAsyncSOR(Method):
     Each processor sweeps its owned rows *sequentially* with relaxation
     weight ``omega``, reading the freshest available value for every
     variable — its own rows' in-sweep updates, possibly stale values for
-    rows owned elsewhere. On the distributed simulator this is exactly
-    ``local_sweep="gauss_seidel"`` with scale ``omega / diag``; a
-    one-row block degenerates to the scaled update.
+    rows owned elsewhere. On the distributed simulator each rank's block
+    relaxes by one forward Gauss-Seidel sweep with scale ``omega / diag``
+    (the simulators' only Gauss-Seidel block sweep); a one-row block
+    degenerates to the scaled update.
 
     Vigna's theorem: on an (M-matrix-like) weakly diagonally dominant
     matrix with positive diagonal, nonpositive off-diagonal entries and

@@ -41,7 +41,7 @@ from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
-from repro.util.validation import check_positive
+from repro.util.validation import check_nonnegative_int, check_positive
 
 
 @dataclass
@@ -140,6 +140,7 @@ class BatchedAsyncJacobiModel:
         each trial's sequential run.
         """
         check_positive(tol, "tol")
+        recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if residual_mode not in ("incremental", "full"):
             raise ValueError(
                 f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"

@@ -50,7 +50,7 @@ import numpy as np
 from repro.faults.plan import NO_FAULTS, FaultPlan
 from repro.matrices.sparse import CSRMatrix
 from repro.observability.tracer import resolve as resolve_tracer
-from repro.methods import MethodError, make_method
+from repro.methods import make_method
 from repro.partition.partitioner import bfs_bisection_partition, contiguous_partition
 from repro.partition.subdomain import DomainDecomposition
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
@@ -65,6 +65,7 @@ from repro.util.errors import PartitionError, ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import (
+    check_nonnegative_int,
     check_positive,
     check_positive_int,
     check_probability,
@@ -174,24 +175,22 @@ class DistributedJacobi:
         Seed for all stochastic behaviour.
     omega
         Relaxation weight in (0, 2); 1.0 is plain Jacobi.
-    local_sweep
-        How a rank relaxes its own block per iteration: ``"jacobi"`` (the
-        paper's scheme — all block rows from the same snapshot) or
-        ``"gauss_seidel"`` (one forward GS sweep over the block, the
-        "inexact block Jacobi" variant of Jager & Bradley's study).
     method
         Iteration method (see :mod:`repro.methods`): ``None`` (default)
         is Jacobi at ``omega`` — bit-identical to the historical
-        executor. ``"sor"`` forces ``local_sweep="gauss_seidel"`` (the
-        step-asynchronous SOR of Vigna, arXiv:1404.3327, with blocks as
-        the "steps"); ``"richardson"``/``"damped_jacobi"`` swap the
-        per-row scale; ``"richardson2"`` adds a momentum term from one
-        previous own-row iterate (incompatible with
-        ``local_sweep="gauss_seidel"``).
+        executor; every block row relaxes from the same snapshot (the
+        paper's scheme). ``"sor"`` relaxes each block with one forward
+        Gauss-Seidel sweep (the step-asynchronous SOR of Vigna,
+        arXiv:1404.3327, with blocks as the "steps"; the "inexact block
+        Jacobi" variant of Jager & Bradley's study);
+        ``"richardson"``/``"damped_jacobi"`` swap the per-row scale;
+        ``"richardson2"`` adds a momentum term from one previous own-row
+        iterate.
     ranks_per_node
         Override the cluster's ranks-per-node for the intra/inter-node
-        message-latency split (None: use the cluster preset). Consecutive
-        ranks are co-located, matching the contiguous partition layout.
+        message-latency split (None: use the cluster preset; otherwise a
+        positive integer). Consecutive ranks are co-located, matching the
+        contiguous partition layout.
     fault_plan
         Optional :class:`~repro.faults.FaultPlan` scripting crashes,
         restarts, partition windows and drop/corruption bursts for the
@@ -220,13 +219,14 @@ class DistributedJacobi:
         latency, activated only when a ``fault_plan`` is present.
     heartbeat_miss
         Consecutive missed beacons before the detector declares a rank
-        dead.
+        dead (a positive integer).
     ack_timeout
         Base retransmission timeout for reliable puts (None: derived from
         the network model's round-trip time; doubles on every retry).
     max_put_retries
         Retry budget per put before the sender gives up (information then
-        reaches the neighbor only via a later iteration's put).
+        reaches the neighbor only via a later iteration's put); a
+        nonnegative integer.
     """
 
     def __init__(
@@ -241,7 +241,6 @@ class DistributedJacobi:
         duplicate_probability: float = 0.0,
         seed=None,
         omega: float = 1.0,
-        local_sweep: str = "jacobi",
         method=None,
         ranks_per_node: int | None = None,
         fault_plan: FaultPlan | None = None,
@@ -261,20 +260,7 @@ class DistributedJacobi:
             raise ShapeError(f"n_ranks must lie in [1, {n}], got {n_ranks}")
         if not 0 < omega < 2:
             raise ValueError(f"omega must lie in (0, 2), got {omega}")
-        if local_sweep not in ("jacobi", "gauss_seidel"):
-            raise ValueError(
-                f"local_sweep must be 'jacobi' or 'gauss_seidel', got {local_sweep!r}"
-            )
         self.method = make_method(method, omega=omega)
-        if self.method.kind == "sequential":
-            # Step-asynchronous SOR *is* a forward local sweep at scale
-            # omega/d: route it through the gauss_seidel relax path.
-            local_sweep = "gauss_seidel"
-        elif self.method.kind == "momentum" and local_sweep == "gauss_seidel":
-            raise MethodError(
-                "momentum methods (richardson2) do not compose with "
-                "local_sweep='gauss_seidel'"
-            )
         d = A.diagonal()
         if self.method.name != "richardson" and np.any(d == 0):
             raise SingularMatrixError("Jacobi requires a nonzero diagonal")
@@ -286,14 +272,10 @@ class DistributedJacobi:
         self.b.flags.writeable = False
         self.omega = float(omega)
         self.dinv = self.method.scale(A)
-        self.local_sweep = local_sweep
-        self.ranks_per_node = int(
-            cluster.ranks_per_node if ranks_per_node is None else ranks_per_node
+        self.ranks_per_node = check_positive_int(
+            cluster.ranks_per_node if ranks_per_node is None else ranks_per_node,
+            "ranks_per_node",
         )
-        if self.ranks_per_node < 1:
-            raise ValueError(
-                f"ranks_per_node must be >= 1, got {self.ranks_per_node}"
-            )
         self.n_ranks = n_ranks
         self.cluster = cluster
         self.delay = delay
@@ -318,15 +300,13 @@ class DistributedJacobi:
         if heartbeat_interval is not None:
             check_positive(heartbeat_interval, "heartbeat_interval")
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_miss = int(heartbeat_miss)
-        if self.heartbeat_miss < 1:
-            raise ValueError(f"heartbeat_miss must be >= 1, got {heartbeat_miss}")
+        self.heartbeat_miss = check_positive_int(heartbeat_miss, "heartbeat_miss")
         if ack_timeout is not None:
             check_positive(ack_timeout, "ack_timeout")
         self.ack_timeout = ack_timeout
-        self.max_put_retries = int(max_put_retries)
-        if self.max_put_retries < 0:
-            raise ValueError(f"max_put_retries must be >= 0, got {max_put_retries}")
+        self.max_put_retries = check_nonnegative_int(
+            max_put_retries, "max_put_retries"
+        )
 
         if isinstance(partition, str):
             if partition == "bfs":
@@ -610,10 +590,10 @@ class DistributedJacobi:
     def _relax_block(self, rk: _Rank, x: np.ndarray, mom_prev=None) -> np.ndarray:
         """One local relaxation of ``rk``'s block from the current view.
 
-        ``"jacobi"``: every block row uses the same snapshot (the paper's
-        implementation). ``"gauss_seidel"``: a forward sweep where each row
-        immediately sees earlier in-block updates (inexact-block variant;
-        also how sequential methods — step-async SOR — relax).
+        Every block row uses the same snapshot (the paper's
+        implementation), except for the sequential kind (step-async SOR):
+        a forward Gauss-Seidel sweep where each row immediately sees
+        earlier in-block updates.
         ``mom_prev`` (length-``n``, momentum methods only) carries the
         previous own-row iterate read at relax time and is updated in
         place.
@@ -621,7 +601,7 @@ class DistributedJacobi:
         local_x = np.concatenate((x[rk.rows], rk.ghosts))
         dinv_loc = self.dinv[rk.rows]
         b_loc = self.b[rk.rows]
-        if self.local_sweep == "jacobi":
+        if self.method.kind != "sequential":
             r = b_loc - rk.local.matvec(local_x)
             new = local_x[: rk.rows.size] + dinv_loc * r
             if mom_prev is not None:
@@ -673,9 +653,9 @@ class DistributedJacobi:
         global residual maintained in place: each commit scatters the
         block's change through the cached CSC view instead of the observer
         paying a full SpMV per observation. Drift is bounded by a full
-        recompute every ``recompute_every`` observations plus confirmation
-        of any tolerance crossing; the simulated trajectory itself is
-        untouched. ``"full"`` is the naive reference observer.
+        recompute every ``recompute_every`` observations (0: never) plus
+        confirmation of any tolerance crossing; the simulated trajectory
+        itself is untouched. ``"full"`` is the naive reference observer.
 
         The event loop runs on the typed engine
         (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
@@ -709,14 +689,15 @@ class DistributedJacobi:
           iteration's virtual read cursor; with the native library that
           span's relax and commit are one compiled call.
         * **The general loop** takes everything else, with one START and
-          one COMMIT event per block iteration plus the protocol traffic.
+          one COMMIT event per block iteration plus the protocol traffic,
+          popped one event at a time.
 
         Relax and commit kernels are compiled C (:mod:`repro.perf.native`)
         whenever the library loads, NumPy otherwise (no compiler, build
         failure, ``REPRO_NO_NATIVE``) — the same bits either way. The
-        sequential kind (SOR) and the Gauss-Seidel local sweep always run
-        NumPy: their BLAS dot products have no reproducible compiled
-        operand order.
+        sequential kind (SOR), whose blocks relax by a Gauss-Seidel sweep,
+        always runs NumPy: its BLAS dot products have no reproducible
+        compiled operand order.
 
         Parameters beyond the common ones
         ---------------------------------
@@ -756,10 +737,17 @@ class DistributedJacobi:
         observe_every
             Commits between residual observations (default: one per
             rank). Anything but a positive integer raises ``ValueError``.
+        report_every
+            Iterations between a rank's residual reports under
+            ``termination="detect"``; a positive integer.
+        recompute_every
+            A nonnegative integer (see ``residual_mode`` above).
         """
         max_iterations = check_positive_int(max_iterations, "max_iterations")
         if observe_every is not None:
             observe_every = check_positive_int(observe_every, "observe_every")
+        report_every = check_positive_int(report_every, "report_every")
+        recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if legacy_engine:
             from repro.runtime.legacy import distributed_run_async
 
@@ -785,7 +773,7 @@ class DistributedJacobi:
         # Gauss-Seidel sweep, whose BLAS dot products no compiled loop can
         # match.
         nat = None
-        if self.method.kind != "sequential" and self.local_sweep == "jacobi":
+        if self.method.kind != "sequential":
             from repro.perf.native import native_kernels
 
             nat = native_kernels()
@@ -867,7 +855,7 @@ class DistributedJacobi:
             rowid_loc.append(rk.local._row_of_nnz)
             rk.pending = pend_buf[-1]
         splans = self._warm_splans(ranks) if incremental else None
-        gauss_seidel = self.local_sweep != "jacobi"
+        gauss_seidel = self.method.kind == "sequential"
         momentum_m = self.method.kind == "momentum"
         mom_beta = self.method.beta
         # Momentum state (richardson2): the own-row iterate each rank last
@@ -967,17 +955,14 @@ class DistributedJacobi:
         # raw normals are chunked and ``exp(sigma * z)`` applied per draw
         # (bit-identical to scalar ``lognormal``; see
         # :class:`~repro.runtime.engine.NormalStream`). A rank whose delay
-        # model draws from the same generator cannot prefetch.
+        # model draws from the same generator draws one normal per call.
         streams = [
-            NormalStream(rk.rng) if const_extra[rk.rank] is not None else None
+            NormalStream(rk.rng, chunk=512 if const_extra[rk.rank] is not None else 1)
             for rk in ranks
         ]
 
         def mjit(r: int) -> float:
-            st = streams[r]
-            if st is not None:
-                return math.exp(sigma_m * st.next())
-            return float(ranks[r].rng.lognormal(0.0, sigma_m))
+            return math.exp(sigma_m * streams[r].next())
 
         def compute_time(rk: _Rank) -> float:
             base = cbase[rk.rank]
@@ -998,10 +983,7 @@ class DistributedJacobi:
             return (base + puts_const[r]) * slow[r] + extra
 
         def net_jit(r: int) -> float:
-            st = streams[r]
-            if st is not None:
-                return math.exp(sigma_net * st.next())
-            return float(ranks[r].rng.lognormal(0.0, sigma_net))
+            return math.exp(sigma_net * streams[r].next())
 
         def msg_time(n_values: int, r: int, intra: bool = False) -> float:
             base = (lat_in if intra else lat) + n_values * tpv
@@ -1650,56 +1632,18 @@ class DistributedJacobi:
             tm.puts_delivered += delivered
 
         while queue and not converged:
-            t, kind, agents, objs = queue.pop_batch()
-            for rid, payload in zip(agents, objs):
-                rk = ranks[rid]
-                if kind == _MESSAGE:
-                    if has_plan and down(rid, t):
-                        # The target window is gone; the put lands nowhere.
-                        tm.puts_dropped += 1
-                        continue
-                    if not reliable:
-                        # Fire-and-forget puts: the ghost scatter below IS
-                        # the one-sided RMA landing (``meta`` is None when
-                        # untraced).
-                        slots, values, meta = payload
-                        vers = (
-                            meta["vers"]
-                            if trace_reads and meta is not None
-                            and meta.get("vers") is not None
-                            else None
-                        )
-                        pend_scatter[rid][id(slots)] = (slots, values, vers)
-                        tm.puts_delivered += 1
-                        if trc is not None:
-                            trc.recv(
-                                t, rid, None, values.size, seq=None,
-                                latency=(t - meta["sent_at"]) if meta else None,
-                            )
-                        fresh[rid] = True
-                        if eager and idle[rid] and not rk.stopped:
-                            idle[rid] = False
-                            queue.push(t, _START, rid, rk.epoch)
-                        continue
-                    src, seq, slots, values, corrupted, meta = payload
-                    # Reliable protocol: checksum, ack, then dedup by seq.
-                    if corrupted:
-                        tm.puts_corrupted += 1
-                        if trc is not None:
-                            trc.fault(t, rid, "put_corrupted", src=src)
-                        continue  # no ack -> the sender's timer retries
-                    ch = (src, rid)
-                    if control_lost(rid, src, t):
-                        tm.acks_lost += 1
-                    else:
-                        arrival = t + msg_time(
-                            1, rid, node_of[rid] == node_of[src]
-                        )
-                        queue.push(arrival, _ACK, src, (rid, seq))
-                    if seq <= applied_seq.get(ch, -1):
-                        tm.duplicates_suppressed += 1
-                        continue
-                    applied_seq[ch] = seq
+            t, kind, rid, payload = queue.pop()
+            rk = ranks[rid]
+            if kind == _MESSAGE:
+                if has_plan and down(rid, t):
+                    # The target window is gone; the put lands nowhere.
+                    tm.puts_dropped += 1
+                    continue
+                if not reliable:
+                    # Fire-and-forget puts: the ghost scatter below IS
+                    # the one-sided RMA landing (``meta`` is None when
+                    # untraced).
+                    slots, values, meta = payload
                     vers = (
                         meta["vers"]
                         if trace_reads and meta is not None
@@ -1710,7 +1654,7 @@ class DistributedJacobi:
                     tm.puts_delivered += 1
                     if trc is not None:
                         trc.recv(
-                            t, rid, src, values.size, seq=seq,
+                            t, rid, None, values.size, seq=None,
                             latency=(t - meta["sent_at"]) if meta else None,
                         )
                     fresh[rid] = True
@@ -1718,248 +1662,285 @@ class DistributedJacobi:
                         idle[rid] = False
                         queue.push(t, _START, rid, rk.epoch)
                     continue
-                if kind == _ACK:
-                    src, seq = payload
-                    pend = outstanding.get((rid, src))
-                    if pend is not None:
-                        pend.pop(seq, None)
+                src, seq, slots, values, corrupted, meta = payload
+                # Reliable protocol: checksum, ack, then dedup by seq.
+                if corrupted:
+                    tm.puts_corrupted += 1
                     if trc is not None:
-                        trc.ack(t, rid, src, seq)
-                    continue
-                if kind == _RETRY:
-                    q, seq = payload
-                    ch = (rid, q)
-                    rec = outstanding.get(ch, {}).get(seq)
-                    if rec is None:
-                        continue  # acked (or abandoned) in the meantime
-                    if rk.stopped or (has_plan and down(rid, t)):
-                        # A dead/stopped sender's protocol state dies with it.
-                        outstanding[ch].pop(seq, None)
-                        continue
-                    rec[2] += 1
-                    if rec[2] > self.max_put_retries:
-                        tm.retry_budget_exhausted += 1
-                        outstanding[ch].pop(seq, None)
-                        if trc is not None:
-                            trc.fault(t, rid, "retry_exhausted", dst=q, seq=seq)
-                        continue
-                    tm.retries += 1
-                    rec[3] *= 2.0  # exponential backoff
-                    transmit(ch, seq, rec, t)
-                    continue
-                if kind == _HEARTBEAT:
-                    # A delay-model hang silences the rank's heartbeat chain
-                    # too — a hung process cannot beat, which is exactly how
-                    # the detector learns it is gone. Plan crashes revive the
-                    # chain at _RESTART; delay hangs are permanent.
-                    if (
-                        hb_stopped
-                        or rk.stopped
-                        or down(rid, t)
-                        or (may_hang and self.delay.is_hung(rid, t))
-                    ):
-                        hb_chain_alive[rid] = False
-                        continue
-                    tm.heartbeats_sent += 1
-                    if rid == 0:
-                        last_hb[0] = t
-                    elif control_lost(rid, 0, t):
-                        tm.heartbeats_lost += 1
-                    else:
-                        arrival = t + msg_time(1, rid, node_of[rid] == node_of[0])
-                        queue.push(arrival, _HB_ARRIVE, 0, rid)
-                    queue.push(t + hb_interval, _HEARTBEAT, rid, None)
-                    continue
-                if kind == _HB_ARRIVE:
-                    src = payload
-                    last_hb[src] = t
-                    if presumed_dead[src]:
-                        presumed_dead[src] = False
-                        tm.recoveries.append((src, t))
-                        if trc is not None:
-                            trc.detect(t, src, "alive")
-                        release_adoption(src)
-                        update_degraded(t)
-                    continue
-                if kind == _HB_CHECK:
-                    if not down(0, t):
-                        for r in range(1, self.n_ranks):
-                            if presumed_dead[r] or ranks[r].stopped:
-                                continue
-                            if t - last_hb[r] > hb_timeout:
-                                declare_failed(r, t)
-                    wake_orphans(t)
-                    # Quiescence: once every rank is finished (or parked on a
-                    # peer that can only be woken by traffic that no longer
-                    # exists), stop the detector and let the queue drain —
-                    # otherwise the self-rescheduling heartbeat chains keep
-                    # ``while queue`` alive forever.
-                    quiescent = all(
-                        other.stopped
-                        or plan.down_forever(other.rank, t)
-                        or idle[other.rank]
-                        or (may_hang and self.delay.is_hung(other.rank, t))
-                        for other in ranks
+                        trc.fault(t, rid, "put_corrupted", src=src)
+                    continue  # no ack -> the sender's timer retries
+                ch = (src, rid)
+                if control_lost(rid, src, t):
+                    tm.acks_lost += 1
+                else:
+                    arrival = t + msg_time(
+                        1, rid, node_of[rid] == node_of[src]
                     )
-                    if quiescent and any(idle):
-                        # An idle rank is only truly stuck when no data, retry
-                        # or restart event is still in flight to wake it.
-                        quiescent = all(
-                            k in _HB_KINDS for k, _a, _o in queue.pending_payloads()
-                        )
-                    if quiescent:
-                        hb_stopped = True
-                    else:
-                        queue.push(t + hb_interval, _HB_CHECK, 0, None)
+                    queue.push(arrival, _ACK, src, (rid, seq))
+                if seq <= applied_seq.get(ch, -1):
+                    tm.duplicates_suppressed += 1
                     continue
-                if kind == _RESTART:
-                    if rk.stopped:
-                        continue
-                    rk.epoch += 1  # invalidate the pre-crash incarnation's events
-                    if rk.ghost_cols.size:
-                        rk.ghosts[:] = x[rk.ghost_cols]  # ghost re-sync
-                        if trace_reads:
-                            rk.ghost_ver[:] = version[rk.ghost_cols]
-                        # Pre-crash arrivals are superseded by the re-sync.
-                        pend_scatter[rid].clear()
-                    tm.restarts.append((rid, t))
-                    if trc is not None:
-                        trc.fault(t, rid, "restart")
-                    release_adoption(rid)
-                    fresh[rid] = True
+                applied_seq[ch] = seq
+                vers = (
+                    meta["vers"]
+                    if trace_reads and meta is not None
+                    and meta.get("vers") is not None
+                    else None
+                )
+                pend_scatter[rid][id(slots)] = (slots, values, vers)
+                tm.puts_delivered += 1
+                if trc is not None:
+                    trc.recv(
+                        t, rid, src, values.size, seq=seq,
+                        latency=(t - meta["sent_at"]) if meta else None,
+                    )
+                fresh[rid] = True
+                if eager and idle[rid] and not rk.stopped:
                     idle[rid] = False
-                    queue.push(t + overhead_time(rk), _START, rid, rk.epoch)
-                    if heartbeats_on and not hb_chain_alive[rid]:
-                        hb_chain_alive[rid] = True
-                        queue.push(t, _HEARTBEAT, rid, None)
+                    queue.push(t, _START, rid, rk.epoch)
+                continue
+            if kind == _ACK:
+                src, seq = payload
+                pend = outstanding.get((rid, src))
+                if pend is not None:
+                    pend.pop(seq, None)
+                if trc is not None:
+                    trc.ack(t, rid, src, seq)
+                continue
+            if kind == _RETRY:
+                q, seq = payload
+                ch = (rid, q)
+                rec = outstanding.get(ch, {}).get(seq)
+                if rec is None:
+                    continue  # acked (or abandoned) in the meantime
+                if rk.stopped or (has_plan and down(rid, t)):
+                    # A dead/stopped sender's protocol state dies with it.
+                    outstanding[ch].pop(seq, None)
                     continue
-                if kind == _FAIL_NOTICE:
-                    dead = payload
-                    if not presumed_dead[dead] or dead in adopted_by:
-                        continue  # recovered or already adopted: moot
-                    if rk.stopped or down(rid, t):
-                        schedule_adoption(dead, t)  # pass it on to someone alive
-                        continue
-                    adopted_by[dead] = rid
-                    adopters.setdefault(rid, []).append(dead)
-                    drk = ranks[dead]
+                rec[2] += 1
+                if rec[2] > self.max_put_retries:
+                    tm.retry_budget_exhausted += 1
+                    outstanding[ch].pop(seq, None)
+                    if trc is not None:
+                        trc.fault(t, rid, "retry_exhausted", dst=q, seq=seq)
+                    continue
+                tm.retries += 1
+                rec[3] *= 2.0  # exponential backoff
+                transmit(ch, seq, rec, t)
+                continue
+            if kind == _HEARTBEAT:
+                # A delay-model hang silences the rank's heartbeat chain
+                # too — a hung process cannot beat, which is exactly how
+                # the detector learns it is gone. Plan crashes revive the
+                # chain at _RESTART; delay hangs are permanent.
+                if (
+                    hb_stopped
+                    or rk.stopped
+                    or down(rid, t)
+                    or (may_hang and self.delay.is_hung(rid, t))
+                ):
+                    hb_chain_alive[rid] = False
+                    continue
+                tm.heartbeats_sent += 1
+                if rid == 0:
+                    last_hb[0] = t
+                elif control_lost(rid, 0, t):
+                    tm.heartbeats_lost += 1
+                else:
+                    arrival = t + msg_time(1, rid, node_of[rid] == node_of[0])
+                    queue.push(arrival, _HB_ARRIVE, 0, rid)
+                queue.push(t + hb_interval, _HEARTBEAT, rid, None)
+                continue
+            if kind == _HB_ARRIVE:
+                src = payload
+                last_hb[src] = t
+                if presumed_dead[src]:
+                    presumed_dead[src] = False
+                    tm.recoveries.append((src, t))
+                    if trc is not None:
+                        trc.detect(t, src, "alive")
+                    release_adoption(src)
+                    update_degraded(t)
+                continue
+            if kind == _HB_CHECK:
+                if not down(0, t):
+                    for r in range(1, self.n_ranks):
+                        if presumed_dead[r] or ranks[r].stopped:
+                            continue
+                        if t - last_hb[r] > hb_timeout:
+                            declare_failed(r, t)
+                wake_orphans(t)
+                # Quiescence: once every rank is finished (or parked on a
+                # peer that can only be woken by traffic that no longer
+                # exists), stop the detector and let the queue drain —
+                # otherwise the self-rescheduling heartbeat chains keep
+                # ``while queue`` alive forever.
+                quiescent = all(
+                    other.stopped
+                    or plan.down_forever(other.rank, t)
+                    or idle[other.rank]
+                    or (may_hang and self.delay.is_hung(other.rank, t))
+                    for other in ranks
+                )
+                if quiescent and any(idle):
+                    # An idle rank is only truly stuck when no data, retry
+                    # or restart event is still in flight to wake it.
+                    quiescent = all(
+                        k in _HB_KINDS for k, _a, _o in queue.pending_payloads()
+                    )
+                if quiescent:
+                    hb_stopped = True
+                else:
+                    queue.push(t + hb_interval, _HB_CHECK, 0, None)
+                continue
+            if kind == _RESTART:
+                if rk.stopped:
+                    continue
+                rk.epoch += 1  # invalidate the pre-crash incarnation's events
+                if rk.ghost_cols.size:
+                    rk.ghosts[:] = x[rk.ghost_cols]  # ghost re-sync
+                    if trace_reads:
+                        rk.ghost_ver[:] = version[rk.ghost_cols]
+                    # Pre-crash arrivals are superseded by the re-sync.
+                    pend_scatter[rid].clear()
+                tm.restarts.append((rid, t))
+                if trc is not None:
+                    trc.fault(t, rid, "restart")
+                release_adoption(rid)
+                fresh[rid] = True
+                idle[rid] = False
+                queue.push(t + overhead_time(rk), _START, rid, rk.epoch)
+                if heartbeats_on and not hb_chain_alive[rid]:
+                    hb_chain_alive[rid] = True
+                    queue.push(t, _HEARTBEAT, rid, None)
+                continue
+            if kind == _FAIL_NOTICE:
+                dead = payload
+                if not presumed_dead[dead] or dead in adopted_by:
+                    continue  # recovered or already adopted: moot
+                if rk.stopped or down(rid, t):
+                    schedule_adoption(dead, t)  # pass it on to someone alive
+                    continue
+                adopted_by[dead] = rid
+                adopters.setdefault(rid, []).append(dead)
+                drk = ranks[dead]
+                if drk.ghost_cols.size:
+                    drk.ghosts[:] = x[drk.ghost_cols]  # ghost re-sync
+                    if trace_reads:
+                        drk.ghost_ver[:] = version[drk.ghost_cols]
+                    # The re-sync supersedes anything boxed.
+                    pend_scatter[dead].clear()
+                tm.adoptions.append((dead, rid, t))
+                if trc is not None:
+                    trc.detect(t, dead, "adopted")
+                update_degraded(t)
+                if eager and idle[rid] and not rk.stopped:
+                    idle[rid] = False
+                    queue.push(t, _START, rid, rk.epoch)
+                continue
+            if kind == _REPORT:
+                # A rank's residual report reaches the detector (rank 0);
+                # while rank 0 is scripted down the report lands nowhere.
+                if has_plan and down(0, t):
+                    continue
+                reported[rid] = payload
+                maybe_stop(t)
+                continue
+            if kind == _STOP:
+                rk.stopped = True
+                continue
+            if kind == _START:
+                if payload != rk.epoch:
+                    continue  # scheduled by a pre-crash incarnation
+                if (
+                    (may_hang and self.delay.is_hung(rid, t))
+                    or rk.stopped
+                    or (has_plan and down(rid, t))
+                ):
+                    if trc is not None and not rk.stopped and down(rid, t):
+                        trc.fault(t, rid, "crash")
+                    continue
+                if eager and not fresh[rid] and rk.ghost_cols.size and (
+                    not heartbeats_on or has_live_source(rid, t)
+                ):
+                    # Nothing new to compute with: go idle until a message.
+                    # With detection on, a rank with no live sender left
+                    # keeps running instead — nothing would ever wake it.
+                    idle[rid] = True
+                    continue
+                fresh[rid] = False
+                flush_ghosts(rk)
+                # Read-to-write span: reads (own + ghosts) now, write at COMMIT.
+                relax(rk)
+                if trace_reads:
+                    capture_reads(rk)
+                if adopters:
+                    snap = list(adopters.get(rid, ()))
+                    adopt_snapshot[rid] = snap
+                else:
+                    snap = ()
+                if detect and rk.iterations % report_every == 0:
+                    # Local residual norm from the same (possibly stale) view.
+                    arrival = t + msg_time(1, rid)
+                    queue.push(arrival, _REPORT, rid, local_residual_norm(rk))
+                compute = compute_time(rk)
+                for d in snap:
+                    # Hosting an adopted block: refresh its ghost layer from
+                    # the committed state, relax it, pay its compute time.
+                    drk = ranks[d]
                     if drk.ghost_cols.size:
-                        drk.ghosts[:] = x[drk.ghost_cols]  # ghost re-sync
+                        drk.ghosts[:] = x[drk.ghost_cols]
                         if trace_reads:
                             drk.ghost_ver[:] = version[drk.ghost_cols]
                         # The re-sync supersedes anything boxed.
-                        pend_scatter[dead].clear()
-                    tm.adoptions.append((dead, rid, t))
-                    if trc is not None:
-                        trc.detect(t, dead, "adopted")
-                    update_degraded(t)
-                    if eager and idle[rid] and not rk.stopped:
-                        idle[rid] = False
-                        queue.push(t, _START, rid, rk.epoch)
-                    continue
-                if kind == _REPORT:
-                    # A rank's residual report reaches the detector (rank 0);
-                    # while rank 0 is scripted down the report lands nowhere.
-                    if has_plan and down(0, t):
-                        continue
-                    reported[rid] = payload
-                    maybe_stop(t)
-                    continue
-                if kind == _STOP:
-                    rk.stopped = True
-                    continue
-                if kind == _START:
-                    if payload != rk.epoch:
-                        continue  # scheduled by a pre-crash incarnation
-                    if (
-                        (may_hang and self.delay.is_hung(rid, t))
-                        or rk.stopped
-                        or (has_plan and down(rid, t))
-                    ):
-                        if trc is not None and not rk.stopped and down(rid, t):
-                            trc.fault(t, rid, "crash")
-                        continue
-                    if eager and not fresh[rid] and rk.ghost_cols.size and (
-                        not heartbeats_on or has_live_source(rid, t)
-                    ):
-                        # Nothing new to compute with: go idle until a message.
-                        # With detection on, a rank with no live sender left
-                        # keeps running instead — nothing would ever wake it.
-                        idle[rid] = True
-                        continue
-                    fresh[rid] = False
-                    flush_ghosts(rk)
-                    # Read-to-write span: reads (own + ghosts) now, write at COMMIT.
-                    relax(rk)
+                        pend_scatter[d].clear()
+                    relax(drk)
                     if trace_reads:
-                        capture_reads(rk)
-                    if adopters:
-                        snap = list(adopters.get(rid, ()))
-                        adopt_snapshot[rid] = snap
-                    else:
-                        snap = ()
+                        capture_reads(drk)
+                    compute += compute_time(drk)
                     if detect and rk.iterations % report_every == 0:
-                        # Local residual norm from the same (possibly stale) view.
                         arrival = t + msg_time(1, rid)
-                        queue.push(arrival, _REPORT, rid, local_residual_norm(rk))
-                    compute = compute_time(rk)
-                    for d in snap:
-                        # Hosting an adopted block: refresh its ghost layer from
-                        # the committed state, relax it, pay its compute time.
-                        drk = ranks[d]
-                        if drk.ghost_cols.size:
-                            drk.ghosts[:] = x[drk.ghost_cols]
-                            if trace_reads:
-                                drk.ghost_ver[:] = version[drk.ghost_cols]
-                            # The re-sync supersedes anything boxed.
-                            pend_scatter[d].clear()
-                        relax(drk)
-                        if trace_reads:
-                            capture_reads(drk)
-                        compute += compute_time(drk)
-                        if detect and rk.iterations % report_every == 0:
-                            arrival = t + msg_time(1, rid)
-                            queue.push(arrival, _REPORT, d, local_residual_norm(drk))
-                    queue.push(t + compute, _COMMIT, rid, rk.epoch)
-                else:  # _COMMIT
-                    if payload != rk.epoch or (has_plan and down(rid, t)):
-                        if trc is not None and payload == rk.epoch and down(rid, t):
-                            trc.fault(t, rid, "crash")
-                        continue  # the rank crashed inside the read-to-write span
+                        queue.push(arrival, _REPORT, d, local_residual_norm(drk))
+                queue.push(t + compute, _COMMIT, rid, rk.epoch)
+            else:  # _COMMIT
+                if payload != rk.epoch or (has_plan and down(rid, t)):
+                    if trc is not None and payload == rk.epoch and down(rid, t):
+                        trc.fault(t, rid, "crash")
+                    continue  # the rank crashed inside the read-to-write span
+                if trc is not None:
+                    emit_relax(rk, t)
+                commit_rows(rk)
+                rk.iterations += 1
+                relaxations += rk.rows.size
+                t_end = t
+                fire_puts(rk, t)
+                snap = adopt_snapshot.pop(rid, ()) if adopt_snapshot else ()
+                for d in snap:
+                    drk = ranks[d]
                     if trc is not None:
-                        emit_relax(rk, t)
-                    commit_rows(rk)
-                    rk.iterations += 1
-                    relaxations += rk.rows.size
-                    t_end = t
-                    fire_puts(rk, t)
-                    snap = adopt_snapshot.pop(rid, ()) if adopt_snapshot else ()
-                    for d in snap:
-                        drk = ranks[d]
+                        emit_relax(drk, t)
+                    commit_rows(drk)
+                    relaxations += drk.rows.size
+                    fire_puts(drk, t)
+                commits_since_obs += 1 + len(snap)
+                if commits_since_obs >= observe_every:
+                    commits_since_obs = 0
+                    res = observe_residual()
+                    times.append(t)
+                    residuals.append(res)
+                    counts.append(relaxations)
+                    if trc is not None:
+                        trc.observe(t, res, relaxations)
+                    if termination == "count" and res < tol:
+                        converged = True
                         if trc is not None:
-                            emit_relax(drk, t)
-                        commit_rows(drk)
-                        relaxations += drk.rows.size
-                        fire_puts(drk, t)
-                    commits_since_obs += 1 + len(snap)
-                    if commits_since_obs >= observe_every:
-                        commits_since_obs = 0
-                        res = observe_residual()
-                        times.append(t)
-                        residuals.append(res)
-                        counts.append(relaxations)
-                        if trc is not None:
-                            trc.observe(t, res, relaxations)
-                        if termination == "count" and res < tol:
-                            converged = True
-                            if trc is not None:
-                                trc.convergence(t, res, tol)
-                            break
-                    if rk.iterations >= max_iterations:
-                        rk.stopped = True
-                    else:
-                        # Next read only begins after the off-span overhead.
-                        queue.push(t + overhead_time(rk), _START, rid, rk.epoch)
+                            trc.convergence(t, res, tol)
+                        break
+                if rk.iterations >= max_iterations:
+                    rk.stopped = True
+                else:
+                    # Next read only begins after the off-span overhead.
+                    queue.push(t + overhead_time(rk), _START, rid, rk.epoch)
 
         if degraded_since is not None:
             tm.degraded_intervals.append((degraded_since, max(t_end, degraded_since)))
@@ -2179,7 +2160,7 @@ class DistributedJacobi:
             else:
                 compute, comm = _sweep_scalar()
             t += compute + comm + allreduce
-            if self.local_sweep == "jacobi":
+            if self.method.kind != "sequential":
                 if mom_prev is None:
                     # Exact global Jacobi sweep (fast vectorized path).
                     x += dinv * r

@@ -16,18 +16,6 @@ optional object slot for the rare payload-carrying messages:
     counter, so equal-time events pop in push order. NaN and past-time
     pushes are rejected exactly like the legacy queue.
 
-Batched dispatch
-----------------
-:meth:`HeapEventQueue.pop_batch` pops the maximal *consecutive* run of
-events sharing the head event's timestamp **and** kind, as one ``(time,
-kind, agents, objs)`` slice. Because the run is consecutive in ``(time,
-seq)`` order, handling the slice in list order is observably identical to
-popping the events one at a time — but it lets the shared-memory
-simulator relax every block due at ``t`` through one concatenated gather
-+ ``bincount`` instead of n scalar kernel calls. Events pushed *while* a
-batch is being handled pop after it, exactly as they would have under
-scalar dispatch (their seq is larger).
-
 Jitter streams
 --------------
 Each simulated agent draws its lognormal timing jitter through one stream
@@ -115,29 +103,6 @@ class HeapEventQueue:
         self._now = time
         return time, kind, agent, obj
 
-    def pop_batch(self):
-        """Pop the maximal consecutive run sharing the head's (time, kind).
-
-        Returns ``(time, kind, agents, objs)`` where ``agents`` and
-        ``objs`` are parallel lists in pop order.
-        """
-        heap = self._heap
-        if not heap:
-            raise SimulationError("pop from an empty event queue")
-        time, _, kind, agent, obj = heapq.heappop(heap)
-        self._now = time
-        agents = [agent]
-        objs = [obj]
-        while heap and heap[0][0] == time and heap[0][2] == kind:
-            _, _, _, agent, obj = heapq.heappop(heap)
-            agents.append(agent)
-            objs.append(obj)
-        return time, kind, agents, objs
-
-    def peek_time(self) -> float:
-        """Time of the earliest pending event (inf when empty)."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def pending_payloads(self):
         """Iterate ``(kind, agent, obj)`` of all pending events.
 
@@ -221,9 +186,12 @@ class NormalStream:
     scalar ``lognormal`` draws bit for bit at any per-call sigma
     (``math.exp`` and NumPy's scalar path both call libm's ``exp``).
 
-    The same gating rule as :class:`JitterStream` applies: valid only
-    while every draw from the generator between refills goes through the
-    stream (see :meth:`~repro.runtime.delays.DelayModel.constant_extra`).
+    The same gating rule as :class:`JitterStream` applies: a chunk may
+    prefetch only while every draw from the generator between refills
+    goes through the stream, so a rank whose delay model draws from its
+    generator (see :meth:`~repro.runtime.delays.DelayModel.constant_extra`)
+    takes ``chunk=1`` — one normal drawn at each call, as the scalar
+    ``lognormal`` would.
     """
 
     __slots__ = ("_rng", "_chunk", "_buf", "_i")

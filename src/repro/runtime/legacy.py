@@ -1127,7 +1127,7 @@ def distributed_run_sync(
             for _, slots_q, local_rows in rk.send_plan:
                 comm = max(comm, net.message_time(local_rows.size, rk.rng))
         t += compute + comm + allreduce
-        if sim.local_sweep == "jacobi":
+        if sim.method.kind != "sequential":
             if mom_prev is None:
                 # Exact global Jacobi sweep (fast vectorized path).
                 x += dinv * r

@@ -54,7 +54,12 @@ from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SimulationError, SingularMatrixError
 from repro.util.norms import relative_residual_norm, vector_norm
 from repro.util.rng import spawn_rngs
-from repro.util.validation import check_positive, check_positive_int, check_vector
+from repro.util.validation import (
+    check_nonnegative_int,
+    check_positive,
+    check_positive_int,
+    check_vector,
+)
 
 _START, _COMMIT, _RELEASE, _REQUEST = 0, 1, 2, 3
 
@@ -232,9 +237,10 @@ class SharedMemoryJacobi:
         observation is just a norm instead of a full SpMV. The simulated
         trajectory (x, event timing) is untouched — only the observer
         changes. A full recomputation every ``recompute_every``
-        observations bounds float drift, and any tolerance crossing is
-        confirmed against a fresh residual. ``"full"`` recomputes from
-        scratch at every observation (the naive reference).
+        observations bounds float drift (0: never recompute), and any
+        tolerance crossing is confirmed against a fresh residual.
+        ``"full"`` recomputes from scratch at every observation (the naive
+        reference).
 
         A live :class:`~repro.observability.Tracer` passed as ``tracer``
         receives structured events: per-commit relax events (with the
@@ -251,20 +257,20 @@ class SharedMemoryJacobi:
         incremental residual, one jitter stream per thread (a
         :class:`~repro.runtime.engine.JitterStream` that prefetches unless
         the thread's delay model draws from the same generator; a zero
-        sigma yields 1.0 without a draw), and batched
-        dispatch — events sharing a ``(time, kind)`` pop as one slice,
-        and coincident STARTs relax as a single vectorized gather +
-        ``bincount``. Trajectories are bit-identical to the pre-engine
-        implementation, which remains available for one release as
-        ``legacy_engine=True`` (the equivalence-test oracle).
+        sigma yields 1.0 without a draw), and one event per pop.
+        Trajectories are bit-identical to the pre-engine implementation,
+        which remains available for one release as ``legacy_engine=True``
+        (the equivalence-test oracle).
 
         ``observe_every`` (default: one per thread) counts commits between
         residual observations; for it and ``max_iterations`` anything but
-        a positive integer raises ``ValueError``.
+        a positive integer raises ``ValueError``, as does anything but a
+        nonnegative integer for ``recompute_every``.
         """
         max_iterations = check_positive_int(max_iterations, "max_iterations")
         if observe_every is not None:
             observe_every = check_positive_int(observe_every, "observe_every")
+        recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if legacy_engine:
             from repro.runtime.legacy import shared_run_async
 
@@ -299,11 +305,10 @@ class SharedMemoryJacobi:
                 omega=self.omega, residual_mode=residual_mode,
                 method=self.method.name,
             )
-        # Method dispatch: scaled methods ride every vectorized fast path
-        # below unchanged (their scale vector *is* ``dinv``); sequential
-        # (step-async SOR) blocks relax through the ordered kernel, and
-        # momentum carries one previous iterate per row.
-        scaled_m = self.method.is_scaled
+        # Method dispatch: scaled methods relax through the gather +
+        # ``bincount`` kernel below (their scale vector *is* ``dinv``);
+        # sequential (step-async SOR) blocks relax through the ordered
+        # kernel, and momentum carries one previous iterate per row.
         seq_m = self.method.kind == "sequential"
         mom_beta = self.method.beta
         momentum_m = self.method.kind == "momentum"
@@ -494,175 +499,124 @@ class SharedMemoryJacobi:
                 queue.push(restart, _REQUEST, tid)
 
         while queue and not converged:
-            t, kind, agents, _objs = queue.pop_batch()
+            t, kind, tid, _ = queue.pop()
+            th = threads[tid]
             if kind == _REQUEST:
-                # Delayed (or restarted) threads' wake-ups: ask for the
-                # core again, in pop (seq) order.
-                for tid in agents:
-                    request_run(threads[tid], t)
+                # A delayed (or restarted) thread's wake-up: ask for the
+                # core again.
+                request_run(th, t)
             elif kind == _START:
-                # Batched dispatch: eligibility checks are pure reads and
-                # x/version only change at COMMIT, so a multi-thread START
-                # batch relaxes as one vectorized gather + bincount; the
-                # per-thread bookkeeping (trace snapshots, RNG draws, the
-                # COMMIT push) then runs in pop order, so the RNG call
-                # order and seq tie-breaks match scalar dispatch exactly.
-                relaxed = None
-                # The coalesced multi-thread relax assumes a simultaneous
-                # (scaled) update; sequential/momentum methods relax one
-                # thread at a time below.
-                if scaled_m and len(agents) > 1:
-                    elig = [
-                        tid
-                        for tid in agents
-                        if not (
-                            (delay_hung and self.delay.is_hung(tid, t))
-                            or threads[tid].stopped
-                            or (has_plan and plan.is_down(tid, t))
-                        )
-                    ]
-                    if len(elig) > 1:
-                        seg = np.concatenate(
-                            [data_seg[i] for i in elig]
-                        ) * x[np.concatenate([cols_seg[i] for i in elig])]
-                        off = 0
-                        row_cat = []
-                        for i in elig:
-                            row_cat.append(threads[i].rowid_local + off)
-                            off += r_buf[i].size
-                        rsum = np.bincount(
-                            np.concatenate(row_cat), weights=seg, minlength=off
-                        )
-                        off = 0
-                        for i in elig:
-                            rb = r_buf[i]
-                            np.subtract(
-                                b_seg[i], rsum[off : off + rb.size], out=rb
-                            )
-                            np.multiply(dinv_seg[i], rb, out=rb)
-                            np.add(x_seg[i], rb, out=pending_buf[i])
-                            off += rb.size
-                        relaxed = set(elig)
-                for tid in agents:
-                    th = threads[tid]
-                    if (delay_hung and self.delay.is_hung(tid, t)) or th.stopped:
-                        release_core(th.core, t)
-                        continue
-                    if has_plan and plan.is_down(tid, t):
-                        # Thread death: the chain ends here; a scripted
-                        # restart resumes from the then-current iterate.
-                        release_core(th.core, t)
-                        crash_wake(tid, t)
-                        continue
-                    # Read-to-write span: snapshot reads now, write at COMMIT.
-                    if relaxed is None or tid not in relaxed:
-                        relax(tid)
-                    if trace_reads:
-                        th.pending_reads = [
-                            {int(j): int(version[j]) for j in nbrs}
-                            for nbrs in th.neighbors_per_row
-                        ]
-                    compute = compute_base[tid] * streams[tid].next() * slow[tid]
-                    queue.push(t + compute, _COMMIT, tid)
-            elif kind == _COMMIT:
-                for tid in agents:
-                    th = threads[tid]
-                    if has_plan and plan.is_down(tid, t):
-                        # Died inside the read-to-write span: update lost.
-                        release_core(th.core, t)
-                        crash_wake(tid, t)
-                        continue
-                    lo, hi = th.lo, th.hi
-                    pb = pending_buf[tid]
-                    if one_row[tid]:
-                        pv = pb[0]
-                        if incremental:
-                            d0 = pv - x[lo]
-                            x[lo] = pv
-                            scatter[tid].apply1(r_vec, d0)
-                        else:
-                            x[lo] = pv
-                    elif incremental:
-                        np.subtract(pb, x_seg[tid], out=dx_buf[tid])
-                        x_seg[tid][:] = pb
-                        scatter[tid].apply(r_vec, dx_buf[tid])
-                    else:
-                        x_seg[tid][:] = pb
-                    th.iterations += 1
-                    relaxations += hi - lo
-                    t_end = t
-                    if trace_reads:
-                        # Staleness per row: how many commits behind the
-                        # freshest neighbor read was, measured pre-bump.
-                        stale = [
-                            max(
-                                (int(version[j]) - ver for j, ver in reads.items()),
-                                default=0,
-                            )
-                            for reads in th.pending_reads
-                        ]
-                        trc.relax(
-                            t, tid, range(lo, hi),
-                            reads=th.pending_reads, staleness=stale,
-                        )
-                        version[lo:hi] += 1
-                    elif trc is not None:
-                        trc.relax(t, tid, range(lo, hi))
-                    commits_since_obs += 1
-                    if commits_since_obs >= observe_every:
-                        commits_since_obs = 0
-                        res = observe_residual()
-                        times.append(t)
-                        residuals.append(res)
-                        counts.append(relaxations)
-                        if trc is not None:
-                            trc.observe(t, res, relaxations)
-                        if res < tol:
-                            converged = True
-                            if trc is not None:
-                                trc.convergence(t, res, tol)
-                            break
-                    # Post-span per-iteration overhead (norms, flags) still
-                    # occupies the core; the core frees at RELEASE.
-                    overhead = ov_base * streams[tid].next() * slow[tid]
-                    queue.push(t + overhead, _RELEASE, tid)
-                if converged:
-                    break
-            else:  # _RELEASE
-                for tid in agents:
-                    th = threads[tid]
-                    # Decide whether this thread keeps iterating.
-                    if run_until_all_reach:
-                        # The hard cap keeps the run finite if some thread
-                        # hangs (min would then never reach the target).
-                        if (
-                            min(tt.iterations for tt in threads) >= max_iterations
-                            or th.iterations >= hard_cap
-                        ):
-                            th.stopped = True
-                    elif th.iterations >= max_iterations:
-                        th.stopped = True
+                if (delay_hung and self.delay.is_hung(tid, t)) or th.stopped:
                     release_core(th.core, t)
-                    if has_plan and plan.is_down(tid, t):
-                        # The overhead span has positive width, so a crash
-                        # whose onset falls in (commit, release] is first
-                        # seen here: the update was published, but the
-                        # thread dies before requesting the core again.
-                        crash_wake(tid, t)
-                    elif not th.stopped:
-                        # Injected sleeps happen off-core, before re-queueing.
-                        ce = const_extra[tid]
-                        extra = (
-                            ce
-                            if ce is not None
-                            else self.delay.extra_time(tid, th.iterations, th.rng)
+                    continue
+                if has_plan and plan.is_down(tid, t):
+                    # Thread death: the chain ends here; a scripted
+                    # restart resumes from the then-current iterate.
+                    release_core(th.core, t)
+                    crash_wake(tid, t)
+                    continue
+                # Read-to-write span: snapshot reads now, write at COMMIT.
+                relax(tid)
+                if trace_reads:
+                    th.pending_reads = [
+                        {int(j): int(version[j]) for j in nbrs}
+                        for nbrs in th.neighbors_per_row
+                    ]
+                compute = compute_base[tid] * streams[tid].next() * slow[tid]
+                queue.push(t + compute, _COMMIT, tid)
+            elif kind == _COMMIT:
+                if has_plan and plan.is_down(tid, t):
+                    # Died inside the read-to-write span: update lost.
+                    release_core(th.core, t)
+                    crash_wake(tid, t)
+                    continue
+                lo, hi = th.lo, th.hi
+                pb = pending_buf[tid]
+                if one_row[tid]:
+                    pv = pb[0]
+                    if incremental:
+                        d0 = pv - x[lo]
+                        x[lo] = pv
+                        scatter[tid].apply1(r_vec, d0)
+                    else:
+                        x[lo] = pv
+                elif incremental:
+                    np.subtract(pb, x_seg[tid], out=dx_buf[tid])
+                    x_seg[tid][:] = pb
+                    scatter[tid].apply(r_vec, dx_buf[tid])
+                else:
+                    x_seg[tid][:] = pb
+                th.iterations += 1
+                relaxations += hi - lo
+                t_end = t
+                if trace_reads:
+                    # Staleness per row: how many commits behind the
+                    # freshest neighbor read was, measured pre-bump.
+                    stale = [
+                        max(
+                            (int(version[j]) - ver for j, ver in reads.items()),
+                            default=0,
                         )
-                        if extra > 0:
-                            if trc is not None:
-                                trc.delay(t, tid, extra)
-                            queue.push(t + extra, _REQUEST, tid)
-                        else:
-                            request_run(th, t)
+                        for reads in th.pending_reads
+                    ]
+                    trc.relax(
+                        t, tid, range(lo, hi),
+                        reads=th.pending_reads, staleness=stale,
+                    )
+                    version[lo:hi] += 1
+                elif trc is not None:
+                    trc.relax(t, tid, range(lo, hi))
+                commits_since_obs += 1
+                if commits_since_obs >= observe_every:
+                    commits_since_obs = 0
+                    res = observe_residual()
+                    times.append(t)
+                    residuals.append(res)
+                    counts.append(relaxations)
+                    if trc is not None:
+                        trc.observe(t, res, relaxations)
+                    if res < tol:
+                        converged = True
+                        if trc is not None:
+                            trc.convergence(t, res, tol)
+                        break
+                # Post-span per-iteration overhead (norms, flags) still
+                # occupies the core; the core frees at RELEASE.
+                overhead = ov_base * streams[tid].next() * slow[tid]
+                queue.push(t + overhead, _RELEASE, tid)
+            else:  # _RELEASE
+                # Decide whether this thread keeps iterating.
+                if run_until_all_reach:
+                    # The hard cap keeps the run finite if some thread
+                    # hangs (min would then never reach the target).
+                    if (
+                        min(tt.iterations for tt in threads) >= max_iterations
+                        or th.iterations >= hard_cap
+                    ):
+                        th.stopped = True
+                elif th.iterations >= max_iterations:
+                    th.stopped = True
+                release_core(th.core, t)
+                if has_plan and plan.is_down(tid, t):
+                    # The overhead span has positive width, so a crash
+                    # whose onset falls in (commit, release] is first
+                    # seen here: the update was published, but the
+                    # thread dies before requesting the core again.
+                    crash_wake(tid, t)
+                elif not th.stopped:
+                    # Injected sleeps happen off-core, before re-queueing.
+                    ce = const_extra[tid]
+                    extra = (
+                        ce
+                        if ce is not None
+                        else self.delay.extra_time(tid, th.iterations, th.rng)
+                    )
+                    if extra > 0:
+                        if trc is not None:
+                            trc.delay(t, tid, extra)
+                        queue.push(t + extra, _REQUEST, tid)
+                    else:
+                        request_run(th, t)
 
         # Final observation — only if a commit landed since the last one
         # (the dirty flag); otherwise the recorded history is already

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.methods import MethodError, make_method
 from repro.util.errors import ReproError
+from repro.util.validation import check_nonnegative_int, check_positive_int
 
 #: Matrix families a request may name (the chaos harness builders).
 MATRIX_FAMILIES = (
@@ -102,19 +103,22 @@ class SolveRequest:
         Iteration method (name, spec dict or ``None`` for Jacobi), as
         accepted by :func:`repro.methods.make_method`.
     b_seed
-        Seed of the standard-normal right-hand side (per-trial field).
+        Seed of the standard-normal right-hand side (per-trial field); a
+        nonnegative integer.
     x0_seed
         Seed of a standard-normal initial iterate; ``None`` starts from
         zeros (per-trial field).
     agents
         Agent count used by block-structured schedules (``overlapped``,
-        ``fault_masked``).
+        ``fault_masked``); a positive integer.
     plan
         Fault-plan spec ``{"events": [...], "seed": ...}`` consumed by
         ``fault_masked`` schedules; ``None`` otherwise.
     omega, tol, max_steps, record_every, residual_mode, recompute_every
         Forwarded to the executors with
-        :class:`~repro.core.model.AsyncJacobiModel` semantics.
+        :class:`~repro.core.model.AsyncJacobiModel` semantics
+        (``max_steps`` and ``record_every`` positive integers,
+        ``recompute_every`` a nonnegative one).
     deadline
         Optional per-request wall-clock budget in seconds, measured from
         submission; the dispatcher sheds the request with
@@ -158,15 +162,16 @@ class SolveRequest:
             raise BadRequestError(f"omega must lie in (0, 2), got {self.omega}")
         if float(self.tol) <= 0:
             raise BadRequestError(f"tol must be positive, got {self.tol}")
-        if int(self.max_steps) < 1 or int(self.record_every) < 1:
-            raise BadRequestError(
-                f"max_steps/record_every must be >= 1, got "
-                f"{self.max_steps}/{self.record_every}"
-            )
+        # Integer fields are checked, never coerced: ``int()`` would run
+        # ``2.5`` as 2, ``True`` as 1 and ``"7"`` as 7.
+        for name in ("max_steps", "record_every", "agents"):
+            check_positive_int(getattr(self, name), name, BadRequestError)
+        for name in ("recompute_every", "b_seed"):
+            check_nonnegative_int(getattr(self, name), name, BadRequestError)
+        if self.x0_seed is not None:
+            check_nonnegative_int(self.x0_seed, "x0_seed", BadRequestError)
         if self.residual_mode not in ("incremental", "full"):
             raise BadRequestError(f"bad residual_mode {self.residual_mode!r}")
-        if int(self.agents) < 1:
-            raise BadRequestError(f"agents must be >= 1, got {self.agents}")
         if self.deadline is not None and float(self.deadline) <= 0:
             raise BadRequestError(f"deadline must be positive, got {self.deadline}")
         try:

@@ -190,7 +190,6 @@ def solve(
                 "drop_probability",
                 "duplicate_probability",
                 "omega",
-                "local_sweep",
                 "ranks_per_node",
                 "fault_plan",
                 "fault_seed",

@@ -37,6 +37,18 @@ def check_positive_int(value, name: str, error: type = ValueError) -> int:
     return int(value)
 
 
+def check_nonnegative_int(value, name: str, error: type = ValueError) -> int:
+    """Return ``value`` as an int if it is an integer >= 0, else raise ``error``.
+
+    The same integer rules as :func:`check_positive_int`, with 0 allowed.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise error(f"{name} must be nonnegative, got {value!r}")
+    return int(value)
+
+
 def check_nonnegative(value, name: str) -> float:
     """Return ``value`` if it is a finite number >= 0, else raise ValueError."""
     if not isinstance(value, numbers.Real) or not np.isfinite(value):

@@ -217,6 +217,24 @@ class TestTraceReplay:
 class TestIncrementalResiduals:
     """Incremental residual maintenance in the sequential executor."""
 
+    @pytest.mark.parametrize("recompute_every", [-1, 2.5, True])
+    def test_recompute_every_must_be_nonnegative_int(self, system, recompute_every):
+        A, b, x0 = system
+        with pytest.raises(ValueError, match="recompute_every"):
+            AsyncJacobiModel(A, b).run(
+                SynchronousSchedule(A.nrows), x0=x0, max_steps=4,
+                recompute_every=recompute_every,
+            )
+
+    def test_recompute_every_accepts_numpy_int_and_zero(self, system):
+        A, b, x0 = system
+        model = AsyncJacobiModel(A, b)
+        for every in (np.int64(3), 0):
+            model.run(
+                SynchronousSchedule(A.nrows), x0=x0, max_steps=4,
+                recompute_every=every,
+            )
+
     def test_dense_schedule_is_exact(self, system):
         """Dense steps recompute the residual: histories are bitwise
         identical between modes, with no drift at any tolerance."""

@@ -5,8 +5,8 @@ the executor's default relaxation rule (what pre-refactor main executed;
 the committed goldens were generated from that code) and once asking for
 the same rule explicitly through the ``method=`` flag — and both must
 match the golden trajectory *bit for bit*: final iterate and full residual
-history. The Gauss-Seidel scenarios double as the SOR oracle:
-``method="sor"`` must reproduce ``local_sweep="gauss_seidel"`` exactly.
+history. The ``dist_gs_*`` scenarios are the SOR oracle: ``method="sor"``
+must reproduce the Gauss-Seidel block-sweep goldens exactly.
 """
 
 import pytest

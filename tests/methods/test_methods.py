@@ -284,22 +284,16 @@ def test_legal_method_kinds_cover_family():
         legal_method_kinds("gpu")
 
 
-def test_momentum_refuses_gauss_seidel_sweep(lap):
-    b = np.ones(lap.nrows)
-    with pytest.raises(MethodError):
-        DistributedJacobi(
-            lap,
-            b,
-            n_ranks=2,
-            method={"kind": "richardson2", "alpha": 0.2, "beta": 0.3},
-            local_sweep="gauss_seidel",
-        )
-
-
 def test_sor_forces_sequential_sweep(lap):
+    # A one-rank ``method="sor"`` relaxation is one forward sweep over
+    # every row: exactly ``sor_step_dense`` at the same omega.
     b = np.ones(lap.nrows)
-    sim = DistributedJacobi(lap, b, n_ranks=2, method="sor")
-    assert sim.local_sweep == "gauss_seidel"
+    sim = DistributedJacobi(lap, b, n_ranks=1, method="sor", omega=0.8)
+    (rk,) = sim._compile_ranks()
+    x0 = np.linspace(-1.0, 1.0, lap.nrows)
+    want = x0.copy()
+    sor_step_dense(lap, b, sim.dinv, want, np.arange(lap.nrows))
+    assert sim._relax_block(rk, x0).tolist() == want.tolist()
 
 
 def test_fd_1d_is_in_family_domain():

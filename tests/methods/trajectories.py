@@ -8,10 +8,11 @@ that code); ``run_scenario(name, method_kwargs=True)`` re-runs it asking
 for the same rule explicitly through the ``method=`` flag. Both must agree
 with the golden bit for bit.
 
-Scenarios whose golden uses ``local_sweep="gauss_seidel"`` double as the
-step-asynchronous SOR oracle: ``method="sor"`` with the same ``omega``
-must reproduce them exactly (a sequential sweep with scale ``omega/d`` is
-the same arithmetic).
+The ``dist_gs_*`` scenarios pin step-asynchronous SOR: ``method="sor"``
+relaxes each rank's block by a forward Gauss-Seidel sweep at scale
+``omega/d``, and their goldens were recorded from that same arithmetic
+before it became a method, so both runs use ``method="sor"`` and must
+reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -71,19 +72,12 @@ SCENARIOS = {
         "distributed", {"omega": 1.0}, {"legacy_engine": True}, {"method": "jacobi"},
     ),
     "dist_sync_w1": ("distributed", {"omega": 1.0}, {"sync": True}, {"method": "jacobi"}),
-    # Gauss-Seidel goldens: the step-async SOR oracle (method="sor" must
-    # reproduce these without being told local_sweep explicitly).
+    # Gauss-Seidel block-sweep goldens: the step-async SOR oracle.
     "dist_gs_w1": (
-        "distributed",
-        {"omega": 1.0, "local_sweep": "gauss_seidel"},
-        {},
-        {"method": "sor"},
+        "distributed", {"omega": 1.0, "method": "sor"}, {}, {"method": "sor"},
     ),
     "dist_gs_w075": (
-        "distributed",
-        {"omega": 0.75, "local_sweep": "gauss_seidel"},
-        {},
-        {"method": "sor"},
+        "distributed", {"omega": 0.75, "method": "sor"}, {}, {"method": "sor"},
     ),
 }
 
@@ -96,8 +90,7 @@ def run_scenario(name: str, method_kwargs: bool = False) -> dict:
     ctor = dict(ctor)
     runkw = dict(runkw)
     if method_kwargs:
-        base = {k: v for k, v in ctor.items() if k != "local_sweep"}
-        ctor = {**base, **override}
+        ctor = {**ctor, **override}
     if executor == "model":
         sched_kind = runkw.pop("schedule", "random")
         if sched_kind == "sync":

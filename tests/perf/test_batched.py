@@ -180,6 +180,14 @@ class TestValidation:
         with pytest.raises(ShapeError):
             model.run(SynchronousSchedule(A.nrows + 1))
 
+    @pytest.mark.parametrize("recompute_every", [-1, 2.5, True])
+    def test_rejects_bad_recompute_every(self, recompute_every):
+        A = fd_laplacian_2d(3, 3)
+        model = BatchedAsyncJacobiModel(A, np.ones((A.nrows, 2)))
+        with pytest.raises(ValueError, match="recompute_every"):
+            model.run(SynchronousSchedule(A.nrows), recompute_every=recompute_every)
+        model.run(SynchronousSchedule(A.nrows), recompute_every=np.int64(0))
+
     def test_rejects_bad_residual_mode(self):
         A = fd_laplacian_2d(3, 3)
         model = BatchedAsyncJacobiModel(A, np.ones((A.nrows, 2)))

@@ -233,6 +233,74 @@ class TestValidation:
         c = dj.run_async(tol=1e-3, max_iterations=4, observe_every=3)
         assert a.residual_norms == c.residual_norms
 
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("report_every", [0, -1, 2.5, True])
+    def test_report_every_must_be_positive_int(self, system, legacy, report_every):
+        """``0`` once raised a bare ``ZeroDivisionError`` under detection;
+        ``-1`` and ``2.5`` ran silently at another cadence."""
+        A, b, x0 = system
+        dj = DistributedJacobi(A, b, n_ranks=4, seed=0)
+        with pytest.raises(ValueError, match="report_every"):
+            dj.run_async(
+                x0=x0, tol=1e-3, max_iterations=4, termination="detect",
+                report_every=report_every, legacy_engine=legacy,
+            )
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("recompute_every", [-1, 2.5, True])
+    def test_recompute_every_must_be_nonnegative_int(
+        self, system, legacy, recompute_every
+    ):
+        A, b, x0 = system
+        dj = DistributedJacobi(A, b, n_ranks=4, seed=0)
+        with pytest.raises(ValueError, match="recompute_every"):
+            dj.run_async(
+                x0=x0, tol=1e-3, max_iterations=4,
+                recompute_every=recompute_every, legacy_engine=legacy,
+            )
+
+    def test_run_integers_accept_numpy_and_zero_recompute(self, system):
+        """``np.int64`` runs exactly as the Python int; ``recompute_every=0``
+        (never recompute) stays valid."""
+        A, b, x0 = system
+        dj = DistributedJacobi(A, b, n_ranks=4, seed=0)
+        kw = dict(x0=x0, tol=1e-3, max_iterations=8, termination="detect")
+        a = dj.run_async(report_every=np.int64(2), recompute_every=np.int64(5), **kw)
+        c = dj.run_async(report_every=2, recompute_every=5, **kw)
+        assert a.residual_norms == c.residual_norms
+        dj.run_async(recompute_every=0, **kw)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("heartbeat_miss", 0),
+            ("heartbeat_miss", -1),
+            ("heartbeat_miss", 2.5),
+            ("heartbeat_miss", True),
+            ("ranks_per_node", 0),
+            ("ranks_per_node", -1),
+            ("ranks_per_node", 2.5),
+            ("ranks_per_node", True),
+            ("max_put_retries", -1),
+            ("max_put_retries", 2.5),
+            ("max_put_retries", True),
+        ],
+    )
+    def test_constructor_integers_are_checked(self, system, field, value):
+        """These once truncated ``2.5`` to 2 and turned ``True`` into 1."""
+        A, b, _ = system
+        with pytest.raises(ValueError, match=field):
+            DistributedJacobi(A, b, n_ranks=4, **{field: value})
+
+    def test_constructor_integers_accept_numpy_and_zero_retries(self, system):
+        A, b, _ = system
+        dj = DistributedJacobi(
+            A, b, n_ranks=4, heartbeat_miss=np.int64(2),
+            ranks_per_node=np.int64(2), max_put_retries=0,
+        )
+        assert (dj.heartbeat_miss, dj.ranks_per_node, dj.max_put_retries) == (2, 2, 0)
+        assert type(dj.heartbeat_miss) is int and type(dj.ranks_per_node) is int
+
     def test_mode_dispatch(self, system):
         A, b, x0 = system
         dj = DistributedJacobi(A, b, n_ranks=3, seed=0)

@@ -99,8 +99,6 @@ class TestQueueMatchesReference:
     def test_pop_empty_raises(self, backend):
         with pytest.raises(SimulationError):
             backend().pop()
-        with pytest.raises(SimulationError):
-            backend().pop_batch()
 
     def test_pending_payloads_visibility(self, backend):
         q = backend()
@@ -110,31 +108,6 @@ class TestQueueMatchesReference:
         q.pop()  # consume the earliest
         pending = sorted(q.pending_payloads(), key=lambda e: e[1])
         assert pending == [(k, a, o) for _, k, a, o in events[1:]]
-
-    def test_pop_batch_equals_sequential_pops(self, backend):
-        rng = np.random.default_rng(7)
-        qa, qb = backend(), backend()
-        for step in range(300):
-            t = float(rng.integers(0, 20)) * 0.25
-            kind, agent = int(rng.integers(0, 2)), int(rng.integers(0, 6))
-            qa.push(t, kind, agent, step)
-            qb.push(t, kind, agent, step)
-        singles = [qa.pop() for _ in range(300)]
-        batched = []
-        while qb:
-            t, kind, agents, objs = qb.pop_batch()
-            assert len(agents) == len(objs) >= 1
-            batched.extend((t, kind, a, o) for a, o in zip(agents, objs))
-        assert batched == singles
-
-    def test_peek_time(self, backend):
-        q = backend()
-        assert q.peek_time() == float("inf")
-        q.push(3.0, 0, 0)
-        q.push(1.5, 0, 1)
-        assert q.peek_time() == 1.5
-        q.pop()
-        assert q.peek_time() == 3.0
 
 
 class TestMakeEventQueue:

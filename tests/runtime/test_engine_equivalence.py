@@ -115,7 +115,7 @@ DIST_ASYNC_CASES = {
         dict(eager=True, max_iterations=25),
     ),
     "full_residual": (dict(), dict(residual_mode="full")),
-    "gauss_seidel": (dict(local_sweep="gauss_seidel"), dict()),
+    "gauss_seidel": (dict(method="sor"), dict()),
     "constant_delay": (dict(delay=ConstantDelay({1: 2e-5, 3: 2e-5})), dict()),
     "stoch_stall": (dict(delay=StochasticStall(0.3, 5e-5)), dict()),
     "composite_delay": (
@@ -133,6 +133,19 @@ DIST_ASYNC_CASES = {
     "machine_jitter_only_stoch_stall": (
         dict(cluster=MACHINE_JITTER_ONLY, delay=STALL), dict()
     ),
+    # A delay model that draws from the rank's generator, in the general
+    # loop: its jitter stream then draws one normal per call.
+    "drops_stoch_stall": (
+        dict(drop_probability=0.15, fault_seed=5, delay=STALL), dict()
+    ),
+    "eager_stoch_stall": (dict(delay=STALL), dict(eager=True)),
+    "detect_stoch_stall": (
+        dict(delay=STALL), dict(termination="detect", report_every=3)
+    ),
+    "reliable_stoch_stall": (
+        dict(drop_probability=0.15, fault_seed=5, reliable=True, delay=STALL),
+        dict(max_iterations=25),
+    ),
 }
 
 
@@ -149,7 +162,7 @@ def test_distributed_async_bit_identical(case):
 
 DIST_SYNC_CASES = {
     "plain": dict(),
-    "gauss_seidel": dict(local_sweep="gauss_seidel"),
+    "gauss_seidel": dict(method="sor"),
     "straggler": dict(delay=StragglerDelay({2: 2.5})),
     "stoch_stall": dict(delay=StochasticStall(0.3, 5e-5)),
     "omega": dict(omega=1.2),

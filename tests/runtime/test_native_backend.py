@@ -211,7 +211,7 @@ class TestFallbackAndValidation:
         assert_results_identical(*runs)
 
     def test_gauss_seidel_sweep_rejects_native(self, kernel_calls):
-        self._assert_numpy_only(kernel_calls, local_sweep="gauss_seidel")
+        self._assert_numpy_only(kernel_calls, method="sor")
 
     def test_sor_method_rejects_native(self, kernel_calls):
         self._assert_numpy_only(kernel_calls, method=make_method("sor"))

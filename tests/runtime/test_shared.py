@@ -231,6 +231,28 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("recompute_every", [-1, 2.5, True])
+    def test_recompute_every_must_be_nonnegative_int(
+        self, system, legacy, recompute_every
+    ):
+        A, b, x0 = system
+        sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
+        with pytest.raises(ValueError, match="recompute_every"):
+            sim.run_async(
+                x0=x0, tol=1e-3, max_iterations=4,
+                recompute_every=recompute_every, legacy_engine=legacy,
+            )
+
+    def test_recompute_every_accepts_numpy_int_and_zero(self, system):
+        A, b, x0 = system
+        sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
+        kw = dict(x0=x0, tol=1e-3, max_iterations=8)
+        a = sim.run_async(recompute_every=np.int64(3), **kw)
+        c = sim.run_async(recompute_every=3, **kw)
+        assert a.residual_norms == c.residual_norms
+        sim.run_async(recompute_every=0, **kw)
+
+    @pytest.mark.parametrize("legacy", [False, True])
     @pytest.mark.parametrize("max_iterations", [0, -1, 2.5, True])
     def test_max_iterations_must_be_positive_int(
         self, system, legacy, max_iterations

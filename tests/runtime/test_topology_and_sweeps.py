@@ -1,4 +1,4 @@
-"""Node topology (intra/inter-node latency) and local-sweep variants."""
+"""Node topology (intra/inter-node latency) and the SOR block sweep."""
 
 import numpy as np
 import pytest
@@ -56,12 +56,13 @@ class TestNodeTopology:
 
 class TestLocalSweeps:
     def test_gs_sweep_sync_matches_block_gs_reference(self, system):
-        """One synchronous sweep with gauss_seidel local solves equals the
-        dense block-GS-within-block-Jacobi reference."""
+        """One synchronous ``method="sor"`` sweep (a forward Gauss-Seidel
+        solve per block) equals the dense block-GS-within-block-Jacobi
+        reference."""
         A, b, x0 = system
         dj = DistributedJacobi(
             A, b, n_ranks=3, partition="contiguous", seed=0,
-            local_sweep="gauss_seidel",
+            method="sor",
         )
         res = dj.run_sync(x0=x0, tol=1e-300, max_iterations=1)
         # Reference: per block, a forward GS sweep where in-block rows see
@@ -82,7 +83,7 @@ class TestLocalSweeps:
         """In-block sequencing helps: GS local sweeps need fewer sweeps."""
         A, b, x0 = system
         jac = DistributedJacobi(A, b, n_ranks=4, seed=0)
-        gs = DistributedJacobi(A, b, n_ranks=4, seed=0, local_sweep="gauss_seidel")
+        gs = DistributedJacobi(A, b, n_ranks=4, seed=0, method="sor")
         rj = jac.run_sync(x0=x0, tol=1e-5, max_iterations=10_000)
         rg = gs.run_sync(x0=x0, tol=1e-5, max_iterations=10_000)
         assert rg.converged
@@ -90,12 +91,7 @@ class TestLocalSweeps:
 
     def test_gs_async_converges(self, system):
         A, b, x0 = system
-        dj = DistributedJacobi(A, b, n_ranks=6, seed=0, local_sweep="gauss_seidel")
+        dj = DistributedJacobi(A, b, n_ranks=6, seed=0, method="sor")
         res = dj.run_async(x0=x0, tol=1e-6, max_iterations=50_000)
         assert res.converged
         np.testing.assert_allclose(A @ res.x, b, atol=1e-3)
-
-    def test_invalid_sweep_name(self, system):
-        A, b, _ = system
-        with pytest.raises(ValueError):
-            DistributedJacobi(A, b, n_ranks=4, local_sweep="sor")

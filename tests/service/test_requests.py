@@ -1,5 +1,6 @@
 """SolveRequest validation, canonical specs and content-hash keys."""
 
+import numpy as np
 import pytest
 
 from repro.service.requests import (
@@ -48,8 +49,17 @@ class TestValidation:
             ("tol", 0.0),
             ("tol", -1e-6),
             ("max_steps", 0),
+            ("max_steps", 2.5),
+            ("max_steps", "7"),
             ("record_every", 0),
+            ("record_every", 1.9),
             ("agents", 0),
+            ("agents", True),
+            ("recompute_every", -1),
+            ("recompute_every", "x"),
+            ("b_seed", 1.5),
+            ("b_seed", -1),
+            ("x0_seed", 2.5),
             ("residual_mode", "exact"),
             ("deadline", 0.0),
         ],
@@ -57,6 +67,10 @@ class TestValidation:
     def test_bad_parameters_rejected(self, field, value):
         with pytest.raises(BadRequestError):
             req(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        r = req(max_steps=np.int64(7), agents=np.int64(2), b_seed=np.int64(3))
+        assert r.spec()["max_steps"] == 7 and r.spec()["b_seed"] == 3
 
     def test_bad_method_rejected(self):
         with pytest.raises(BadRequestError, match="method"):

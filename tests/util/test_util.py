@@ -99,6 +99,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_nonnegative(-0.1, "x")
 
+    def test_check_nonnegative_int(self):
+        from repro.util.validation import check_nonnegative_int
+
+        assert check_nonnegative_int(0, "k") == 0
+        v = check_nonnegative_int(np.int64(3), "k")
+        assert v == 3 and type(v) is int
+        for bad in (-1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="k"):
+                check_nonnegative_int(bad, "k")
+
     def test_check_probability(self):
         assert check_probability(0.5, "p") == 0.5
         with pytest.raises(ValueError):
