@@ -33,6 +33,7 @@ from repro.util.rng import as_rng
 from repro.util.validation import (
     check_nonnegative_int,
     check_positive,
+    check_positive_int,
     check_vector,
 )
 
@@ -147,6 +148,8 @@ class AsyncJacobiModel:
         Stops at the first of: residual < ``tol``; ``max_steps`` parallel
         steps; schedule exhaustion; model time exceeding ``max_time``.
         ``record_every`` controls history resolution (every k-th step).
+        ``max_steps`` must be a nonnegative and ``record_every`` a positive
+        integer; anything else raises ``ValueError``.
 
         ``residual_mode`` selects how the convergence metric is obtained.
         ``"incremental"`` (default) maintains ``r = b - A x`` in place:
@@ -169,6 +172,8 @@ class AsyncJacobiModel:
         tracer leaves the hot loop untouched.
         """
         check_positive(tol, "tol")
+        max_steps = check_nonnegative_int(max_steps, "max_steps")
+        record_every = check_positive_int(record_every, "record_every")
         recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if residual_mode not in ("incremental", "full"):
             raise ValueError(
@@ -305,15 +310,13 @@ class StalenessModel:
 
     ``lag`` of 0 reproduces the exact-information model. Lags are in parallel
     steps; a row relaxing at step k reads the iterate as of step ``k - lag``
-    (clamped at 0).
+    (clamped at 0). ``max_lag`` must be a nonnegative integer.
     """
 
     def __init__(self, max_lag: int = 0, seed=None, distribution: str = "uniform"):
-        if max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+        self.max_lag = check_nonnegative_int(max_lag, "max_lag")
         if distribution not in ("uniform", "constant"):
             raise ValueError(f"unknown staleness distribution {distribution!r}")
-        self.max_lag = int(max_lag)
         self.distribution = distribution
         self.rng = as_rng(seed)
 
@@ -348,6 +351,8 @@ class StaleAsyncJacobiModel(AsyncJacobiModel):
         residual_norm_ord=1,
     ) -> ModelResult:
         check_positive(tol, "tol")
+        max_steps = check_nonnegative_int(max_steps, "max_steps")
+        record_every = check_positive_int(record_every, "record_every")
         if schedule.n != self.n:
             raise ShapeError(f"schedule is for n={schedule.n}, matrix has n={self.n}")
         A, b, dinv = self.A, self.b, self._dinv

@@ -41,7 +41,11 @@ from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
-from repro.util.validation import check_nonnegative_int, check_positive
+from repro.util.validation import (
+    check_nonnegative_int,
+    check_positive,
+    check_positive_int,
+)
 
 
 @dataclass
@@ -140,6 +144,8 @@ class BatchedAsyncJacobiModel:
         each trial's sequential run.
         """
         check_positive(tol, "tol")
+        max_steps = check_nonnegative_int(max_steps, "max_steps")
+        record_every = check_positive_int(record_every, "record_every")
         recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
         if residual_mode not in ("incremental", "full"):
             raise ValueError(

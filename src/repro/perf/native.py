@@ -37,7 +37,9 @@ Packed argument row
 -------------------
 Both entry points take one pointer to a per-rank int64 row, whose
 columns are :data:`ROW_FIELDS` (sizes, offsets and buffer addresses),
-plus the momentum ``beta``. ctypes marshals every argument on every
+plus the momentum ``beta``. Every row carries the run's residual
+vector, so each commit maintains the observer's residual; only an empty
+scatter plan skips the update. ctypes marshals every argument on every
 call: with no rows to relax, a call taking the twelve fields as separate
 arguments cost 1.6-2.5 us, and a packed-row call ~0.65 us (2-core x86-64
 VM). At a few thousand commits per run on blocks of a few dozen rows,
@@ -162,8 +164,8 @@ static void relax_one(int64_t m, const double *x, const int64_t *rows,
     }
 }
 
-/* One block commit: x[rows] = pend and, when r_vec is given, the
- * incremental residual update, bit-identical to
+/* One block commit: x[rows] = pend and the observer's residual
+ * update, bit-identical to
  *   dx = pend - own;  plan.apply(r_vec, dx)
  * where plan is the block's ColumnScatterPlan. Column c's entries are
  * colptr[c]..colptr[c+1] (int32 rows local to the touched span, the
@@ -181,7 +183,7 @@ static void commit_one(int64_t m, const int64_t *rows, double *x,
     int64_t c, i, k;
     for (c = 0; c < m; c++)
         x[rows[c]] = pend[c];
-    if (!r_vec || colptr[m] == 0)
+    if (colptr[m] == 0)
         return;
     for (c = 0; c < m; c++) {
         double d = pend[c] - own[c];
@@ -196,9 +198,8 @@ static void commit_one(int64_t m, const int64_t *rows, double *x,
 }
 
 /* The packed argument row: one int64 per field, pointers as addresses.
- * Its column order is ROW_FIELDS on the Python side. r_vec == 0 makes
- * the commit a plain x store (residual_mode="full"); mom_prev == 0 drops
- * the momentum tail. */
+ * Its column order is ROW_FIELDS on the Python side. mom_prev == 0
+ * drops the momentum tail. */
 enum { F_M, F_X, F_ROWS, F_LX, F_INDPTR, F_IDX, F_DATA, F_B, F_DINV, F_PEND,
        F_MOM, F_COLPTR, F_LOCAL, F_VALS, F_BASE, F_SPAN, F_BINC, F_RVEC };
 #define P(type, f) ((type) (intptr_t) row[f])
@@ -249,7 +250,7 @@ INT32_LIMIT = 2**31
 #: Columns of the packed argument row ``repro_relax`` and
 #: ``repro_relax_commit`` read (the C ``enum`` order): one int64 per
 #: field, buffers as raw addresses. ``mom_prev = 0`` drops the momentum
-#: tail and ``r_vec = 0`` makes the commit a plain ``x`` store.
+#: tail.
 ROW_FIELDS = (
     "m", "x", "rows", "local_x", "indptr", "indices", "data", "b", "dinv",
     "pend", "mom_prev", "colptr", "local", "vals", "base", "span", "binc",

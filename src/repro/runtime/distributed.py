@@ -142,7 +142,7 @@ class _WarmPlan:
     __slots__ = (
         "templates", "nrows_loc", "lb_off", "row_off", "nnz_off", "b_loc",
         "dinv_loc", "b_norm1", "abs_scratch", "put_plan", "cat_rows",
-        "splans", "native", "native_commit",
+        "splans", "native",
     )
 
     def __init__(self):
@@ -472,13 +472,13 @@ class DistributedJacobi:
         return wp
 
     def _warm_splans(self, ranks) -> list:
-        """Per-rank observer scatter plans (built on the first incremental run)."""
+        """Per-rank observer scatter plans (built on the first asynchronous run)."""
         wp = self._plan
         if wp.splans is None:
             wp.splans = [self.A.column_scatter_plan(rk.rows) for rk in ranks]
         return wp.splans
 
-    def _warm_native(self, ranks, incremental: bool) -> np.ndarray:
+    def _warm_native(self, ranks) -> np.ndarray:
         """The packed native argument rows of every rank, built on first use.
 
         One int64 row per rank, its columns in
@@ -487,56 +487,45 @@ class DistributedJacobi:
         ``local_x``, ``pend``, ``mom_prev`` and ``r_vec``. Relax columns:
         the block size, the local CSR's int64 row pointers, its columns as
         int32 and the rank's data, ``b`` and ``dinv`` gathers. Commit
-        columns (first incremental run): per-column pointers into the
-        scatter plan's entries, its span-local rows as int32, and a zeroed
-        bin scratch; until then they are zero, and a run that leaves
-        ``r_vec = 0`` never reads them. Raises
-        :class:`~repro.perf.native.NativeLayoutError` when a rank's local
-        column count or span reaches 2^31.
+        columns: per-column pointers into the observer scatter plan's
+        entries, its span-local rows as int32, and a zeroed bin scratch.
+        Raises :class:`~repro.perf.native.NativeLayoutError` when a rank's
+        local column count or span reaches 2^31.
         """
         from repro.perf.native import ROW_FIELDS, int32_index
 
         wp = self._warm_plan(ranks)
+        if wp.native is not None:
+            return wp.native[1]
         col = ROW_FIELDS.index
-        if wp.native is None:
-            tab = np.zeros((self.n_ranks, len(ROW_FIELDS)), dtype=np.int64)
-            tab[:, col("m")] = wp.nrows_loc
-            relax_cols = [col(f) for f in (
-                "rows", "indptr", "indices", "data", "b", "dinv")]
-            keep = []
-            for rk in ranks:
-                loc = rk.local
-                rows = np.ascontiguousarray(rk.rows, dtype=np.int64)
-                idx = int32_index(
-                    loc.indices, loc.ncols, f"rank {rk.rank}'s local columns"
-                )
-                arrs = (rows, np.ascontiguousarray(loc.indptr), idx,
-                        np.ascontiguousarray(loc.data), wp.b_loc[rk.rank],
-                        wp.dinv_loc[rk.rank])
-                keep.append(arrs)
-                tab[rk.rank, relax_cols] = [a.ctypes.data for a in arrs]
-            wp.native = (keep, tab)
-        tab = wp.native[1]
-        if incremental and wp.native_commit is None:
-            keep = []
-            commit_cols = [col(f) for f in (
-                "colptr", "local", "vals", "base", "span", "binc")]
-            for rk, sp in zip(ranks, self._warm_splans(ranks)):
-                colptr = np.zeros(rk.rows.size + 1, dtype=np.int64)
-                np.cumsum(
-                    np.bincount(sp.rep_idx, minlength=rk.rows.size),
-                    out=colptr[1:],
-                )
-                loc = int32_index(
-                    sp.local, sp.span, f"rank {rk.rank}'s residual span"
-                )
-                binc = np.zeros(max(int(sp.span), 1))
-                keep.append((colptr, loc, sp.vals, binc))
-                tab[rk.rank, commit_cols] = (
-                    colptr.ctypes.data, loc.ctypes.data, sp.vals.ctypes.data,
-                    int(sp.base), int(sp.span), binc.ctypes.data,
-                )
-            wp.native_commit = keep
+        tab = np.zeros((self.n_ranks, len(ROW_FIELDS)), dtype=np.int64)
+        tab[:, col("m")] = wp.nrows_loc
+        cols = [col(f) for f in (
+            "rows", "indptr", "indices", "data", "b", "dinv",
+            "colptr", "local", "vals", "binc")]
+        keep = []
+        for rk, sp in zip(ranks, self._warm_splans(ranks)):
+            loc = rk.local
+            colptr = np.zeros(rk.rows.size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(sp.rep_idx, minlength=rk.rows.size), out=colptr[1:]
+            )
+            arrs = (
+                np.ascontiguousarray(rk.rows, dtype=np.int64),
+                np.ascontiguousarray(loc.indptr),
+                int32_index(loc.indices, loc.ncols, f"rank {rk.rank}'s local columns"),
+                np.ascontiguousarray(loc.data),
+                wp.b_loc[rk.rank],
+                wp.dinv_loc[rk.rank],
+                colptr,
+                int32_index(sp.local, sp.span, f"rank {rk.rank}'s residual span"),
+                sp.vals,
+                np.zeros(max(int(sp.span), 1)),
+            )
+            keep.append(arrs)
+            tab[rk.rank, cols] = [a.ctypes.data for a in arrs]
+            tab[rk.rank, [col("base"), col("span")]] = (int(sp.base), int(sp.span))
+        wp.native = (keep, tab)
         return tab
 
     def _residual_fn(self):
@@ -627,7 +616,6 @@ class DistributedJacobi:
         eager: bool = False,
         termination: str = "count",
         report_every: int = 4,
-        residual_mode: str = "incremental",
         recompute_every: int = 64,
         tracer=None,
         legacy_engine: bool = False,
@@ -649,13 +637,18 @@ class DistributedJacobi:
         calls, so the simulated trajectory is bit-identical with or
         without it.
 
-        ``residual_mode="incremental"`` (default) keeps the observer's
-        global residual maintained in place: each commit scatters the
-        block's change through the cached CSC view instead of the observer
-        paying a full SpMV per observation. Drift is bounded by a full
-        recompute every ``recompute_every`` observations (0: never) plus
-        confirmation of any tolerance crossing; the simulated trajectory
-        itself is untouched. ``"full"`` is the naive reference observer.
+        The residual observer keeps the global residual ``b - A x``
+        maintained in place: each commit scatters the block's change
+        through the cached CSC view instead of the observer paying a full
+        SpMV per observation. Drift is bounded by a full recompute every
+        ``recompute_every`` observations (0: never) plus confirmation of
+        any tolerance crossing; the simulated trajectory itself is
+        untouched. ``recompute_every=1`` recomputes at every observation:
+        the drift-free observer, which observes exactly what a
+        from-scratch SpMV per observation would. (The propagation model,
+        :class:`~repro.core.model.AsyncJacobiModel`, keeps a residual-mode
+        switch because there it also picks the *update* arithmetic — a
+        row SpMV against the maintained residual — so it moves ``x``.)
 
         The event loop runs on the typed engine
         (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
@@ -741,7 +734,8 @@ class DistributedJacobi:
             Iterations between a rank's residual reports under
             ``termination="detect"``; a positive integer.
         recompute_every
-            A nonnegative integer (see ``residual_mode`` above).
+            Observations between full residual recomputes, a nonnegative
+            integer (0: never; 1: the drift-free observer).
         """
         max_iterations = check_positive_int(max_iterations, "max_iterations")
         if observe_every is not None:
@@ -755,19 +749,13 @@ class DistributedJacobi:
                 self, x0=x0, tol=tol, max_iterations=max_iterations,
                 observe_every=observe_every, eager=eager,
                 termination=termination, report_every=report_every,
-                residual_mode=residual_mode, recompute_every=recompute_every,
-                tracer=tracer,
+                recompute_every=recompute_every, tracer=tracer,
             )
         check_positive(tol, "tol")
         if termination not in ("count", "detect"):
             raise ValueError(
                 f"termination must be 'count' or 'detect', got {termination!r}"
             )
-        if residual_mode not in ("incremental", "full"):
-            raise ValueError(
-                f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
-            )
-        incremental = residual_mode == "incremental"
         # Native kernels whenever the library loads — bit-identical to the
         # NumPy paths (see repro.perf.native) — except for the sequential
         # Gauss-Seidel sweep, whose BLAS dot products no compiled loop can
@@ -854,7 +842,7 @@ class DistributedJacobi:
             old_buf.append(old_parent[row_off[r] : row_off[r + 1]])
             rowid_loc.append(rk.local._row_of_nnz)
             rk.pending = pend_buf[-1]
-        splans = self._warm_splans(ranks) if incremental else None
+        splans = self._warm_splans(ranks)
         gauss_seidel = self.method.kind == "sequential"
         momentum_m = self.method.kind == "momentum"
         mom_beta = self.method.beta
@@ -891,8 +879,8 @@ class DistributedJacobi:
                 pend_buf[r] += mom_beta * (own_view[r] - mp)
                 np.copyto(mp, own_view[r])
 
-        # The observer's residual: one buffer for the whole run, recomputed
-        # in place (and, in incremental mode, updated by every commit).
+        # The observer's residual: one buffer for the whole run, updated by
+        # every commit and recomputed in place.
         residual = self._residual_fn()
         r_vec = residual(x, np.empty(self.n))
 
@@ -906,12 +894,11 @@ class DistributedJacobi:
             # run, so their raw addresses are stable and each kernel call
             # marshals two arguments. The kernels read and write the same
             # buffers the NumPy closures use — drop-in, bit-identical
-            # replacements (contract in repro.perf.native). ``r_vec = 0``
-            # makes the commit a plain ``x`` store.
+            # replacements (contract in repro.perf.native).
             from repro.perf.native import ROW_FIELDS
 
             col = ROW_FIELDS.index
-            nat_tab = self._warm_native(ranks, incremental).copy()
+            nat_tab = self._warm_native(ranks).copy()
             nat_tab[:, col("x")] = x.ctypes.data
             nat_tab[:, col("local_x")] = (
                 loc_parent.ctypes.data + 8 * np.asarray(lb_off[:-1])
@@ -923,8 +910,7 @@ class DistributedJacobi:
                 nat_tab[:, col("mom_prev")] = [
                     mp.ctypes.data for mp in mom_prev_loc
                 ]
-            if incremental:
-                nat_tab[:, col("r_vec")] = r_vec.ctypes.data
+            nat_tab[:, col("r_vec")] = r_vec.ctypes.data
             # Raw row addresses: ``nat_tab`` must outlive the loops, which
             # it does as a local of this call.
             nat_rows = (
@@ -1024,7 +1010,7 @@ class DistributedJacobi:
             trc.run_start(
                 "DistributedJacobi", self.n, n_ranks=self.n_ranks, tol=tol,
                 omega=self.omega, termination=termination,
-                residual_mode=residual_mode, reliable=reliable, eager=eager,
+                reliable=reliable, eager=eager,
                 method=self.method.name,
             )
 
@@ -1054,8 +1040,6 @@ class DistributedJacobi:
 
         def observe_residual() -> float:
             nonlocal obs_since_recompute
-            if not incremental:
-                return relnorm(residual(x, r_vec))
             obs_since_recompute += 1
             if recompute_every and obs_since_recompute >= recompute_every:
                 residual(x, r_vec)
@@ -1072,13 +1056,10 @@ class DistributedJacobi:
             """Publish a block's pending update, maintaining the residual."""
             r = block.rank
             pb = pend_buf[r]
-            if incremental:
-                x.take(block.rows, out=old_buf[r])
-                np.subtract(pb, old_buf[r], out=dx_buf[r])
-                x[block.rows] = pb
-                splans[r].apply(r_vec, dx_buf[r])
-            else:
-                x[block.rows] = pb
+            x.take(block.rows, out=old_buf[r])
+            np.subtract(pb, old_buf[r], out=dx_buf[r])
+            x[block.rows] = pb
+            splans[r].apply(r_vec, dx_buf[r])
             if version is not None:
                 version[block.rows] += 1
 
@@ -1277,23 +1258,21 @@ class DistributedJacobi:
                 tm.puts_sent += 1
                 if trc is not None:
                     trc.send(t, r, q, local_rows.size)
-                if drop_p and fail_rng.random() < drop_p:
+                # Loss rolls in a fixed short-circuit order: the base drop
+                # probability, a partition, then the plan's drop burst.
+                lost = bool(drop_p) and fail_rng.random() < drop_p
+                if not lost and has_plan:
+                    if plan.blocks_message(r, q, t):
+                        lost = True
+                    else:
+                        pb = plan.drop_probability(r, t)
+                        lost = bool(pb) and fail_rng.random() < pb
+                if lost:
                     tm.puts_dropped += 1
                     if trc is not None:
                         trc.fault(t, r, "put_dropped", dst=q)
                     continue
                 if has_plan:
-                    if plan.blocks_message(r, q, t):
-                        tm.puts_dropped += 1
-                        if trc is not None:
-                            trc.fault(t, r, "put_dropped", dst=q)
-                        continue
-                    pb = plan.drop_probability(r, t)
-                    if pb and fail_rng.random() < pb:
-                        tm.puts_dropped += 1
-                        if trc is not None:
-                            trc.fault(t, r, "put_dropped", dst=q)
-                        continue
                     pc = plan.corrupt_probability(r, t)
                     if pc and fail_rng.random() < pc:
                         # No checksum without the protocol: the garbage put
@@ -1546,8 +1525,8 @@ class DistributedJacobi:
                             box[:] = rest
                 pb = pend_buf[rid]
                 if nat_rows is not None:
-                    # One compiled call: the relax, the ``x`` store and, in
-                    # incremental mode, the residual scatter.
+                    # One compiled call: the relax, the ``x`` store and the
+                    # residual scatter.
                     nat_relax_commit(nat_rows[rid], nat_beta)
                 else:
                     relax(rk)
@@ -1557,14 +1536,11 @@ class DistributedJacobi:
                     # owner writes its rows) — the old-value gather is
                     # free. Gauss-Seidel relaxes in place through
                     # ``own_view``, so it re-gathers.
-                    if incremental:
-                        if gauss_seidel:
-                            x.take(rows_of[rid], out=own_view[rid])
-                        np.subtract(pb, own_view[rid], out=dx_buf[rid])
-                        x[rows_of[rid]] = pb
-                        splans[rid].apply(r_vec, dx_buf[rid])
-                    else:
-                        x[rows_of[rid]] = pb
+                    if gauss_seidel:
+                        x.take(rows_of[rid], out=own_view[rid])
+                    np.subtract(pb, own_view[rid], out=dx_buf[rid])
+                    x[rows_of[rid]] = pb
+                    splans[rid].apply(r_vec, dx_buf[rid])
                 rk.iterations += 1
                 relaxations += nrows_loc[rid]
                 t_end = t
@@ -1639,48 +1615,32 @@ class DistributedJacobi:
                     # The target window is gone; the put lands nowhere.
                     tm.puts_dropped += 1
                     continue
-                if not reliable:
-                    # Fire-and-forget puts: the ghost scatter below IS
-                    # the one-sided RMA landing (``meta`` is None when
-                    # untraced).
-                    slots, values, meta = payload
-                    vers = (
-                        meta["vers"]
-                        if trace_reads and meta is not None
-                        and meta.get("vers") is not None
-                        else None
-                    )
-                    pend_scatter[rid][id(slots)] = (slots, values, vers)
-                    tm.puts_delivered += 1
-                    if trc is not None:
-                        trc.recv(
-                            t, rid, None, values.size, seq=None,
-                            latency=(t - meta["sent_at"]) if meta else None,
+                if reliable:
+                    src, seq, slots, values, corrupted, meta = payload
+                    # Reliable protocol: checksum, ack, then dedup by seq.
+                    if corrupted:
+                        tm.puts_corrupted += 1
+                        if trc is not None:
+                            trc.fault(t, rid, "put_corrupted", src=src)
+                        continue  # no ack -> the sender's timer retries
+                    ch = (src, rid)
+                    if control_lost(rid, src, t):
+                        tm.acks_lost += 1
+                    else:
+                        arrival = t + msg_time(
+                            1, rid, node_of[rid] == node_of[src]
                         )
-                    fresh[rid] = True
-                    if eager and idle[rid] and not rk.stopped:
-                        idle[rid] = False
-                        queue.push(t, _START, rid, rk.epoch)
-                    continue
-                src, seq, slots, values, corrupted, meta = payload
-                # Reliable protocol: checksum, ack, then dedup by seq.
-                if corrupted:
-                    tm.puts_corrupted += 1
-                    if trc is not None:
-                        trc.fault(t, rid, "put_corrupted", src=src)
-                    continue  # no ack -> the sender's timer retries
-                ch = (src, rid)
-                if control_lost(rid, src, t):
-                    tm.acks_lost += 1
+                        queue.push(arrival, _ACK, src, (rid, seq))
+                    if seq <= applied_seq.get(ch, -1):
+                        tm.duplicates_suppressed += 1
+                        continue
+                    applied_seq[ch] = seq
                 else:
-                    arrival = t + msg_time(
-                        1, rid, node_of[rid] == node_of[src]
-                    )
-                    queue.push(arrival, _ACK, src, (rid, seq))
-                if seq <= applied_seq.get(ch, -1):
-                    tm.duplicates_suppressed += 1
-                    continue
-                applied_seq[ch] = seq
+                    # Fire-and-forget puts: no protocol, and ``meta`` is
+                    # None when untraced.
+                    slots, values, meta = payload
+                    src = seq = None
+                # The landing: the ghost scatter IS the one-sided RMA write.
                 vers = (
                     meta["vers"]
                     if trace_reads and meta is not None

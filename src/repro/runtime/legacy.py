@@ -25,7 +25,7 @@ from repro.methods.kernels import sor_block_pending
 from repro.observability.tracer import resolve as resolve_tracer
 from repro.runtime.events import EventQueue
 from repro.runtime.results import FaultTelemetry, SimulationResult
-from repro.util.norms import relative_residual_norm, vector_norm
+from repro.util.norms import vector_norm
 from repro.util.rng import as_rng
 from repro.util.validation import check_positive, check_vector
 
@@ -60,20 +60,14 @@ def shared_run_async(
     max_iterations: int = 10_000,
     observe_every: int | None = None,
     run_until_all_reach: bool = False,
-    residual_mode: str = "incremental",
     recompute_every: int = 64,
     tracer=None,
 ) -> SimulationResult:
     """The pre-engine ``SharedMemoryJacobi.run_async`` body, verbatim."""
     check_positive(tol, "tol")
-    if residual_mode not in ("incremental", "full"):
-        raise ValueError(
-            f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
-        )
     A, b, dinv = sim.A, sim.b, sim.dinv
     x = np.zeros(sim.n) if x0 is None else check_vector(x0, sim.n, "x0").copy()
     data, cols = A.data, A.indices
-    incremental = residual_mode == "incremental"
 
     # Resolved once: a missing or all-null-sink tracer costs one branch
     # per event afterwards (see repro.observability.tracer.resolve).
@@ -86,8 +80,7 @@ def shared_run_async(
     if trc is not None:
         trc.run_start(
             "SharedMemoryJacobi", sim.n, n_threads=sim.n_threads, tol=tol,
-            omega=sim.omega, residual_mode=residual_mode,
-            method=sim.method.name,
+            omega=sim.omega, method=sim.method.name,
         )
     # Method dispatch mirrors the engine loop: sequential blocks relax
     # through the shared ordered kernel, momentum carries one previous
@@ -130,17 +123,14 @@ def shared_run_async(
         num = vector_norm(res_vec, 1)
         return num / b_norm if b_norm > 0 else num
 
-    # The observer's residual. In incremental mode it is maintained at
-    # every commit; in full mode it is only used for the initial norm.
+    # The observer's residual, maintained at every commit.
     r_vec = b - A.matvec(x)
     obs_since_recompute = 0
     block_cols = [np.arange(th.lo, th.hi, dtype=np.int64) for th in threads]
 
     def observe_residual() -> float:
-        """Current relative residual, per the selected mode."""
+        """Current relative residual (recomputed when due or crossing)."""
         nonlocal r_vec, obs_since_recompute
-        if not incremental:
-            return relative_residual_norm(A, x, b)
         obs_since_recompute += 1
         if recompute_every and obs_since_recompute >= recompute_every:
             r_vec = b - A.matvec(x)
@@ -222,12 +212,9 @@ def shared_run_async(
                 crash_wake(tid, t)
                 continue
             lo, hi = th.lo, th.hi
-            if incremental:
-                dx = th.pending - x[lo:hi]
-                x[lo:hi] = th.pending
-                A.subtract_columns_update(r_vec, block_cols[tid], dx)
-            else:
-                x[lo:hi] = th.pending
+            dx = th.pending - x[lo:hi]
+            x[lo:hi] = th.pending
+            A.subtract_columns_update(r_vec, block_cols[tid], dx)
             th.iterations += 1
             relaxations += hi - lo
             t_end = t
@@ -341,7 +328,6 @@ def distributed_run_async(
     eager: bool = False,
     termination: str = "count",
     report_every: int = 4,
-    residual_mode: str = "incremental",
     recompute_every: int = 64,
     tracer=None,
 ) -> SimulationResult:
@@ -357,11 +343,6 @@ def distributed_run_async(
         raise ValueError(
             f"termination must be 'count' or 'detect', got {termination!r}"
         )
-    if residual_mode not in ("incremental", "full"):
-        raise ValueError(
-            f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
-        )
-    incremental = residual_mode == "incremental"
     A, b, dinv = sim.A, sim.b, sim.dinv
     x = np.zeros(sim.n) if x0 is None else check_vector(x0, sim.n, "x0").copy()
     mom_prev = x.copy() if sim.method.kind == "momentum" else None
@@ -409,7 +390,7 @@ def distributed_run_async(
         trc.run_start(
             "DistributedJacobi", sim.n, n_ranks=sim.n_ranks, tol=tol,
             omega=sim.omega, termination=termination,
-            residual_mode=residual_mode, reliable=reliable, eager=eager,
+            reliable=reliable, eager=eager,
             method=sim.method.name,
         )
 
@@ -436,14 +417,12 @@ def distributed_run_async(
         num = vector_norm(res_vec, 1)
         return num / obs_b_norm if obs_b_norm > 0 else num
 
-    # The observer's maintained residual (incremental mode only).
+    # The observer's maintained residual.
     r_vec = b - A.matvec(x)
     obs_since_recompute = 0
 
     def observe_residual() -> float:
         nonlocal r_vec, obs_since_recompute
-        if not incremental:
-            return relative_residual_norm(A, x, b)
         obs_since_recompute += 1
         if recompute_every and obs_since_recompute >= recompute_every:
             r_vec = b - A.matvec(x)
@@ -458,12 +437,9 @@ def distributed_run_async(
 
     def commit_rows(block) -> None:
         """Publish a block's pending update, maintaining the residual."""
-        if incremental:
-            dx = block.pending - x[block.rows]
-            x[block.rows] = block.pending
-            A.subtract_columns_update(r_vec, block.rows, dx)
-        else:
-            x[block.rows] = block.pending
+        dx = block.pending - x[block.rows]
+        x[block.rows] = block.pending
+        A.subtract_columns_update(r_vec, block.rows, dx)
         if version is not None:
             version[block.rows] += 1
 

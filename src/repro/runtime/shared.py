@@ -52,7 +52,7 @@ from repro.runtime.engine import HeapEventQueue, JitterStream
 from repro.runtime.machine import KNL, MachineModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SimulationError, SingularMatrixError
-from repro.util.norms import relative_residual_norm, vector_norm
+from repro.util.norms import vector_norm
 from repro.util.rng import spawn_rngs
 from repro.util.validation import (
     check_nonnegative_int,
@@ -217,7 +217,6 @@ class SharedMemoryJacobi:
         max_iterations: int = 10_000,
         observe_every: int | None = None,
         run_until_all_reach: bool = False,
-        residual_mode: str = "incremental",
         recompute_every: int = 64,
         tracer=None,
         legacy_engine: bool = False,
@@ -231,16 +230,19 @@ class SharedMemoryJacobi:
         termination: "a thread terminates only if all other threads have
         also converged"), so fast threads overshoot.
 
-        ``residual_mode="incremental"`` (default) keeps the observer's
-        residual ``r = b - A x`` up to date at every commit with a CSC
-        scatter over the committed block's column support, so an
-        observation is just a norm instead of a full SpMV. The simulated
-        trajectory (x, event timing) is untouched — only the observer
-        changes. A full recomputation every ``recompute_every``
+        The residual observer keeps ``r = b - A x`` up to date at every
+        commit with a CSC scatter over the committed block's column
+        support, so an observation is just a norm instead of a full SpMV.
+        The simulated trajectory (x, event timing) is untouched — the
+        observer only reads it. A full recomputation every ``recompute_every``
         observations bounds float drift (0: never recompute), and any
         tolerance crossing is confirmed against a fresh residual.
-        ``"full"`` recomputes from scratch at every observation (the naive
-        reference).
+        ``recompute_every=1`` recomputes at every observation: the
+        drift-free observer, which observes exactly what a from-scratch
+        SpMV per observation would. (The propagation model,
+        :class:`~repro.core.model.AsyncJacobiModel`, keeps a residual-mode
+        switch because there it also picks the *update* arithmetic — a
+        row SpMV against the maintained residual — so it moves ``x``.)
 
         A live :class:`~repro.observability.Tracer` passed as ``tracer``
         receives structured events: per-commit relax events (with the
@@ -254,7 +256,7 @@ class SharedMemoryJacobi:
         The event loop runs on :mod:`repro.runtime.engine`: typed events
         on a preallocated queue, relax kernels writing into reused
         per-thread buffers, a precompiled column-scatter plan for the
-        incremental residual, one jitter stream per thread (a
+        observer's residual, one jitter stream per thread (a
         :class:`~repro.runtime.engine.JitterStream` that prefetches unless
         the thread's delay model draws from the same generator; a zero
         sigma yields 1.0 without a draw), and one event per pop.
@@ -278,18 +280,12 @@ class SharedMemoryJacobi:
                 self, x0=x0, tol=tol, max_iterations=max_iterations,
                 observe_every=observe_every,
                 run_until_all_reach=run_until_all_reach,
-                residual_mode=residual_mode, recompute_every=recompute_every,
-                tracer=tracer,
+                recompute_every=recompute_every, tracer=tracer,
             )
         check_positive(tol, "tol")
-        if residual_mode not in ("incremental", "full"):
-            raise ValueError(
-                f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
-            )
         A, b, dinv = self.A, self.b, self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         data, cols = A.data, A.indices
-        incremental = residual_mode == "incremental"
 
         # Resolved once: a missing or all-null-sink tracer costs one branch
         # per event afterwards (see repro.observability.tracer.resolve).
@@ -302,8 +298,7 @@ class SharedMemoryJacobi:
         if trc is not None:
             trc.run_start(
                 "SharedMemoryJacobi", self.n, n_threads=self.n_threads, tol=tol,
-                omega=self.omega, residual_mode=residual_mode,
-                method=self.method.name,
+                omega=self.omega, method=self.method.name,
             )
         # Method dispatch: scaled methods relax through the gather +
         # ``bincount`` kernel below (their scale vector *is* ``dinv``);
@@ -351,14 +346,10 @@ class SharedMemoryJacobi:
         r_buf = [np.empty(th.hi - th.lo) for th in threads]
         pending_buf = [np.empty(th.hi - th.lo) for th in threads]
         dx_buf = [np.empty(th.hi - th.lo) for th in threads]
-        scatter = (
-            [
-                A.column_scatter_plan(np.arange(th.lo, th.hi, dtype=np.int64))
-                for th in threads
-            ]
-            if incremental
-            else None
-        )
+        scatter = [
+            A.column_scatter_plan(np.arange(th.lo, th.hi, dtype=np.int64))
+            for th in threads
+        ]
         has_plan = bool(plan)
         # Single-row blocks (one thread per row — the Figure 3/4 shape)
         # relax in pure scalar arithmetic: the sequential ``s += a*x[c]``
@@ -456,16 +447,13 @@ class SharedMemoryJacobi:
             num = vector_norm(res_vec, 1)
             return num / b_norm if b_norm > 0 else num
 
-        # The observer's residual. In incremental mode it is maintained at
-        # every commit; in full mode it is only used for the initial norm.
+        # The observer's residual, maintained at every commit.
         r_vec = b - A.matvec(x)
         obs_since_recompute = 0
 
         def observe_residual() -> float:
-            """Current relative residual, per the selected mode."""
+            """Current relative residual (recomputed when due or crossing)."""
             nonlocal r_vec, obs_since_recompute
-            if not incremental:
-                return relative_residual_norm(A, x, b)
             obs_since_recompute += 1
             if recompute_every and obs_since_recompute >= recompute_every:
                 r_vec = b - A.matvec(x)
@@ -534,18 +522,13 @@ class SharedMemoryJacobi:
                 pb = pending_buf[tid]
                 if one_row[tid]:
                     pv = pb[0]
-                    if incremental:
-                        d0 = pv - x[lo]
-                        x[lo] = pv
-                        scatter[tid].apply1(r_vec, d0)
-                    else:
-                        x[lo] = pv
-                elif incremental:
+                    d0 = pv - x[lo]
+                    x[lo] = pv
+                    scatter[tid].apply1(r_vec, d0)
+                else:
                     np.subtract(pb, x_seg[tid], out=dx_buf[tid])
                     x_seg[tid][:] = pb
                     scatter[tid].apply(r_vec, dx_buf[tid])
-                else:
-                    x_seg[tid][:] = pb
                 th.iterations += 1
                 relaxations += hi - lo
                 t_end = t

@@ -20,6 +20,19 @@ from repro.matrices.laplacian import paper_fd_matrix
 from repro.util.errors import ShapeError
 
 
+#: ``max_steps`` must be a nonnegative and ``record_every`` a positive
+#: integer in every model executor: no truncation, no zero division.
+BAD_STEP_ARGS = [
+    ("record_every", 0),
+    ("record_every", -1),
+    ("record_every", 2.5),
+    ("record_every", True),
+    ("max_steps", 2.5),
+    ("max_steps", -1),
+    ("max_steps", True),
+]
+
+
 @pytest.fixture
 def system(rng):
     A = paper_fd_matrix(68)
@@ -139,6 +152,28 @@ class TestRecording:
         with pytest.raises(ShapeError):
             model.run(SynchronousSchedule(10))
 
+    @pytest.mark.parametrize("stale", [False, True], ids=["exact", "stale"])
+    @pytest.mark.parametrize("name,value", BAD_STEP_ARGS)
+    def test_rejects_malformed_step_arguments(self, system, stale, name, value):
+        A, b, x0 = system
+        model = (
+            StaleAsyncJacobiModel(A, b, StalenessModel(max_lag=1, seed=0))
+            if stale else AsyncJacobiModel(A, b)
+        )
+        with pytest.raises(ValueError, match=name):
+            model.run(SynchronousSchedule(A.nrows), x0=x0, **{name: value})
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["exact", "stale"])
+    def test_zero_steps_and_numpy_ints_accepted(self, system, stale):
+        A, b, x0 = system
+        model = (
+            StaleAsyncJacobiModel(A, b, StalenessModel(max_lag=1, seed=0))
+            if stale else AsyncJacobiModel(A, b)
+        )
+        res = model.run(SynchronousSchedule(A.nrows), x0=x0, tol=1e-300,
+                        max_steps=np.int64(0), record_every=np.int64(2))
+        assert res.steps == 0 and res.relaxation_counts == [0]
+
 
 class TestStaleness:
     def test_zero_lag_matches_exact_model(self, system):
@@ -174,6 +209,12 @@ class TestStaleness:
             StalenessModel(max_lag=-1)
         with pytest.raises(ValueError):
             StalenessModel(max_lag=1, distribution="weird")
+
+    @pytest.mark.parametrize("max_lag", [-1, 2.5, True, "2"])
+    def test_max_lag_must_be_nonnegative_int(self, max_lag):
+        with pytest.raises(ValueError, match="max_lag"):
+            StalenessModel(max_lag=max_lag)
+        assert StalenessModel(max_lag=np.int64(0)).max_lag == 0
 
 
 class TestDampedModel:

@@ -15,6 +15,7 @@ from repro.matrices.sparse import CSRMatrix
 from repro.perf.batched import BatchedAsyncJacobiModel
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.rng import as_rng
+from tests.core.test_model import BAD_STEP_ARGS
 
 
 def _trials(n, T, seed0=100):
@@ -187,6 +188,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="recompute_every"):
             model.run(SynchronousSchedule(A.nrows), recompute_every=recompute_every)
         model.run(SynchronousSchedule(A.nrows), recompute_every=np.int64(0))
+
+    @pytest.mark.parametrize("name,value", BAD_STEP_ARGS)
+    def test_rejects_malformed_step_arguments(self, name, value):
+        A = fd_laplacian_2d(3, 3)
+        model = BatchedAsyncJacobiModel(A, np.ones((A.nrows, 2)))
+        with pytest.raises(ValueError, match=name):
+            model.run(SynchronousSchedule(A.nrows), **{name: value})
+        res = model.run(SynchronousSchedule(A.nrows), max_steps=np.int64(0))
+        assert np.all(res.steps == 0)
 
     def test_rejects_bad_residual_mode(self):
         A = fd_laplacian_2d(3, 3)

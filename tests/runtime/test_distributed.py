@@ -314,12 +314,12 @@ class TestIncrementalResiduals:
     """Incremental residual observation in the distributed simulator."""
 
     def test_trajectory_bit_identical_across_modes(self, system):
+        """The recompute cadence moves only the observer, never ``x``."""
         A, b, x0 = system
         dj = DistributedJacobi(A, b, n_ranks=4, seed=3)
-        inc = dj.run_async(x0=x0, tol=1e-3, max_iterations=20_000,
-                           residual_mode="incremental")
+        inc = dj.run_async(x0=x0, tol=1e-3, max_iterations=20_000)
         full = dj.run_async(x0=x0, tol=1e-3, max_iterations=20_000,
-                            residual_mode="full")
+                            recompute_every=1)
         np.testing.assert_array_equal(inc.x, full.x)
         np.testing.assert_array_equal(inc.iterations, full.iterations)
 
@@ -327,16 +327,17 @@ class TestIncrementalResiduals:
         A, b, x0 = system
         dj = DistributedJacobi(A, b, n_ranks=4, seed=3)
         inc = dj.run_async(x0=x0, tol=1e-4, max_iterations=50_000,
-                           residual_mode="incremental", recompute_every=64)
+                           recompute_every=64)
         full = dj.run_async(x0=x0, tol=1e-4, max_iterations=50_000,
-                            residual_mode="full")
+                            recompute_every=1)
         a = np.asarray(inc.residual_norms)
         bb = np.asarray(full.residual_norms)
         m = min(a.size, bb.size)
         np.testing.assert_allclose(a[:m], bb[:m], rtol=1e-9)
 
     def test_rejects_bad_residual_mode(self, system):
+        """The simulator has one observer: there is no mode to pick."""
         A, b, x0 = system
         dj = DistributedJacobi(A, b, n_ranks=3, seed=0)
-        with pytest.raises(ValueError):
-            dj.run_async(x0=x0, tol=1e-3, residual_mode="lazy")
+        with pytest.raises(TypeError):
+            dj.run_async(x0=x0, tol=1e-3, residual_mode="full")

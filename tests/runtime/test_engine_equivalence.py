@@ -114,7 +114,8 @@ DIST_ASYNC_CASES = {
         dict(fault_plan=PLAN, recovery="freeze"),
         dict(eager=True, max_iterations=25),
     ),
-    "full_residual": (dict(), dict(residual_mode="full")),
+    # Recompute the residual from scratch at every observation.
+    "full_residual": (dict(), dict(recompute_every=1)),
     "gauss_seidel": (dict(method="sor"), dict()),
     "constant_delay": (dict(delay=ConstantDelay({1: 2e-5, 3: 2e-5})), dict()),
     "stoch_stall": (dict(delay=StochasticStall(0.3, 5e-5)), dict()),
@@ -200,7 +201,7 @@ SHARED_CASES = {
         dict(n_threads=8),
         dict(run_until_all_reach=True, max_iterations=12),
     ),
-    "full_residual": (dict(n_threads=8), dict(residual_mode="full")),
+    "full_residual": (dict(n_threads=8), dict(recompute_every=1)),
     "no_jitter": (dict(n_threads=8, machine=replace(KNL, jitter_sigma=0.0)), dict()),
     "no_jitter_stoch_stall": (
         dict(n_threads=8, machine=replace(KNL, jitter_sigma=0.0), delay=STALL),

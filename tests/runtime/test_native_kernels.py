@@ -122,7 +122,7 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         A, b, n_ranks=6, partition=partition, seed=0, method=method
     )
     ranks = sim._compile_ranks()
-    tab = sim._warm_native(ranks, incremental=True)
+    tab = sim._warm_native(ranks)
     wp = sim._plan
     splans = sim._warm_splans(ranks)
     kernels = native.native_kernels()
@@ -141,7 +141,7 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         row[col("local_x")] = lb_buf.ctypes.data
         row[col("pend")] = pend_buf.ctypes.data
         row[col("mom_prev")] = mom_buf.ctypes.data if momentum else 0
-        row[col("r_vec")] = 0 if r_buf is None else r_buf.ctypes.data
+        row[col("r_vec")] = r_buf.ctypes.data
         return row
 
     for rk in ranks:
@@ -184,15 +184,7 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
         assert mom_nat.tobytes() == mom_ref.tobytes()
         assert x_nat.tobytes() == x_ref.tobytes()
         assert r_nat.tobytes() == r_ref.tobytes()
-        assert not np.any(wp.native_commit[r][3])  # bins re-zeroed
-        # r_vec = 0 (residual_mode="full"): a plain x store.
-        lb_nat, mom_nat, pend = lb.copy(), mom.copy(), np.empty(m)
-        x_nat = x.copy()
-        row = packed(r, x_nat, lb_nat, pend, mom_nat, None)
-        kernels.relax_commit(row.ctypes.data, beta)
-        assert pend.tobytes() == pend_ref.tobytes()
-        assert mom_nat.tobytes() == mom_ref.tobytes()
-        assert x_nat.tobytes() == x_ref.tobytes()
+        assert not np.any(wp.native[0][r][-1])  # bins re-zeroed
 
 
 def _trajectory(A, b, n_ranks, partition, method, **run):
@@ -215,16 +207,17 @@ def _trajectory(A, b, n_ranks, partition, method, **run):
         (16, 128),
     ],
 )
-@pytest.mark.parametrize("residual_mode", ["incremental", "full"])
+# "full" recomputes the observer's residual at every observation.
+@pytest.mark.parametrize("recompute_every", [64, 1], ids=["incremental", "full"])
 def test_native_trajectories_match_numpy_block(
-    partition, method, shape, residual_mode
+    partition, method, shape, recompute_every
 ):
     grid, n_ranks = shape
     A = _wide_matrix(grid, 8)
     b = _vector(np.random.default_rng(8), A.nrows)
     run = dict(
         tol=1e-12, max_iterations=12, observe_every=5,
-        residual_mode=residual_mode,
+        recompute_every=recompute_every,
     )
     nat = _trajectory(A, b, n_ranks, partition, method, **run)
     with numpy_kernels():

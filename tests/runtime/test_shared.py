@@ -283,10 +283,9 @@ class TestIncrementalResiduals:
     def test_trajectory_bit_identical_across_modes(self, system):
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=8, seed=4)
-        inc = sim.run_async(x0=x0, tol=1e-3, max_iterations=20_000,
-                            residual_mode="incremental")
+        inc = sim.run_async(x0=x0, tol=1e-3, max_iterations=20_000)
         full = sim.run_async(x0=x0, tol=1e-3, max_iterations=20_000,
-                             residual_mode="full")
+                             recompute_every=1)
         np.testing.assert_array_equal(inc.x, full.x)
         np.testing.assert_array_equal(inc.iterations, full.iterations)
         assert inc.times == full.times
@@ -295,9 +294,9 @@ class TestIncrementalResiduals:
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=8, seed=4)
         inc = sim.run_async(x0=x0, tol=1e-4, max_iterations=50_000,
-                            residual_mode="incremental", recompute_every=64)
+                            recompute_every=64)
         full = sim.run_async(x0=x0, tol=1e-4, max_iterations=50_000,
-                             residual_mode="full")
+                             recompute_every=1)
         a = np.asarray(inc.residual_norms)
         bb = np.asarray(full.residual_norms)
         m = min(a.size, bb.size)
@@ -315,10 +314,11 @@ class TestIncrementalResiduals:
         assert abs(res.residual_norms[-1] - exact) <= 1e-10 * max(exact, 1e-300)
 
     def test_rejects_bad_residual_mode(self, system):
+        """The simulator has one observer: there is no mode to pick."""
         A, b, x0 = system
         sim = SharedMemoryJacobi(A, b, n_threads=4, seed=0)
-        with pytest.raises(ValueError):
-            sim.run_async(x0=x0, tol=1e-3, residual_mode="lazy")
+        with pytest.raises(TypeError):
+            sim.run_async(x0=x0, tol=1e-3, residual_mode="full")
 
     def test_dirty_flag_skips_redundant_final_recompute(self, system):
         """If nothing committed since the last observation, the terminal

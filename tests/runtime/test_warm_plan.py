@@ -3,7 +3,7 @@
 ``DistributedJacobi`` keeps everything that depends only on ``(A, b,
 partition, method, cluster)`` in a warm plan built on first use. These
 tests interleave runs with different ``x0``, ``observe_every`` and
-``residual_mode`` on one solver and compare every result byte for byte
+``recompute_every`` on one solver and compare every result byte for byte
 with the same run on a freshly constructed solver, which catches scratch
 that is not re-zeroed and stale buffer addresses. They run with and
 without the native library (``REPRO_NO_NATIVE=1``).
@@ -21,13 +21,12 @@ from tests.runtime.test_engine_equivalence import A, B, assert_results_identical
 #: One solver's run schedule: async and sync interleaved, with the
 #: options that change which warm buffers a run touches.
 SCHEDULE = (
-    ("async", dict(observe_every=None, residual_mode="incremental")),
+    ("async", dict(observe_every=None)),
     ("sync", dict(x0="random")),
-    ("async", dict(x0="random", observe_every=3, residual_mode="full")),
-    ("async", dict(observe_every=5, residual_mode="incremental")),
+    ("async", dict(x0="random", observe_every=3, recompute_every=1)),
+    ("async", dict(observe_every=5)),
     ("sync", dict()),
-    ("async", dict(x0="random", observe_every=2, residual_mode="incremental",
-                   recompute_every=3)),
+    ("async", dict(x0="random", observe_every=2, recompute_every=3)),
 )
 
 #: (matrix, n_ranks, partition, constructor kwargs, async kwargs). The
