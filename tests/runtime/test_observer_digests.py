@@ -1,4 +1,4 @@
-"""Frozen observer output: the drift-free residual observer, pinned by digest.
+"""Frozen observer output: the residual observer, pinned by digest.
 
 Both machine simulators keep the relative residual ``‖b − Ax‖₁/‖b‖₁`` up
 to date at every commit and recompute it from scratch every
@@ -8,9 +8,13 @@ pins sha256 digests of ``x``, ``residual_norms``, ``times`` and
 ``relaxation_counts`` for such runs across the distributed block loop
 (compiled and NumPy kernels), the general loop (eager, detect, a fault
 plan under a read-tracing tracer) and the shared loop (multi-row blocks
-and one thread per row). The digests were first recorded from the
-simulators' former from-scratch observer mode, which made exactly these
-observations. Regenerate (only for a deliberate change) with::
+and one thread per row). The ``recompute_every=1`` digests (keyed by the
+bare case name) were first recorded from the simulators' former
+from-scratch observer mode, which made exactly these observations. The
+same cases also run at the default cadence ``64`` and at ``0`` (never
+recompute), keyed ``<case>@<cadence>``; those pin the drifting
+maintained residual, the periodic recompute and the confirmation of a
+tolerance crossing. Regenerate (only for a deliberate change) with::
 
     PYTHONPATH=src python -m tests.runtime.test_observer_digests --write
 """
@@ -34,7 +38,9 @@ from tests.runtime.equivalence import numpy_kernels
 
 DIGESTS = Path(__file__).with_name("observer_digests.json")
 REGENERATE = "PYTHONPATH=src python -m tests.runtime.test_observer_digests --write"
-OBSERVER = dict(recompute_every=1)
+#: Observer cadences (``recompute_every``) every case is pinned at: the
+#: drift-free reference, the default and never.
+CADENCES = (1, 64, 0)
 
 A = fd_laplacian_2d(12, 12)
 B = np.random.default_rng(0).standard_normal(A.nrows)
@@ -85,14 +91,28 @@ CASES = {
 }
 
 
+# digest key -> (case name, cadence); the drift-free runs keep bare names.
+KEYS = {
+    (name if cadence == 1 else f"{name}@{cadence}"): (name, cadence)
+    for cadence in CADENCES
+    for name in CASES
+}
+#: Cases that cross ``tol``, so the crossing confirmation is pinned.
+CROSSING = ("distributed/jacobi-4", "shared/thread-per-row")
+
+
 def _sha(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _run(name):
+def _result(name, cadence):
     sim, run_kwargs = CASES[name]()
-    res = sim.run_async(**{"tol": 1e-6, "max_iterations": 200, **OBSERVER,
-                           **run_kwargs})
+    return sim.run_async(**{"tol": 1e-6, "max_iterations": 200,
+                            "recompute_every": cadence, **run_kwargs})
+
+
+def _run(key):
+    res = _result(*KEYS[key])
     return {
         "x": _sha(np.asarray(res.x, dtype="<f8")),
         "residual_norms": _sha(np.asarray(res.residual_norms, dtype="<f8")),
@@ -103,7 +123,7 @@ def _run(name):
 
 def _compute():
     return {"regenerate": REGENERATE,
-            "runs": {name: _run(name) for name in CASES}}
+            "runs": {key: _run(key) for key in KEYS}}
 
 
 @pytest.fixture(scope="module")
@@ -111,20 +131,25 @@ def frozen():
     return json.loads(DIGESTS.read_text())
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_observer_matches_frozen_digest(frozen, name):
-    assert _run(name) == frozen["runs"][name]
+@pytest.mark.parametrize("key", KEYS)
+def test_observer_matches_frozen_digest(frozen, key):
+    assert _run(key) == frozen["runs"][key]
 
 
-@pytest.mark.parametrize("name", [n for n in CASES if n.startswith("distributed/")])
-def test_numpy_kernels_match_frozen_digest(frozen, name):
+@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith("distributed/")])
+def test_numpy_kernels_match_frozen_digest(frozen, key):
     with numpy_kernels():
-        assert _run(name) == frozen["runs"][name]
+        assert _run(key) == frozen["runs"][key]
+
+
+@pytest.mark.parametrize("name", CROSSING)
+def test_default_cadence_crosses_tolerance(name):
+    assert _result(name, 64).converged
 
 
 def test_digest_file_names_its_regeneration_command(frozen):
     assert frozen["regenerate"] == REGENERATE
-    assert set(frozen["runs"]) == set(CASES)
+    assert set(frozen["runs"]) == set(KEYS)
 
 
 if __name__ == "__main__":
