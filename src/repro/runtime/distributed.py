@@ -44,6 +44,7 @@ import copy
 import heapq
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from repro.runtime.engine import (
     PatternJitterStream,
 )
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
+from repro.runtime.observer import ResidualObserver
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import PartitionError, ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
@@ -133,21 +135,25 @@ class _WarmPlan:
     model or any run option — so warm runs reuse it instead of rebuilding
     it. ``b`` is the solver's private read-only copy and ``A`` is
     immutable by convention, so none of it can go stale. The only mutable
-    members are scratch buffers every run fully rewrites before reading
-    (``abs_scratch``) or leaves zeroed on exit (the native ``binc``
-    bins); a solver therefore runs one simulation at a time.
+    members are the native ``binc`` bins, scratch every run leaves zeroed
+    on exit; a solver therefore runs one simulation at a time.
     :meth:`DistributedJacobi.with_delay` copies share the plan.
     """
 
     __slots__ = (
         "templates", "nrows_loc", "lb_off", "row_off", "nnz_off", "b_loc",
-        "dinv_loc", "b_norm1", "abs_scratch", "put_plan", "cat_rows",
+        "dinv_loc", "b_norm1", "put_plan", "cat_rows",
         "splans", "native",
     )
 
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, None)
+
+
+class _AsyncRun(SimpleNamespace):
+    """One asynchronous run's shared set-up, built by ``run_async``; each
+    loop binds the fields it reads to locals once."""
 
 
 class DistributedJacobi:
@@ -467,7 +473,6 @@ class DistributedJacobi:
         )
         wp.dinv_loc = [dinv[rk.rows] for rk in ranks]
         wp.b_norm1 = vector_norm(b, 1)
-        wp.abs_scratch = np.empty(self.n)
         wp.b_loc = [b[rk.rows] for rk in ranks]
         return wp
 
@@ -540,13 +545,8 @@ class DistributedJacobi:
         A, b = self.A, self.b
         nat = native_kernels()
         if nat is None:
-            def residual(x, out):
-                return np.subtract(b, A.matvec(x), out=out)
-            return residual
-
-        def residual(x, out):
-            return nat.residual(A, x, b, out)
-        return residual
+            return lambda x, out: np.subtract(b, A.matvec(x), out=out)
+        return lambda x, out: nat.residual(A, x, b, out)
 
     def _slowdown(self, rank: int) -> float:
         if isinstance(self.delay, (StragglerDelay, CompositeDelay)):
@@ -637,32 +637,38 @@ class DistributedJacobi:
         calls, so the simulated trajectory is bit-identical with or
         without it.
 
-        The residual observer keeps the global residual ``b - A x``
-        maintained in place: each commit scatters the block's change
-        through the cached CSC view instead of the observer paying a full
-        SpMV per observation. Drift is bounded by a full recompute every
-        ``recompute_every`` observations (0: never) plus confirmation of
-        any tolerance crossing; the simulated trajectory itself is
-        untouched. ``recompute_every=1`` recomputes at every observation:
-        the drift-free observer, which observes exactly what a
-        from-scratch SpMV per observation would. (The propagation model,
+        The residual observer (:class:`~repro.runtime.observer.ResidualObserver`)
+        keeps ``b - A x`` maintained in place — each commit scatters the
+        block's change through the cached CSC view — and recomputes it
+        every ``recompute_every`` observations (0: never; 1: the drift-free
+        observer, which observes exactly what a from-scratch SpMV per
+        observation would) and at any tolerance crossing. It only reads
+        the trajectory. (The propagation model,
         :class:`~repro.core.model.AsyncJacobiModel`, keeps a residual-mode
-        switch because there it also picks the *update* arithmetic — a
-        row SpMV against the maintained residual — so it moves ``x``.)
+        switch because there its residual drives the update.)
 
-        The event loop runs on the typed engine
-        (:mod:`repro.runtime.engine`): a preallocated per-rank ``local_x``
-        scratch buffer with the ghost layer aliased to its tail (no
-        ``np.concatenate`` per relaxation), precompiled CSC scatter plans
-        for the observer's incremental residual, and one jitter stream
-        per rank — all bit-identical to the pre-engine loop, which
-        remains available as ``legacy_engine=True`` (the equivalence-test
-        oracle). In the block loop every rank draws each iteration's
-        compute, put and overhead factors as one
-        :class:`~repro.runtime.engine.PatternJitterStream` step (a zero
-        sigma yields 1.0 without a draw; a rank whose delay model draws
-        from its generator steps without prefetching); the general loop
-        draws through a :class:`~repro.runtime.engine.NormalStream`.
+        The run has three parts. This method validates the options and
+        builds the shared set-up: the iterate, the ranks, one ``local_x``
+        scratch buffer per rank with the ghost layer aliased to its tail,
+        the relax kernels, the packed native rows, the observer and the
+        queue with the initial START/RESTART events. It then runs one of
+        two loops and builds the result. Trajectories are bit-identical to
+        the pre-engine loop, kept as ``legacy_engine=True`` (the
+        equivalence-test oracle).
+
+        * **The block loop** (:meth:`_block_loop`) takes every plain run —
+          no faults or loss rolls, no tracer, no reliable puts, no
+          eager/detect/heartbeat machinery and no hang-capable delay model.
+          One heap event per block iteration runs the whole
+          read-relax-commit span at its virtual read cursor (with the
+          native library, one compiled call), and each iteration's jitter
+          factors are one :class:`~repro.runtime.engine.PatternJitterStream`
+          step per rank.
+        * **The general loop** (:meth:`_general_loop`) takes everything
+          else: one START and one COMMIT event per block iteration plus the
+          protocol traffic, one event per pop, jitter from a
+          :class:`~repro.runtime.engine.NormalStream` per rank. It alone
+          builds the fault, heartbeat, reliable-put and trace state.
 
         One-sided puts land through per-edge *mailboxes* (see
         docs/performance.md, "Mailbox delivery and the block loop"): the
@@ -672,18 +678,6 @@ class DistributedJacobi:
         Each record carries the event sequence number a per-put heap event
         would have consumed, so the cut replicates heap pop order bit for
         bit, exact-time ties included.
-
-        Two event loops run the iteration:
-
-        * **The block loop** takes every plain run — no faults or loss
-          rolls, no tracer, no reliable puts, no eager/detect/heartbeat
-          machinery and no hang-capable delay model. One heap event per
-          block iteration runs the whole read-relax-commit span at the
-          iteration's virtual read cursor; with the native library that
-          span's relax and commit are one compiled call.
-        * **The general loop** takes everything else, with one START and
-          one COMMIT event per block iteration plus the protocol traffic,
-          popped one event at a time.
 
         Relax and commit kernels are compiled C (:mod:`repro.perf.native`)
         whenever the library loads, NumPy otherwise (no compiler, build
@@ -765,70 +759,31 @@ class DistributedJacobi:
             from repro.perf.native import native_kernels
 
             nat = native_kernels()
-        A = self.A
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         ranks = self._compile_ranks()
         net = self.cluster.network
         node = self.cluster.node
-        plan = self.fault_plan
-        reliable = self.reliable
-        fs = self.fault_seed if self.fault_seed is not None else plan.seed
-        if fs is not None:
-            fail_rng = as_rng(fs)
-        else:
-            fail_rng = as_rng(None if self.seed is None else (int(self.seed) ^ 0x5EED))
-        tm = FaultTelemetry()
-
-        # ---- engine setup: everything below is hoisted out of the
-        # event loop once, so the per-event work is scalar arithmetic plus
-        # a handful of buffered NumPy kernels. Trajectories are
-        # bit-identical to ``legacy_engine=True`` (same RNG draw order,
-        # same floating-point operand order).
         n_ranks = self.n_ranks
         thr = node.smt_throughput(1)
-        sigma_m = node.effective_jitter(1)
-        sigma_net = net.jitter_sigma
-        lat, lat_in, tpv = net.latency, net.intra_node_latency, net.time_per_value
-        node_of = [r // self.ranks_per_node for r in range(n_ranks)]
-        slow = [self._slowdown(r) for r in range(n_ranks)]
-        const_extra = [self.delay.constant_extra(r) for r in range(n_ranks)]
-        cbase = [
-            (rk.local.nnz * node.time_per_nnz + rk.rows.size * node.time_per_row) / thr
-            for rk in ranks
-        ]
-        ovbase = node.iteration_overhead / thr
-        puts_const = [len(rk.send_plan) * net.put_overhead for rk in ranks]
-        has_plan = bool(plan)
-        drop_p = self.drop_probability
-        dup_p = self.duplicate_probability
-        may_hang = type(self.delay).is_hung is not DelayModel.is_hung
-        detect = termination == "detect"
         # Run-invariant tables (per-rank ``b``/``dinv`` gathers, put plans,
         # buffer offsets, ||b||_1) come from the solver's warm plan.
         wp = self._warm_plan(ranks)
-        put_plan = wp.put_plan
         b_loc, dinv_loc = wp.b_loc, wp.dinv_loc
         nrows_loc = wp.nrows_loc
         lb_off, row_off, nnz_off = wp.lb_off, wp.row_off, wp.nnz_off
 
         # Per-rank relax scratch: one ``local_x`` buffer per rank with the
-        # ghost layer rebound to its tail. Every ghost write (puts landing,
-        # restart/adoption re-syncs) then updates the relax view in place,
-        # and a relaxation is one ``take`` of the rank's own rows plus
-        # buffered elementwise kernels — the per-iteration
-        # ``np.concatenate`` and the ``dinv[rows]``/``b[rows]`` gathers of
-        # the legacy loop are gone. All ranks' ``local_x`` scratch is
-        # carved from one parent buffer: per-rank views behave exactly
-        # like separate arrays, and a native row addresses its slice as an
-        # offset from the parent. The other per-rank scratch
-        # is carved the same way, one allocation per kind.
+        # ghost layer rebound to its tail, so every ghost write (puts
+        # landing, re-syncs) updates the relax view in place and a
+        # relaxation is one ``take`` of the rank's own rows plus buffered
+        # kernels. Each kind of scratch is carved from one parent buffer;
+        # a native row addresses its slice as an offset from the parent.
         loc_parent = np.zeros(lb_off[-1])
         pend_parent = np.empty(row_off[-1])
         dx_parent = np.empty(row_off[-1])
-        old_parent = np.empty(row_off[-1])
         gath_parent = np.empty(nnz_off[-1])
         loc_buf, own_view, gath_buf, pend_buf = [], [], [], []
-        dx_buf, old_buf, rowid_loc = [], [], []
+        dx_buf = []
         for rk in ranks:
             r = rk.rank
             m = nrows_loc[r]
@@ -839,10 +794,9 @@ class DistributedJacobi:
             gath_buf.append(gath_parent[nnz_off[r] : nnz_off[r + 1]])
             pend_buf.append(pend_parent[row_off[r] : row_off[r + 1]])
             dx_buf.append(dx_parent[row_off[r] : row_off[r + 1]])
-            old_buf.append(old_parent[row_off[r] : row_off[r + 1]])
-            rowid_loc.append(rk.local._row_of_nnz)
-            rk.pending = pend_buf[-1]
-        splans = self._warm_splans(ranks)
+            # Ghost layers start from the initial iterate.
+            if rk.ghost_cols.size:
+                rk.ghosts[:] = x[rk.ghost_cols]
         gauss_seidel = self.method.kind == "sequential"
         momentum_m = self.method.kind == "momentum"
         mom_beta = self.method.beta
@@ -852,13 +806,24 @@ class DistributedJacobi:
         # from wherever it crashed, like its own rows in ``x``.
         mom_prev_loc = [x[rk.rows].copy() for rk in ranks] if momentum_m else None
 
+        def block_residual(rk: _Rank) -> np.ndarray:
+            """``b - A x`` over the block from its current view (a fresh
+            array); refreshes ``own_view`` from ``x`` first."""
+            r = rk.rank
+            x.take(rk.rows, out=own_view[r])
+            g = gath_buf[r]
+            loc_buf[r].take(rk.local.indices, out=g)
+            np.multiply(rk.local.data, g, out=g)
+            mv = np.bincount(rk.local._row_of_nnz, weights=g, minlength=nrows_loc[r])
+            return np.subtract(b_loc[r], mv, out=mv)
+
         def relax(rk: _Rank) -> None:
             """One buffered local relaxation; the result lands in
             ``rk.pending`` (bit-identical to ``_relax_block``)."""
             r = rk.rank
-            lb = loc_buf[r]
-            x.take(rk.rows, out=own_view[r])
             if gauss_seidel:
+                lb = loc_buf[r]
+                x.take(rk.rows, out=own_view[r])
                 mat = rk.local
                 bl, dl = b_loc[r], dinv_loc[r]
                 for i in range(nrows_loc[r]):
@@ -867,11 +832,7 @@ class DistributedJacobi:
                     lb[i] += dl[i] * r_i
                 np.copyto(pend_buf[r], own_view[r])
                 return
-            g = gath_buf[r]
-            lb.take(rk.local.indices, out=g)
-            np.multiply(rk.local.data, g, out=g)
-            mv = np.bincount(rowid_loc[r], weights=g, minlength=nrows_loc[r])
-            np.subtract(b_loc[r], mv, out=mv)
+            mv = block_residual(rk)
             np.multiply(dinv_loc[r], mv, out=mv)
             np.add(own_view[r], mv, out=pend_buf[r])
             if momentum_m:
@@ -879,22 +840,25 @@ class DistributedJacobi:
                 pend_buf[r] += mom_beta * (own_view[r] - mp)
                 np.copyto(mp, own_view[r])
 
-        # The observer's residual: one buffer for the whole run, updated by
-        # every commit and recomputed in place.
-        residual = self._residual_fn()
-        r_vec = residual(x, np.empty(self.n))
+        # Resolved once: a missing or all-null-sink tracer costs one branch
+        # per event afterwards (see repro.observability.tracer.resolve).
+        trc = resolve_tracer(tracer)
+        obs = ResidualObserver(
+            self._residual_fn(), x, wp.b_norm1, tol, recompute_every, trc
+        )
 
-        nat_rows = None
+        nat_rows = nat_relax_commit = None
+        nat_beta = float(mom_beta) if momentum_m else 0.0
         if nat is not None:
             # One packed argument row per rank (``ROW_FIELDS`` in
             # repro.perf.native): the run-invariant columns (compact CSR
             # layout, gathers, scatter columns) come from the warm plan;
             # the per-run buffers (``x``, the scratch parents, momentum
-            # state, ``r_vec``) are allocated exactly once for the whole
-            # run, so their raw addresses are stable and each kernel call
-            # marshals two arguments. The kernels read and write the same
-            # buffers the NumPy closures use — drop-in, bit-identical
-            # replacements (contract in repro.perf.native).
+            # state, the observer's residual) are allocated exactly once
+            # for the whole run, so their raw addresses are stable and
+            # each kernel call marshals two arguments. The kernels read
+            # and write the same buffers the NumPy closures use — drop-in,
+            # bit-identical replacements (contract in repro.perf.native).
             from repro.perf.native import ROW_FIELDS
 
             col = ROW_FIELDS.index
@@ -907,584 +871,195 @@ class DistributedJacobi:
                 pend_parent.ctypes.data + 8 * np.asarray(row_off[:-1])
             )
             if momentum_m:
-                nat_tab[:, col("mom_prev")] = [
-                    mp.ctypes.data for mp in mom_prev_loc
-                ]
-            nat_tab[:, col("r_vec")] = r_vec.ctypes.data
+                nat_tab[:, col("mom_prev")] = [mp.ctypes.data for mp in mom_prev_loc]
+            nat_tab[:, col("r_vec")] = obs.r.ctypes.data
             # Raw row addresses: ``nat_tab`` must outlive the loops, which
             # it does as a local of this call.
             nat_rows = (
                 nat_tab.ctypes.data + nat_tab.strides[0] * np.arange(n_ranks)
             ).tolist()
-            nat_beta = float(mom_beta) if momentum_m else 0.0
             nat_relax, nat_relax_commit = nat.relax, nat.relax_commit
 
             def relax(rk: _Rank) -> None:
                 """Native relax: same buffers, same bits, one C call."""
                 nat_relax(nat_rows[rk.rank], nat_beta)
 
-        def local_residual_norm(rk: _Rank) -> float:
-            """Block residual 1-norm from the rank's current (stale) view."""
-            r = rk.rank
-            lb = loc_buf[r]
-            x.take(rk.rows, out=own_view[r])
-            g = gath_buf[r]
-            lb.take(rk.local.indices, out=g)
-            np.multiply(rk.local.data, g, out=g)
-            mv = np.bincount(rowid_loc[r], weights=g, minlength=nrows_loc[r])
-            np.subtract(b_loc[r], mv, out=mv)
-            np.abs(mv, out=mv)
-            return float(np.sum(mv))
-
-        # Chunked standard-normal streams: a rank's generator serves both
-        # machine jitter (sigma_m) and network jitter (sigma_net), so the
-        # raw normals are chunked and ``exp(sigma * z)`` applied per draw
-        # (bit-identical to scalar ``lognormal``; see
-        # :class:`~repro.runtime.engine.NormalStream`). A rank whose delay
-        # model draws from the same generator draws one normal per call.
-        streams = [
-            NormalStream(rk.rng, chunk=512 if const_extra[rk.rank] is not None else 1)
-            for rk in ranks
-        ]
-
-        def mjit(r: int) -> float:
-            return math.exp(sigma_m * streams[r].next())
-
-        def compute_time(rk: _Rank) -> float:
-            base = cbase[rk.rank]
-            if sigma_m > 0:
-                base *= mjit(rk.rank)
-            return base * slow[rk.rank]
-
-        def overhead_time(rk: _Rank) -> float:
-            r = rk.rank
-            base = ovbase
-            if sigma_m > 0:
-                base *= mjit(r)
-            ce = const_extra[r]
-            extra = (
-                ce if ce is not None
-                else self.delay.extra_time(r, rk.iterations, rk.rng)
-            )
-            return (base + puts_const[r]) * slow[r] + extra
-
-        def net_jit(r: int) -> float:
-            return math.exp(sigma_net * streams[r].next())
-
-        def msg_time(n_values: int, r: int, intra: bool = False) -> float:
-            base = (lat_in if intra else lat) + n_values * tpv
-            if sigma_net > 0:
-                base *= net_jit(r)
-            return base
-
-        # Ghost layers start from the initial iterate.
-        for rk in ranks:
-            if rk.ghost_cols.size:
-                rk.ghosts[:] = x[rk.ghost_cols]
-
-        # Resolved once: a missing or all-null-sink tracer costs one branch
-        # per event afterwards (see repro.observability.tracer.resolve).
-        trc = resolve_tracer(tracer)
-        trace_reads = trc is not None and trc.trace_reads
-        version = None
-        if trace_reads:
-            # Read-version capture: the global commit ledger, each ghost
-            # value's version, and each local row's neighbor layout split
-            # into own-block columns and ghost slots.
-            version = np.zeros(self.n, dtype=np.int64)
-            owner = self.decomposition.labels
-            for rk in ranks:
-                slots = {int(g): i for i, g in enumerate(rk.ghost_cols)}
-                rk.ghost_ver = np.zeros(rk.ghost_cols.size, dtype=np.int64)
-                rk.read_map = []
-                for g in rk.rows:
-                    own, ghost = [], []
-                    for j in A.neighbors(int(g)):
-                        j = int(j)
-                        if owner[j] == rk.rank:
-                            own.append(j)
-                        else:
-                            ghost.append((j, slots[j]))
-                    rk.read_map.append((own, ghost))
-        if trc is not None:
-            trc.run_start(
-                "DistributedJacobi", self.n, n_ranks=self.n_ranks, tol=tol,
-                omega=self.omega, termination=termination,
-                reliable=reliable, eager=eager,
-                method=self.method.name,
-            )
-
         queue = HeapEventQueue()
         for rk in ranks:
             queue.push(
-                float(rk.rng.random()) * self.cluster.node.iteration_overhead,
+                float(rk.rng.random()) * node.iteration_overhead,
                 _START, rk.rank, rk.epoch,
             )
         # Scripted restarts are known up front; crashes need no event — the
         # plan is consulted at every START/COMMIT/MESSAGE touching the rank.
+        plan = self.fault_plan
         for r in sorted(plan.agents()):
             for rt in plan.restart_times(r):
                 queue.push(rt, _RESTART, r, None)
 
-        down = plan.is_down
-
-        obs_b_norm = wp.b_norm1
-        abs_scratch = wp.abs_scratch
-
-        def relnorm(res_vec) -> float:
-            # vector_norm(res_vec, 1) without a fresh n-float temporary.
-            num = float(np.sum(np.abs(res_vec, out=abs_scratch)))
-            return num / obs_b_norm if obs_b_norm > 0 else num
-
-        obs_since_recompute = 0
-
-        def observe_residual() -> float:
-            nonlocal obs_since_recompute
-            obs_since_recompute += 1
-            if recompute_every and obs_since_recompute >= recompute_every:
-                residual(x, r_vec)
-                obs_since_recompute = 0
-            res = relnorm(r_vec)
-            if res < tol:
-                # Confirm the crossing against a drift-free residual.
-                residual(x, r_vec)
-                obs_since_recompute = 0
-                res = relnorm(r_vec)
-            return res
-
-        def commit_rows(block: _Rank) -> None:
-            """Publish a block's pending update, maintaining the residual."""
-            r = block.rank
-            pb = pend_buf[r]
-            x.take(block.rows, out=old_buf[r])
-            np.subtract(pb, old_buf[r], out=dx_buf[r])
-            x[block.rows] = pb
-            splans[r].apply(r_vec, dx_buf[r])
-            if version is not None:
-                version[block.rows] += 1
-
-        def capture_reads(block: _Rank) -> None:
-            """Snapshot the versions this relaxation reads (at START)."""
-            reads = []
-            for own, ghost in block.read_map:
-                d = {j: int(version[j]) for j in own}
-                for j, slot in ghost:
-                    d[j] = int(block.ghost_ver[slot])
-                reads.append(d)
-            block.pending_reads = reads
-
-        def emit_relax(block: _Rank, t: float) -> None:
-            """Relax event for one block commit (staleness measured pre-bump)."""
-            if trace_reads:
-                stale = [
-                    max((int(version[j]) - v for j, v in d.items()), default=0)
-                    for d in block.pending_reads
-                ]
-                trc.relax(
-                    t, block.rank, block.rows,
-                    reads=block.pending_reads, staleness=stale,
-                )
-            else:
-                trc.relax(t, block.rank, block.rows)
-
-        res0 = relnorm(r_vec)
-        times, residuals, counts = [0.0], [res0], [0]
-        relaxations = 0
-        commits_since_obs = 0
-        observe_every = self.n_ranks if observe_every is None else int(observe_every)
-        converged = res0 < tol
-        t_end = 0.0
-
-        # Eager-mode bookkeeping: has rank seen fresh data since last relax?
-        fresh = [True] * self.n_ranks
-        idle = [False] * self.n_ranks
-        # Incoming-neighbour sets: which ranks put into rid's ghost layer.
-        senders = [set() for _ in range(self.n_ranks)]
-        for rk in ranks:
-            for q, _, _ in rk.send_plan:
-                senders[q].add(rk.rank)
-        # Termination detection state (rank 0 is the detector).
-        b_norm = obs_b_norm or 1.0
-        reported = np.full(self.n_ranks, np.inf)
-        if termination == "detect":
-            reported[:] = [local_residual_norm(rk) for rk in ranks]
-        stop_broadcast = False
-
-        # Heartbeat failure detection (rank 0 is also the detector).
+        run = _AsyncRun(
+            x=x, ranks=ranks, wp=wp, queue=queue, tm=FaultTelemetry(), obs=obs,
+            tol=tol, max_iterations=max_iterations,
+            observe_every=n_ranks if observe_every is None else observe_every,
+            cbase=[
+                (rk.local.nnz * node.time_per_nnz + rk.rows.size * node.time_per_row)
+                / thr
+                for rk in ranks
+            ],
+            ovbase=node.iteration_overhead / thr,
+            slow=[self._slowdown(r) for r in range(n_ranks)],
+            const_extra=[self.delay.constant_extra(r) for r in range(n_ranks)],
+            puts_const=[len(rk.send_plan) * net.put_overhead for rk in ranks],
+            sigma_m=node.effective_jitter(1), sigma_net=net.jitter_sigma,
+            own_view=own_view, pend_buf=pend_buf, dx_buf=dx_buf,
+            splans=self._warm_splans(ranks),
+            block_residual=block_residual, relax=relax,
+            gauss_seidel=gauss_seidel, nat_rows=nat_rows, nat_beta=nat_beta,
+            nat_relax_commit=nat_relax_commit,
+        )
+        if trc is not None:
+            trc.run_start(
+                "DistributedJacobi", self.n, n_ranks=n_ranks, tol=tol,
+                omega=self.omega, termination=termination,
+                reliable=self.reliable, eager=eager, method=self.method.name,
+            )
         heartbeats_on = (
             self.recovery != "none"
-            and self.n_ranks > 1
+            and n_ranks > 1
             and (bool(plan) or self.heartbeat_interval is not None)
         )
-        hb_interval = (
-            self.heartbeat_interval
-            if self.heartbeat_interval is not None
-            else 10.0 * (self.cluster.node.iteration_overhead + 2.0 * net.latency)
-        )
-        hb_timeout = self.heartbeat_miss * hb_interval
-        last_hb = [0.0] * self.n_ranks
-        hb_chain_alive = [False] * self.n_ranks
-        hb_stopped = False  # set once the run is quiescent; chains then end
-        presumed_dead = [False] * self.n_ranks
-        adopted_by: dict = {}  # dead rank -> adopter rank
-        adopters: dict = {}  # adopter rank -> [dead ranks]
-        adopt_snapshot: dict = {}  # adopter rank -> dead ranks read at START
-        degraded_since = None
-        if heartbeats_on:
-            for rk in ranks:
-                hb_chain_alive[rk.rank] = True
-                queue.push(
-                    float(rk.rng.random()) * hb_interval, _HEARTBEAT, rk.rank, None
-                )
-            queue.push(hb_interval, _HB_CHECK, 0, None)
-
-        # Reliable-put protocol state, keyed by directed channel (src, dst).
-        next_seq: dict = {}  # channel -> next sequence number
-        applied_seq: dict = {}  # channel -> newest applied sequence number
-        outstanding: dict = {}  # channel -> {seq: [slots, values, attempts, rto]}
-
-        # Mailbox delivery in the general loop: each arriving put is
-        # recorded per directed edge (the ``slots`` arrays are per-edge
-        # singletons, so ``id(slots)`` keys them) and the lot is applied in
-        # one pass right before the receiver's next read. Protocol work —
-        # acks, dedup, traces, telemetry, eager wake-ups — stays at arrival
-        # time, so only the memory traffic moves. Newest-record-wins
-        # matches per-put scatter order because each put on an edge covers
-        # the edge's full slot set and distinct edges touch disjoint ghost
-        # slots.
-        pend_scatter = [dict() for _ in range(n_ranks)]
-
-        def flush_ghosts(block: _Rank) -> None:
-            """Apply the block's pending ghost scatters in one pass."""
-            ps = pend_scatter[block.rank]
-            if not ps:
-                return
-            gh = block.ghosts
-            gv = block.ghost_ver
-            for slots, values, vers in ps.values():
-                gh[slots] = values
-                if vers is not None:
-                    # maximum.at keeps the newest version even if a stale
-                    # retransmit were ever recorded behind a fresher one.
-                    np.maximum.at(gv, slots, vers)
-            ps.clear()
-
-        def rto(n_values: int) -> float:
-            """Base retransmission timeout: a generous round-trip multiple."""
-            if self.ack_timeout is not None:
-                return self.ack_timeout
-            return 6.0 * (2.0 * net.latency + n_values * net.time_per_value)
-
-        def control_lost(src: int, dst: int, t: float) -> bool:
-            """Loss roll for a small control message (ack/heartbeat/report)."""
-            if plan.blocks_message(src, dst, t):
-                return True
-            p = self.drop_probability
-            burst = plan.drop_probability(src, t)
-            if burst:
-                p = 1.0 - (1.0 - p) * (1.0 - burst)
-            return bool(p) and fail_rng.random() < p
-
-        def transmit(ch, seq: int, rec, t: float) -> None:
-            """One (re)transmission of a reliable put + its retry timer."""
-            p, q = ch
-            slots_q, values, timeout = rec[0], rec[1], rec[3]
-            if trc is not None:
-                trc.send(t, p, q, values.size, seq=seq)
-            corrupted = False
-            pc = plan.corrupt_probability(p, t)
-            if pc and fail_rng.random() < pc:
-                corrupted = True
-            lost = bool(
-                self.drop_probability and fail_rng.random() < self.drop_probability
-            )
-            if not lost and plan:
-                if plan.blocks_message(p, q, t):
-                    lost = True
-                else:
-                    pb = plan.drop_probability(p, t)
-                    lost = bool(pb) and fail_rng.random() < pb
-            intra = node_of[p] == node_of[q]
-            if lost:
-                tm.puts_dropped += 1
-                if trc is not None:
-                    trc.fault(t, p, "put_dropped", dst=q)
-            else:
-                meta = None
-                if trc is not None:
-                    meta = {"sent_at": t}
-                    if rec[4] is not None:
-                        meta["vers"] = rec[4]
-                arrival = t + msg_time(values.size, p, intra)
-                queue.push(
-                    arrival, _MESSAGE, q, (p, seq, slots_q, values, corrupted, meta)
-                )
-                if (
-                    self.duplicate_probability
-                    and fail_rng.random() < self.duplicate_probability
-                ):
-                    arrival = t + msg_time(values.size, p, intra)
-                    queue.push(
-                        arrival, _MESSAGE, q,
-                        (p, seq, slots_q, values, corrupted, meta),
-                    )
-            queue.push(t + timeout, _RETRY, p, (q, seq))
-
-        def send_reliable(rk: _Rank, q: int, slots_q, values, t: float, vers=None) -> None:
-            ch = (rk.rank, q)
-            seq = next_seq.get(ch, 0)
-            next_seq[ch] = seq + 1
-            tm.puts_sent += 1
-            rec = [slots_q, values, 0, rto(values.size), vers]
-            outstanding.setdefault(ch, {})[seq] = rec
-            transmit(ch, seq, rec, t)
-
-        def fire_puts(rk: _Rank, t: float) -> None:
-            r = rk.rank
-            entries = put_plan[r]
-            if reliable:
-                for q, slots_q, local_rows, _mb in entries:
-                    # The put carries the just-committed values, so their
-                    # versions are snapshotted once; retransmissions resend
-                    # the same payload. The fancy index is itself a fresh
-                    # array — the payload's one unavoidable allocation.
-                    vers = version[rk.rows[local_rows]].copy() if trace_reads else None
-                    send_reliable(rk, q, slots_q, rk.pending[local_rows], t, vers)
-                return
-            pending = pend_buf[r]
-            # Fire-and-forget RMA puts (RNG call order kept bit-identical to
-            # the legacy loop; an inactive network jitter's factor is 1.0).
-            for q, slots_q, local_rows, mb in entries:
-                tm.puts_sent += 1
-                if trc is not None:
-                    trc.send(t, r, q, local_rows.size)
-                # Loss rolls in a fixed short-circuit order: the base drop
-                # probability, a partition, then the plan's drop burst.
-                lost = bool(drop_p) and fail_rng.random() < drop_p
-                if not lost and has_plan:
-                    if plan.blocks_message(r, q, t):
-                        lost = True
-                    else:
-                        pb = plan.drop_probability(r, t)
-                        lost = bool(pb) and fail_rng.random() < pb
-                if lost:
-                    tm.puts_dropped += 1
-                    if trc is not None:
-                        trc.fault(t, r, "put_dropped", dst=q)
-                    continue
-                if has_plan:
-                    pc = plan.corrupt_probability(r, t)
-                    if pc and fail_rng.random() < pc:
-                        # No checksum without the protocol: the garbage put
-                        # is modeled as lost at the NIC, never applied.
-                        tm.puts_corrupted += 1
-                        if trc is not None:
-                            trc.fault(t, r, "put_corrupted", dst=q)
-                        continue
-                values = pending[local_rows]
-                meta = None
-                if trc is not None:
-                    meta = {"sent_at": t}
-                    if trace_reads:
-                        meta["vers"] = version[rk.rows[local_rows]].copy()
-                n_copies = 1
-                if dup_p and fail_rng.random() < dup_p:
-                    n_copies = 2
-                payload = (slots_q, values, meta)
-                for _ in range(n_copies):
-                    jit = net_jit(r) if sigma_net > 0 else 1.0
-                    queue.push(t + mb * jit, _MESSAGE, q, payload)
-
-        def has_live_source(rid: int, t: float) -> bool:
-            """Whether any ghost data could still reach ``rid``, now or later.
-
-            A sender counts as live while it is running or may yet restart.
-            A presumed-dead, unadopted sender does not (freeze regime:
-            nobody will ever relay its rows); an adopted one does (its
-            adopter fires its puts)."""
-            for p in senders[rid]:
-                if p in adopted_by:
-                    return True
-                if ranks[p].stopped or plan.down_forever(p, t) or presumed_dead[p]:
-                    continue
-                return True
-            return False
-
-        def wake_orphans(t: float) -> None:
-            """Resume idle eager ranks whose every data source is gone.
-
-            An eager rank parks until a message arrives; once no live
-            sender remains, none ever will — the rank must free-run
-            against its frozen ghosts (the paper's delayed-until-
-            convergence regime) to ``max_iterations`` instead of idling
-            forever under a live heartbeat chain (which would keep the
-            event loop spinning and hang the run)."""
-            if not eager:
-                return
-            for other in ranks:
-                r = other.rank
-                if (
-                    idle[r]
-                    and not other.stopped
-                    and not down(r, t)
-                    and not has_live_source(r, t)
-                ):
-                    idle[r] = False
-                    queue.push(t, _START, r, other.epoch)
-
-        def update_degraded(t: float) -> None:
-            """Open/close the degraded-mode interval on membership changes."""
-            nonlocal degraded_since
-            now_degraded = any(
-                presumed_dead[r] and r not in adopted_by
-                for r in range(self.n_ranks)
-            )
-            if now_degraded and degraded_since is None:
-                degraded_since = t
-            elif not now_degraded and degraded_since is not None:
-                tm.degraded_intervals.append((degraded_since, t))
-                degraded_since = None
-
-        def maybe_stop(t: float) -> None:
-            """Detect-mode stop check over the non-excluded reporters."""
-            nonlocal stop_broadcast
-            if termination != "detect" or stop_broadcast:
-                return
-            if has_plan and down(0, t):
-                return  # a crashed detector aggregates nothing, stops nobody
-            included = np.array(
-                [
-                    not (presumed_dead[r] and r not in adopted_by)
-                    for r in range(self.n_ranks)
-                ]
-            )
-            if float(np.sum(reported[included])) / b_norm < tol:
-                stop_broadcast = True
-                for other in ranks:
-                    delay = msg_time(1, other.rank)
-                    queue.push(t + delay, _STOP, other.rank, None)
-
-        def schedule_adoption(dead: int, t: float) -> None:
-            """Pick the lowest-ranked live neighbour and notify it."""
-            neighbours = sorted({q for q, _, _ in ranks[dead].send_plan})
-            others = [p for p in range(self.n_ranks) if p not in neighbours]
-            for p in neighbours + others:
-                if p == dead or presumed_dead[p] or ranks[p].stopped:
-                    continue
-                if down(p, t) or plan.down_forever(p, t):
-                    continue
-                queue.push(t + msg_time(1, 0), _FAIL_NOTICE, p, dead)
-                return
-
-        def declare_failed(r: int, t: float) -> None:
-            presumed_dead[r] = True
-            tm.failures_detected.append((r, t))
-            if trc is not None:
-                trc.detect(t, r, "dead")
-            update_degraded(t)
-            if self.recovery == "adopt":
-                schedule_adoption(r, t)
-            wake_orphans(t)
-            maybe_stop(t)
-
-        def release_adoption(dead: int) -> None:
-            adopter = adopted_by.pop(dead, None)
-            if adopter is not None:
-                adopters[adopter].remove(dead)
-
+        may_hang = type(self.delay).is_hung is not DelayModel.is_hung
         # Plain runs — no faults, no loss rolls, no tracing, no reliable
         # protocol, no eager/detect/heartbeat machinery, no hang-capable
-        # delay model — take the block loop below. Only START/COMMIT
-        # events can then exist, and puts never touch the heap. Every
-        # other run takes the general loop at the end.
-        plain = (
-            not has_plan
-            and not drop_p
-            and not dup_p
-            and trc is None
-            and not reliable
-            and not eager
-            and not detect
-            and not heartbeats_on
-            and not may_hang
+        # delay model — take the block loop: only START/COMMIT events can
+        # then exist, and puts never touch the heap.
+        plain = not (
+            plan or self.drop_probability or self.duplicate_probability
+            or trc is not None or self.reliable or eager
+            or termination == "detect" or heartbeats_on or may_hang
         )
-        conv_cursor = None
         if plain:
-            # One jitter stream per rank: in a plain run a rank's generator
-            # is consumed in a fixed per-iteration pattern — one machine
-            # jitter for the compute span, one network jitter per put at
-            # the commit, one machine jitter for the next overhead span —
-            # so a whole iteration's factors are one PatternJitterStream
-            # step, bit-identical to the scalar draws (a zero sigma yields
-            # 1.0 and draws nothing). A rank whose delay model draws from
-            # the same generator steps without prefetching; its
-            # ``extra_time`` draw then follows the step's factors, the
-            # scalar order.
-            fstreams = [
-                PatternJitterStream(
-                    frk.rng,
-                    [sigma_m] + [sigma_net] * len(put_plan[fr]) + [sigma_m],
-                    steps=1 if const_extra[fr] is None else 64,
-                )
-                for fr, frk in enumerate(ranks)
-            ]
-            fbuf: list = [None] * n_ranks  # current iteration's factors
-            ghosts_of = [rk.ghosts for rk in ranks]
-            rows_of = [rk.rows for rk in ranks]
-            delivered = 0
-            # The loop inlines push/pop on the heap's flat (time, seq,
-            # kind, agent, obj) tuples.
-            heap = queue._heap
-            hpush = heapq.heappush
-            hpop = heapq.heappop
-            seq = queue._seq
-            # Mailbox delivery: puts skip the heap entirely. Each directed
-            # edge keeps an in-flight list of ``(arrival, stamp, values)``
-            # records, where ``stamp`` is the seq a per-message heap push
-            # would have consumed (the counter advances identically, so
-            # every other event keeps its exact seq). Flushing the records
-            # with ``(arrival, stamp) < (t, seq)`` at the receiver's next
-            # read replicates heap pop order bit-for-bit, ties included;
-            # only the newest flushed record is scattered — a put
-            # overwrites the edge's whole fixed slot set, so the older
-            # ones were never observable between reads.
-            fire = []  # per rank: (box, mb, lo, hi) per put entry
-            in_boxes = [[] for _ in range(n_ranks)]
-            cat_rows = wp.cat_rows
-            for frk in ranks:
-                plan_r = put_plan[frk.rank]
-                entries_r, off = [], 0
-                for q, slots_q, local_rows, mb in plan_r:
-                    box: list = []
-                    entries_r.append((box, mb, off, off + local_rows.size))
-                    in_boxes[q].append((box, slots_q))
-                    off += local_rows.size
-                fire.append(entries_r)
-        # The block loop: one heap event per block iteration. A _START
-        # appears only as each rank's initial wake-up; every other event
-        # is a _COMMIT carrying the iteration's *virtual read cursor*
-        # ``(t_start, start_seq)`` — the (time, seq) a separate START
-        # event would have occupied (the seq counter advances at exactly
-        # the same processing points as in the general loop). At the pop
-        # the whole read-relax-commit span runs back to back: the mailbox
-        # cut at the virtual cursor reproduces what the relax would have
-        # seen at the START (later arrivals stay boxed), own rows are only
-        # ever written by their owner, and same-instant commits apply in
-        # virtual-cursor order — the order separate COMMIT events' seqs
-        # (assigned at their START pops) would have induced.
-        while plain and heap and not converged:
+            loop = self._block_loop(run)
+        else:
+            loop = self._general_loop(
+                run, trc, eager, termination, report_every, heartbeats_on,
+                may_hang,
+            )
+        converged, t_end, relaxations, commits_since_obs = loop
+        # Final observation, skipped via the dirty flag when no row changed
+        # since the last recorded one (recomputing would be pure waste).
+        converged = obs.finish(t_end, relaxations, commits_since_obs, converged)
+        if trc is not None:
+            trc.run_end(t_end, converged, relaxations)
+        return SimulationResult(
+            x=x,
+            converged=converged,
+            times=obs.times,
+            residual_norms=obs.residuals,
+            relaxation_counts=obs.counts,
+            iterations=np.array([rk.iterations for rk in ranks]),
+            total_time=t_end,
+            mode="eager" if eager else "async",
+            telemetry=run.tm,
+        )
+
+    def _block_loop(self, run: _AsyncRun) -> tuple:
+        """A plain run's event loop: one heap event per block iteration.
+
+        A _START appears only as each rank's initial wake-up; every other
+        event is a _COMMIT carrying the iteration's *virtual read cursor*
+        ``(t_start, start_seq)`` — the (time, seq) a separate START event
+        would have occupied (the seq counter advances at exactly the same
+        processing points as in the general loop). At the pop the whole
+        read-relax-commit span runs back to back: the mailbox cut at the
+        virtual cursor reproduces what the relax would have seen at the
+        START (later arrivals stay boxed), own rows are only ever written
+        by their owner, and same-instant commits apply in virtual-cursor
+        order — the order separate COMMIT events' seqs (assigned at their
+        START pops) would have induced.
+
+        Returns ``(converged, t_end, relaxations, commits_since_obs)``.
+        """
+        x, ranks, tm = run.x, run.ranks, run.tm
+        n_ranks = len(ranks)
+        put_plan, cat_rows, nrows_loc = run.wp.put_plan, run.wp.cat_rows, run.wp.nrows_loc
+        cbase, slow, ovbase = run.cbase, run.slow, run.ovbase
+        puts_const, const_extra = run.puts_const, run.const_extra
+        sigma_m, sigma_net = run.sigma_m, run.sigma_net
+        pend_buf, own_view, dx_buf = run.pend_buf, run.own_view, run.dx_buf
+        relax, gauss_seidel = run.relax, run.gauss_seidel
+        nat_rows, nat_beta = run.nat_rows, run.nat_beta
+        nat_relax_commit = run.nat_relax_commit
+        splans, r_vec, observe = run.splans, run.obs.r, run.obs.observe
+        tol, max_iterations = run.tol, run.max_iterations
+        observe_every = run.observe_every
+        delay = self.delay
+        # One jitter stream per rank: in a plain run a rank's generator
+        # is consumed in a fixed per-iteration pattern — one machine
+        # jitter for the compute span, one network jitter per put at
+        # the commit, one machine jitter for the next overhead span —
+        # so a whole iteration's factors are one PatternJitterStream
+        # step, bit-identical to the scalar draws (a zero sigma yields
+        # 1.0 and draws nothing). A rank whose delay model draws from
+        # the same generator steps without prefetching; its
+        # ``extra_time`` draw then follows the step's factors, the
+        # scalar order.
+        fstreams = [
+            PatternJitterStream(
+                frk.rng,
+                [sigma_m] + [sigma_net] * len(put_plan[fr]) + [sigma_m],
+                steps=1 if const_extra[fr] is None else 64,
+            )
+            for fr, frk in enumerate(ranks)
+        ]
+        fbuf: list = [None] * n_ranks  # current iteration's factors
+        ghosts_of = [rk.ghosts for rk in ranks]
+        rows_of = [rk.rows for rk in ranks]
+        delivered = 0
+        # The loop inlines push/pop on the heap's flat (time, seq,
+        # kind, agent, obj) tuples.
+        heap = run.queue._heap
+        hpush = heapq.heappush
+        hpop = heapq.heappop
+        seq = run.queue._seq
+        # Mailbox delivery: puts skip the heap entirely. Each directed
+        # edge keeps an in-flight list of ``(arrival, stamp, values)``
+        # records, where ``stamp`` is the seq a per-message heap push
+        # would have consumed (the counter advances identically, so
+        # every other event keeps its exact seq). Flushing the records
+        # with ``(arrival, stamp) < (t, seq)`` at the receiver's next
+        # read replicates heap pop order bit-for-bit, ties included;
+        # only the newest flushed record is scattered — a put
+        # overwrites the edge's whole fixed slot set, so the older
+        # ones were never observable between reads.
+        fire = []  # per rank: (box, mb, lo, hi) per put entry
+        in_boxes = [[] for _ in range(n_ranks)]
+        for frk in ranks:
+            entries_r, off = [], 0
+            for q, slots_q, local_rows, mb in put_plan[frk.rank]:
+                box: list = []
+                entries_r.append((box, mb, off, off + local_rows.size))
+                in_boxes[q].append((box, slots_q))
+                off += local_rows.size
+            fire.append(entries_r)
+        relaxations = 0
+        commits_since_obs = 0
+        t_end = 0.0
+        converged = run.obs.residuals[0] < tol
+        conv_cursor = None
+        while heap and not converged:
             ev = hpop(heap)
             if heap and heap[0][0] == ev[0]:
                 tb = ev[0]
-                run = [ev]
+                batch = [ev]
                 while heap and heap[0][0] == tb:
-                    run.append(hpop(heap))
-                run.sort(
+                    batch.append(hpop(heap))
+                batch.sort(
                     key=lambda e: e[4] if e[2] == _COMMIT else (e[0], e[1])
                 )
             else:
-                run = (ev,)
-            for ev in run:
+                batch = (ev,)
+            for ev in batch:
                 if converged:
                     break
                 t, s, kind, rid, payload = ev
@@ -1530,12 +1105,11 @@ class DistributedJacobi:
                     nat_relax_commit(nat_rows[rid], nat_beta)
                 else:
                     relax(rk)
-                    # Inlined commit_rows: the commit directly follows the
-                    # rank's own relax, so ``own_view`` still holds
-                    # ``x[rows]`` as of the take in ``relax`` (only the
-                    # owner writes its rows) — the old-value gather is
-                    # free. Gauss-Seidel relaxes in place through
-                    # ``own_view``, so it re-gathers.
+                    # The commit directly follows the rank's own relax, so
+                    # ``own_view`` still holds ``x[rows]`` as of the take
+                    # in ``relax`` (only the owner writes its rows) — the
+                    # old-value gather is free. Gauss-Seidel relaxes in
+                    # place through ``own_view``, so it re-gathers.
                     if gauss_seidel:
                         x.take(rows_of[rid], out=own_view[rid])
                     np.subtract(pb, own_view[rid], out=dx_buf[rid])
@@ -1555,11 +1129,7 @@ class DistributedJacobi:
                 commits_since_obs += 1
                 if commits_since_obs >= observe_every:
                     commits_since_obs = 0
-                    res = observe_residual()
-                    times.append(t)
-                    residuals.append(res)
-                    counts.append(relaxations)
-                    if res < tol:
+                    if observe(t, relaxations) < tol:
                         converged = True
                         # Measure-zero caveat: a message arriving at
                         # *exactly* this event's time counts against this
@@ -1577,7 +1147,7 @@ class DistributedJacobi:
                 # draw positions the general loop uses.
                 ce = const_extra[rid]
                 if ce is None:
-                    ce = self.delay.extra_time(rid, rk.iterations, rk.rng)
+                    ce = delay.extra_time(rid, rk.iterations, rk.rng)
                 nts = t + ((ovbase * f[-1] + puts_const[rid]) * slow[rid] + ce)
                 nsv = seq
                 seq += 1
@@ -1588,24 +1158,442 @@ class DistributedJacobi:
                      (nts, nsv)),
                 )
                 seq += 1
-        if plain:
-            queue._seq = seq
-            # Messages still boxed at exit: a drained heap means per-put
-            # events would all have been popped (delivered); a convergence
-            # exit delivers exactly those that arrival-precede the
-            # converging commit event.
-            if conv_cursor is not None:
-                ct, cs = conv_cursor
-                for fent in fire:
-                    for box, _mb, _lo, _hi in fent:
-                        for e in box:
-                            if e[0] < ct or (e[0] == ct and e[1] < cs):
-                                delivered += 1
-            elif not converged:
-                for fent in fire:
-                    for box, _mb, _lo, _hi in fent:
-                        delivered += len(box)
-            tm.puts_delivered += delivered
+        # Messages still boxed at exit: a drained heap means per-put
+        # events would all have been popped (delivered); a convergence
+        # exit delivers exactly those that arrival-precede the
+        # converging commit event.
+        if conv_cursor is not None:
+            ct, cs = conv_cursor
+            for fent in fire:
+                for box, _mb, _lo, _hi in fent:
+                    for e in box:
+                        if e[0] < ct or (e[0] == ct and e[1] < cs):
+                            delivered += 1
+        elif not converged:
+            for fent in fire:
+                for box, _mb, _lo, _hi in fent:
+                    delivered += len(box)
+        tm.puts_delivered += delivered
+        return converged, t_end, relaxations, commits_since_obs
+
+    def _attach_read_maps(self, ranks) -> np.ndarray:
+        """Set up read-version capture; returns the global commit ledger.
+
+        Each rank gets its ghost values' versions and each local row's
+        neighbor layout, split into own-block columns and ghost slots.
+        """
+        owner = self.decomposition.labels
+        for rk in ranks:
+            slots = {int(g): i for i, g in enumerate(rk.ghost_cols)}
+            rk.ghost_ver = np.zeros(rk.ghost_cols.size, dtype=np.int64)
+            rk.read_map = []
+            for g in rk.rows:
+                nbrs = [int(j) for j in self.A.neighbors(int(g))]
+                rk.read_map.append((
+                    [j for j in nbrs if owner[j] == rk.rank],
+                    [(j, slots[j]) for j in nbrs if owner[j] != rk.rank],
+                ))
+        return np.zeros(self.n, dtype=np.int64)
+
+    def _general_loop(
+        self, run: _AsyncRun, trc, eager: bool, termination: str,
+        report_every: int, heartbeats_on: bool, may_hang: bool,
+    ) -> tuple:
+        """Every other run's event loop: one START and one COMMIT event per
+        block iteration plus the protocol traffic, one event per pop.
+
+        The fault plan, loss rolls, reliable puts, heartbeats, adoption,
+        eager waits, termination detection and tracing live here as
+        closures over state only this loop builds.
+
+        Returns ``(converged, t_end, relaxations, commits_since_obs)``.
+        """
+        x, ranks, queue, tm = run.x, run.ranks, run.queue, run.tm
+        n_ranks = self.n_ranks
+        net = self.cluster.network
+        plan = self.fault_plan
+        reliable = self.reliable
+        fs = self.fault_seed if self.fault_seed is not None else plan.seed
+        if fs is None and self.seed is not None:
+            fs = int(self.seed) ^ 0x5EED
+        fail_rng = as_rng(fs)
+        lat, lat_in, tpv = net.latency, net.intra_node_latency, net.time_per_value
+        node_of = [r // self.ranks_per_node for r in range(n_ranks)]
+        cbase, slow, ovbase = run.cbase, run.slow, run.ovbase
+        puts_const, const_extra = run.puts_const, run.const_extra
+        sigma_m, sigma_net = run.sigma_m, run.sigma_net
+        has_plan = bool(plan)
+        drop_p = self.drop_probability
+        dup_p = self.duplicate_probability
+        detect = termination == "detect"
+        put_plan = run.wp.put_plan
+        pend_buf, dx_buf = run.pend_buf, run.dx_buf
+        splans, r_vec, observe = run.splans, run.obs.r, run.obs.observe
+        relax, block_residual = run.relax, run.block_residual
+        tol, max_iterations = run.tol, run.max_iterations
+        observe_every = run.observe_every
+        down = plan.is_down
+
+        def local_residual_norm(rk: _Rank) -> float:
+            """Block residual 1-norm from the rank's current (stale) view."""
+            mv = block_residual(rk)
+            return float(np.sum(np.abs(mv, out=mv)))
+
+        # Chunked standard-normal streams: a rank's generator serves both
+        # machine jitter (sigma_m) and network jitter (sigma_net), so the
+        # raw normals are chunked and ``exp(sigma * z)`` applied per draw
+        # (bit-identical to scalar ``lognormal``; see
+        # :class:`~repro.runtime.engine.NormalStream`). A rank whose delay
+        # model draws from the same generator draws one normal per call.
+        streams = [
+            NormalStream(rk.rng, chunk=512 if const_extra[rk.rank] is not None else 1)
+            for rk in ranks
+        ]
+
+        def mjit(r: int) -> float:
+            return math.exp(sigma_m * streams[r].next()) if sigma_m > 0 else 1.0
+
+        def compute_time(rk: _Rank) -> float:
+            return cbase[rk.rank] * mjit(rk.rank) * slow[rk.rank]
+
+        def overhead_time(rk: _Rank) -> float:
+            r = rk.rank
+            base = ovbase * mjit(r)  # drawn before any delay-model draw
+            ce = const_extra[r]
+            if ce is None:
+                ce = self.delay.extra_time(r, rk.iterations, rk.rng)
+            return (base + puts_const[r]) * slow[r] + ce
+
+        def net_jit(r: int) -> float:
+            return math.exp(sigma_net * streams[r].next()) if sigma_net > 0 else 1.0
+
+        def msg_time(n_values: int, r: int, intra: bool = False) -> float:
+            return ((lat_in if intra else lat) + n_values * tpv) * net_jit(r)
+
+        trace_reads = trc is not None and trc.trace_reads
+        version = self._attach_read_maps(ranks) if trace_reads else None
+
+        def commit_rows(block: _Rank) -> None:
+            """Publish a block's pending update, maintaining the residual."""
+            r = block.rank
+            dx = x.take(block.rows, out=dx_buf[r])
+            np.subtract(pend_buf[r], dx, out=dx)
+            x[block.rows] = pend_buf[r]
+            splans[r].apply(r_vec, dx)
+            if version is not None:
+                version[block.rows] += 1
+
+        def capture_reads(block: _Rank) -> None:
+            """Snapshot the versions this relaxation reads (at START)."""
+            reads = []
+            for own, ghost in block.read_map:
+                d = {j: int(version[j]) for j in own}
+                for j, slot in ghost:
+                    d[j] = int(block.ghost_ver[slot])
+                reads.append(d)
+            block.pending_reads = reads
+
+        def emit_relax(block: _Rank, t: float) -> None:
+            """Relax event for one block commit (staleness measured pre-bump)."""
+            if trace_reads:
+                stale = [
+                    max((int(version[j]) - v for j, v in d.items()), default=0)
+                    for d in block.pending_reads
+                ]
+                trc.relax(
+                    t, block.rank, block.rows,
+                    reads=block.pending_reads, staleness=stale,
+                )
+            else:
+                trc.relax(t, block.rank, block.rows)
+
+        relaxations = 0
+        commits_since_obs = 0
+        converged = run.obs.residuals[0] < tol
+        t_end = 0.0
+
+        # Eager-mode bookkeeping: has rank seen fresh data since last relax?
+        fresh = [True] * n_ranks
+        idle = [False] * n_ranks
+        # Incoming-neighbour sets: which ranks put into rid's ghost layer.
+        senders = [set() for _ in range(n_ranks)]
+        for rk in ranks:
+            for q, _, _ in rk.send_plan:
+                senders[q].add(rk.rank)
+        # Termination detection state (rank 0 is the detector).
+        b_norm = run.wp.b_norm1 or 1.0
+        reported = np.full(n_ranks, np.inf)
+        if detect:
+            reported[:] = [local_residual_norm(rk) for rk in ranks]
+        stop_broadcast = False
+
+        # Heartbeat failure detection (rank 0 is also the detector).
+        hb_interval = self.heartbeat_interval
+        if hb_interval is None:
+            hb_interval = 10.0 * (self.cluster.node.iteration_overhead + 2.0 * lat)
+        hb_timeout = self.heartbeat_miss * hb_interval
+        last_hb = [0.0] * n_ranks
+        hb_chain_alive = [False] * n_ranks
+        hb_stopped = False  # set once the run is quiescent; chains then end
+        presumed_dead = [False] * n_ranks
+        adopted_by: dict = {}  # dead rank -> adopter rank
+        adopters: dict = {}  # adopter rank -> [dead ranks]
+        adopt_snapshot: dict = {}  # adopter rank -> dead ranks read at START
+        degraded_since = None
+        if heartbeats_on:
+            for rk in ranks:
+                hb_chain_alive[rk.rank] = True
+                queue.push(
+                    float(rk.rng.random()) * hb_interval, _HEARTBEAT, rk.rank, None
+                )
+            queue.push(hb_interval, _HB_CHECK, 0, None)
+
+        # Reliable-put protocol state, keyed by directed channel (src, dst).
+        next_seq: dict = {}  # channel -> next sequence number
+        applied_seq: dict = {}  # channel -> newest applied sequence number
+        outstanding: dict = {}  # channel -> {seq: [slots, values, attempts, rto]}
+
+        # Mailbox delivery in the general loop: each arriving put is
+        # recorded per directed edge (the ``slots`` arrays are per-edge
+        # singletons, so ``id(slots)`` keys them) and the lot is applied in
+        # one pass right before the receiver's next read. Protocol work —
+        # acks, dedup, traces, telemetry, eager wake-ups — stays at arrival
+        # time, so only the memory traffic moves. Newest-record-wins
+        # matches per-put scatter order because each put on an edge covers
+        # the edge's full slot set and distinct edges touch disjoint ghost
+        # slots.
+        pend_scatter = [dict() for _ in range(n_ranks)]
+
+        def flush_ghosts(block: _Rank) -> None:
+            """Apply the block's pending ghost scatters in one pass."""
+            ps = pend_scatter[block.rank]
+            if not ps:
+                return
+            gh = block.ghosts
+            gv = block.ghost_ver
+            for slots, values, vers in ps.values():
+                gh[slots] = values
+                if vers is not None:
+                    # maximum.at keeps the newest version even if a stale
+                    # retransmit were ever recorded behind a fresher one.
+                    np.maximum.at(gv, slots, vers)
+            ps.clear()
+
+        def resync_ghosts(block: _Rank) -> None:
+            """Re-read the block's ghost layer from the committed state; the
+            re-sync supersedes anything still boxed for it."""
+            if block.ghost_cols.size:
+                block.ghosts[:] = x[block.ghost_cols]
+                if trace_reads:
+                    block.ghost_ver[:] = version[block.ghost_cols]
+                pend_scatter[block.rank].clear()
+
+        def control_lost(src: int, dst: int, t: float) -> bool:
+            """Loss roll for a small control message (ack/heartbeat/report)."""
+            if plan.blocks_message(src, dst, t):
+                return True
+            p = drop_p
+            burst = plan.drop_probability(src, t)
+            if burst:
+                p = 1.0 - (1.0 - p) * (1.0 - burst)
+            return bool(p) and fail_rng.random() < p
+
+        def put_lost(p: int, q: int, t: float) -> bool:
+            """Loss rolls for one put in a fixed short-circuit order: the
+            base drop probability, a partition, then the plan's drop burst."""
+            if drop_p and fail_rng.random() < drop_p:
+                return True
+            if not has_plan:
+                return False
+            if plan.blocks_message(p, q, t):
+                return True
+            pb = plan.drop_probability(p, t)
+            return bool(pb) and fail_rng.random() < pb
+
+        def transmit(ch, seq: int, rec, t: float) -> None:
+            """One (re)transmission of a reliable put + its retry timer."""
+            p, q = ch
+            slots_q, values, timeout = rec[0], rec[1], rec[3]
+            if trc is not None:
+                trc.send(t, p, q, values.size, seq=seq)
+            pc = plan.corrupt_probability(p, t)
+            corrupted = bool(pc) and fail_rng.random() < pc
+            intra = node_of[p] == node_of[q]
+            if put_lost(p, q, t):
+                tm.puts_dropped += 1
+                if trc is not None:
+                    trc.fault(t, p, "put_dropped", dst=q)
+            else:
+                meta = None
+                if trc is not None:
+                    meta = {"sent_at": t}
+                    if rec[4] is not None:
+                        meta["vers"] = rec[4]
+                arrival = t + msg_time(values.size, p, intra)
+                queue.push(
+                    arrival, _MESSAGE, q, (p, seq, slots_q, values, corrupted, meta)
+                )
+                if dup_p and fail_rng.random() < dup_p:
+                    arrival = t + msg_time(values.size, p, intra)
+                    queue.push(
+                        arrival, _MESSAGE, q,
+                        (p, seq, slots_q, values, corrupted, meta),
+                    )
+            queue.push(t + timeout, _RETRY, p, (q, seq))
+
+        def fire_puts(rk: _Rank, t: float) -> None:
+            r = rk.rank
+            entries = put_plan[r]
+            pending = pend_buf[r]
+            if reliable:
+                for q, slots_q, local_rows, _mb in entries:
+                    # The put carries the just-committed values, so their
+                    # versions are snapshotted once; retransmissions resend
+                    # the same payload. The fancy index is itself a fresh
+                    # array — the payload's one unavoidable allocation.
+                    vers = version[rk.rows[local_rows]].copy() if trace_reads else None
+                    ch = (r, q)
+                    seq = next_seq.get(ch, 0)
+                    next_seq[ch] = seq + 1
+                    tm.puts_sent += 1
+                    # Base retransmission timeout: a generous round-trip
+                    # multiple unless given.
+                    timeout = self.ack_timeout
+                    if timeout is None:
+                        timeout = 6.0 * (2.0 * lat + local_rows.size * tpv)
+                    rec = [slots_q, pending[local_rows], 0, timeout, vers]
+                    outstanding.setdefault(ch, {})[seq] = rec
+                    transmit(ch, seq, rec, t)
+                return
+            # Fire-and-forget RMA puts (RNG call order kept bit-identical to
+            # the legacy loop; an inactive network jitter's factor is 1.0).
+            for q, slots_q, local_rows, mb in entries:
+                tm.puts_sent += 1
+                if trc is not None:
+                    trc.send(t, r, q, local_rows.size)
+                if put_lost(r, q, t):
+                    tm.puts_dropped += 1
+                    if trc is not None:
+                        trc.fault(t, r, "put_dropped", dst=q)
+                    continue
+                if has_plan:
+                    pc = plan.corrupt_probability(r, t)
+                    if pc and fail_rng.random() < pc:
+                        # No checksum without the protocol: the garbage put
+                        # is modeled as lost at the NIC, never applied.
+                        tm.puts_corrupted += 1
+                        if trc is not None:
+                            trc.fault(t, r, "put_corrupted", dst=q)
+                        continue
+                values = pending[local_rows]
+                meta = None
+                if trc is not None:
+                    meta = {"sent_at": t}
+                    if trace_reads:
+                        meta["vers"] = version[rk.rows[local_rows]].copy()
+                n_copies = 1
+                if dup_p and fail_rng.random() < dup_p:
+                    n_copies = 2
+                payload = (slots_q, values, meta)
+                for _ in range(n_copies):
+                    queue.push(t + mb * net_jit(r), _MESSAGE, q, payload)
+
+        def has_live_source(rid: int, t: float) -> bool:
+            """Whether any ghost data could still reach ``rid``, now or later.
+
+            A sender counts as live while it is running or may yet restart.
+            A presumed-dead, unadopted sender does not (freeze regime:
+            nobody will ever relay its rows); an adopted one does (its
+            adopter fires its puts)."""
+            for p in senders[rid]:
+                if p in adopted_by:
+                    return True
+                if ranks[p].stopped or plan.down_forever(p, t) or presumed_dead[p]:
+                    continue
+                return True
+            return False
+
+        def wake_orphans(t: float) -> None:
+            """Resume idle eager ranks whose every data source is gone.
+
+            An eager rank parks until a message arrives; once no live
+            sender remains, none ever will — the rank must free-run
+            against its frozen ghosts (the paper's delayed-until-
+            convergence regime) to ``max_iterations`` instead of idling
+            forever under a live heartbeat chain (which would keep the
+            event loop spinning and hang the run)."""
+            if not eager:
+                return
+            for other in ranks:
+                r = other.rank
+                if (
+                    idle[r]
+                    and not other.stopped
+                    and not down(r, t)
+                    and not has_live_source(r, t)
+                ):
+                    idle[r] = False
+                    queue.push(t, _START, r, other.epoch)
+
+        def update_degraded(t: float) -> None:
+            """Open/close the degraded-mode interval on membership changes."""
+            nonlocal degraded_since
+            now_degraded = any(
+                presumed_dead[r] and r not in adopted_by
+                for r in range(n_ranks)
+            )
+            if now_degraded and degraded_since is None:
+                degraded_since = t
+            elif not now_degraded and degraded_since is not None:
+                tm.degraded_intervals.append((degraded_since, t))
+                degraded_since = None
+
+        def maybe_stop(t: float) -> None:
+            """Detect-mode stop check over the non-excluded reporters."""
+            nonlocal stop_broadcast
+            if not detect or stop_broadcast:
+                return
+            if has_plan and down(0, t):
+                return  # a crashed detector aggregates nothing, stops nobody
+            included = np.array(
+                [
+                    not (presumed_dead[r] and r not in adopted_by)
+                    for r in range(n_ranks)
+                ]
+            )
+            if float(np.sum(reported[included])) / b_norm < tol:
+                stop_broadcast = True
+                for other in ranks:
+                    delay = msg_time(1, other.rank)
+                    queue.push(t + delay, _STOP, other.rank, None)
+
+        def schedule_adoption(dead: int, t: float) -> None:
+            """Pick the lowest-ranked live neighbour and notify it."""
+            neighbours = sorted({q for q, _, _ in ranks[dead].send_plan})
+            others = [p for p in range(n_ranks) if p not in neighbours]
+            for p in neighbours + others:
+                if p == dead or presumed_dead[p] or ranks[p].stopped:
+                    continue
+                if down(p, t) or plan.down_forever(p, t):
+                    continue
+                queue.push(t + msg_time(1, 0), _FAIL_NOTICE, p, dead)
+                return
+
+        def declare_failed(r: int, t: float) -> None:
+            presumed_dead[r] = True
+            tm.failures_detected.append((r, t))
+            if trc is not None:
+                trc.detect(t, r, "dead")
+            update_degraded(t)
+            if self.recovery == "adopt":
+                schedule_adoption(r, t)
+            wake_orphans(t)
+            maybe_stop(t)
+
+        def release_adoption(dead: int) -> None:
+            adopter = adopted_by.pop(dead, None)
+            if adopter is not None:
+                adopters[adopter].remove(dead)
 
         while queue and not converged:
             t, kind, rid, payload = queue.pop()
@@ -1641,12 +1629,7 @@ class DistributedJacobi:
                     slots, values, meta = payload
                     src = seq = None
                 # The landing: the ghost scatter IS the one-sided RMA write.
-                vers = (
-                    meta["vers"]
-                    if trace_reads and meta is not None
-                    and meta.get("vers") is not None
-                    else None
-                )
+                vers = meta.get("vers") if trace_reads and meta else None
                 pend_scatter[rid][id(slots)] = (slots, values, vers)
                 tm.puts_delivered += 1
                 if trc is not None:
@@ -1724,7 +1707,7 @@ class DistributedJacobi:
                 continue
             if kind == _HB_CHECK:
                 if not down(0, t):
-                    for r in range(1, self.n_ranks):
+                    for r in range(1, n_ranks):
                         if presumed_dead[r] or ranks[r].stopped:
                             continue
                         if t - last_hb[r] > hb_timeout:
@@ -1757,12 +1740,7 @@ class DistributedJacobi:
                 if rk.stopped:
                     continue
                 rk.epoch += 1  # invalidate the pre-crash incarnation's events
-                if rk.ghost_cols.size:
-                    rk.ghosts[:] = x[rk.ghost_cols]  # ghost re-sync
-                    if trace_reads:
-                        rk.ghost_ver[:] = version[rk.ghost_cols]
-                    # Pre-crash arrivals are superseded by the re-sync.
-                    pend_scatter[rid].clear()
+                resync_ghosts(rk)
                 tm.restarts.append((rid, t))
                 if trc is not None:
                     trc.fault(t, rid, "restart")
@@ -1783,13 +1761,7 @@ class DistributedJacobi:
                     continue
                 adopted_by[dead] = rid
                 adopters.setdefault(rid, []).append(dead)
-                drk = ranks[dead]
-                if drk.ghost_cols.size:
-                    drk.ghosts[:] = x[drk.ghost_cols]  # ghost re-sync
-                    if trace_reads:
-                        drk.ghost_ver[:] = version[drk.ghost_cols]
-                    # The re-sync supersedes anything boxed.
-                    pend_scatter[dead].clear()
+                resync_ghosts(ranks[dead])
                 tm.adoptions.append((dead, rid, t))
                 if trc is not None:
                     trc.detect(t, dead, "adopted")
@@ -1848,12 +1820,7 @@ class DistributedJacobi:
                     # Hosting an adopted block: refresh its ghost layer from
                     # the committed state, relax it, pay its compute time.
                     drk = ranks[d]
-                    if drk.ghost_cols.size:
-                        drk.ghosts[:] = x[drk.ghost_cols]
-                        if trace_reads:
-                            drk.ghost_ver[:] = version[drk.ghost_cols]
-                        # The re-sync supersedes anything boxed.
-                        pend_scatter[d].clear()
+                    resync_ghosts(drk)
                     relax(drk)
                     if trace_reads:
                         capture_reads(drk)
@@ -1885,13 +1852,8 @@ class DistributedJacobi:
                 commits_since_obs += 1 + len(snap)
                 if commits_since_obs >= observe_every:
                     commits_since_obs = 0
-                    res = observe_residual()
-                    times.append(t)
-                    residuals.append(res)
-                    counts.append(relaxations)
-                    if trc is not None:
-                        trc.observe(t, res, relaxations)
-                    if termination == "count" and res < tol:
+                    res = observe(t, relaxations)
+                    if not detect and res < tol:
                         converged = True
                         if trc is not None:
                             trc.convergence(t, res, tol)
@@ -1904,33 +1866,7 @@ class DistributedJacobi:
 
         if degraded_since is not None:
             tm.degraded_intervals.append((degraded_since, max(t_end, degraded_since)))
-        # Final observation, skipped via the dirty flag when no row changed
-        # since the last recorded one (recomputing would be pure waste).
-        if commits_since_obs:
-            res = observe_residual()
-            times.append(max(t_end, times[-1]))
-            residuals.append(res)
-            counts.append(relaxations)
-            if trc is not None:
-                trc.observe(times[-1], res, relaxations)
-                if not converged and res < tol:
-                    trc.convergence(times[-1], res, tol)
-        else:
-            res = residuals[-1]
-        converged = converged or res < tol
-        if trc is not None:
-            trc.run_end(t_end, converged, relaxations)
-        return SimulationResult(
-            x=x,
-            converged=converged,
-            times=times,
-            residual_norms=residuals,
-            relaxation_counts=counts,
-            iterations=np.array([rk.iterations for rk in ranks]),
-            total_time=t_end,
-            mode="eager" if eager else "async",
-            telemetry=tm,
-        )
+        return converged, t_end, relaxations, commits_since_obs
 
     # ------------------------------------------------------------------
     def run_sync(
@@ -1966,7 +1902,7 @@ class DistributedJacobi:
                 self, x0=x0, tol=tol, max_iterations=max_iterations
             )
         check_positive(tol, "tol")
-        A, b, dinv = self.A, self.b, self.dinv
+        dinv = self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
         ranks = self._compile_ranks()
         net = self.cluster.network
@@ -2079,24 +2015,15 @@ class DistributedJacobi:
                 return compute, comm
 
         wp = self._warm_plan(ranks)
-        b_norm = wp.b_norm1
-        abs_scratch = wp.abs_scratch
-
-        def relnorm(res_vec) -> float:
-            # vector_norm(res_vec, 1) without a fresh n-float temporary.
-            num = float(np.sum(np.abs(res_vec, out=abs_scratch)))
-            return num / b_norm if b_norm > 0 else num
-
         mom_beta = self.method.beta
         mom_prev = x.copy() if self.method.kind == "momentum" else None
         # One SpMV per sweep in the Jacobi branch: the residual driving the
-        # update doubles as the previous sweep's convergence check. It is
-        # consumed before the next sweep recomputes it, so one buffer
-        # serves the whole run.
-        residual = self._residual_fn()
-        r = residual(x, np.empty(self.n))
-        res0 = relnorm(r)
-        times, residuals, counts = [0.0], [res0], [0]
+        # update doubles as the previous sweep's convergence check (a
+        # drift-free observer recomputes it at every observation). It is
+        # consumed before the next sweep recomputes it, so the observer's
+        # one buffer serves the whole run.
+        obs = ResidualObserver(self._residual_fn(), x, wp.b_norm1, tol, 1)
+        r = obs.r
         t = 0.0
         relaxations = 0
         k = 0
@@ -2104,7 +2031,7 @@ class DistributedJacobi:
         v_steps = 8
         comp_buf: list = []
         comm_buf: list = []
-        converged = res0 < tol
+        converged = obs.residuals[0] < tol
         while not converged and k < max_iterations:
             if vec:
                 if vi >= vn:
@@ -2139,17 +2066,13 @@ class DistributedJacobi:
                     x[rk.rows] = new
             relaxations += self.n
             k += 1
-            res = relnorm(residual(x, r))
-            times.append(t)
-            residuals.append(res)
-            counts.append(relaxations)
-            converged = res < tol
+            converged = obs.observe(t, relaxations) < tol
         return SimulationResult(
             x=x,
             converged=converged,
-            times=times,
-            residual_norms=residuals,
-            relaxation_counts=counts,
+            times=obs.times,
+            residual_norms=obs.residuals,
+            relaxation_counts=obs.counts,
             iterations=np.full(self.n_ranks, k),
             total_time=t,
             mode="sync",
