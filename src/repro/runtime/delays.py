@@ -64,9 +64,11 @@ class ConstantDelay(DelayModel):
         self.delays = {int(a): check_nonnegative(d, f"delay[{a}]") for a, d in delays.items()}
 
     def extra_time(self, agent: int, iteration: int, rng) -> float:
+        """The agent's fixed sleep (0.0 for agents without one)."""
         return self.delays.get(agent, 0.0)
 
     def constant_extra(self, agent: int) -> float:
+        """The agent's fixed sleep: always a constant, no RNG draws."""
         return self.delays.get(agent, 0.0)
 
 
@@ -104,6 +106,7 @@ class HangDelay(DelayModel):
         }
 
     def is_hung(self, agent: int, time: float) -> bool:
+        """Whether ``time`` is at or past the agent's hang time."""
         t = self.hang_times.get(agent)
         return t is not None and time >= t
 
@@ -121,6 +124,7 @@ class StochasticStall(DelayModel):
         self.agents = None if agents is None else {int(a) for a in agents}
 
     def extra_time(self, agent: int, iteration: int, rng) -> float:
+        """A stall drawn from ``rng`` with probability ``prob``, else 0.0."""
         if self.agents is not None and agent not in self.agents:
             return 0.0
         if rng.random() < self.prob:
@@ -128,6 +132,7 @@ class StochasticStall(DelayModel):
         return 0.0
 
     def constant_extra(self, agent: int) -> float | None:
+        """0.0 for agents outside ``agents``; ``None`` (stochastic) otherwise."""
         # Non-members return 0.0 without touching the RNG; members draw
         # every iteration (even with prob == 0 the roll is consumed).
         if self.agents is not None and agent not in self.agents:
@@ -149,6 +154,7 @@ class PlanDelay(DelayModel):
         self.plan = plan
 
     def is_hung(self, agent: int, time: float) -> bool:
+        """Whether the plan has the agent inside a crash window at ``time``."""
         return self.plan.is_down(agent, time)
 
 
@@ -159,12 +165,15 @@ class CompositeDelay(DelayModel):
         self.models = list(models)
 
     def extra_time(self, agent: int, iteration: int, rng) -> float:
+        """The sum of every component's extra time, drawn in order."""
         return sum(m.extra_time(agent, iteration, rng) for m in self.models)
 
     def is_hung(self, agent: int, time: float) -> bool:
+        """Whether any component has the agent hung at ``time``."""
         return any(m.is_hung(agent, time) for m in self.models)
 
     def constant_extra(self, agent: int) -> float | None:
+        """The components' constants summed, or ``None`` if any is stochastic."""
         # ``sum()`` in extra_time folds left-to-right from 0; mirror that
         # exactly so the constant is bit-identical to the live call.
         total = 0.0

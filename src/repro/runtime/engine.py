@@ -72,9 +72,11 @@ class HeapEventQueue:
         return self._now
 
     def __len__(self) -> int:
+        """Number of pending events."""
         return len(self._heap)
 
     def __bool__(self) -> bool:
+        """Whether any event is pending."""
         return bool(self._heap)
 
     def push(self, time: float, kind: int, agent: int, obj=None) -> None:
