@@ -95,7 +95,7 @@ def _sync_rate(A: CSRMatrix, alpha: float, steps: int, tail: int) -> float:
         tol=np.finfo(float).tiny,
         max_steps=steps,
         residual_norm_ord=2,
-        residual_mode="full",
+        recompute_every=1,
     )
     res = np.asarray(result.residual_norms)
     k0 = len(res) - 1 - tail

@@ -300,7 +300,7 @@ def replay_report(
             max_steps=len(steps),
             record_every=1,
             residual_norm_ord=1,
-            residual_mode="full",
+            recompute_every=1,
         )
     except ScheduleError:
         report.valid_sequence = False

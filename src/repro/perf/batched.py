@@ -16,6 +16,9 @@ through :class:`~repro.core.model.AsyncJacobiModel`:
   ``subtract_columns_update``) accumulate each column in exactly the
   per-column nnz order of their 1-D counterparts (a single flattened
   ``bincount`` with bins ``row * T + trial``);
+* SOR at ``recompute_every=1`` sweeps each trial's column with the 1-D
+  kernel itself (:func:`~repro.methods.kernels.sor_step_dense`), so every
+  row sum is the sequential executor's ``vals @ x[cols]``;
 * per-trial 1-norms reduce along the contiguous axis of one transposed
   copy, where NumPy's pairwise summation blocks exactly as it does on
   the sequential path's 1-D vectors (other orders fall back to
@@ -39,6 +42,7 @@ from repro.core.model import AsyncJacobiModel, ModelResult
 from repro.core.schedules import Schedule
 from repro.matrices.sparse import CSRMatrix
 from repro.methods import make_method
+from repro.methods.kernels import sor_step_dense
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.norms import vector_norm
 from repro.util.validation import (
@@ -131,14 +135,13 @@ class BatchedAsyncJacobiModel:
         max_time: float = float("inf"),
         record_every: int = 1,
         residual_norm_ord=1,
-        residual_mode: str = "incremental",
         recompute_every: int = 64,
     ) -> BatchedModelResult:
         """Execute all trials against one shared ``schedule``.
 
         Semantics per trial are exactly :meth:`AsyncJacobiModel.run` with
         ``b = B[:, t]`` and ``x0 = X0[:, t]``: same stopping rules, same
-        history resolution, same residual modes — and bitwise-identical
+        history resolution, same residual cadence — and bitwise-identical
         arithmetic. A trial that converges is frozen while the others run
         on; the shared step counter and model time advance identically to
         each trial's sequential run.
@@ -147,10 +150,6 @@ class BatchedAsyncJacobiModel:
         max_steps = check_nonnegative_int(max_steps, "max_steps")
         record_every = check_positive_int(record_every, "record_every")
         recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
-        if residual_mode not in ("incremental", "full"):
-            raise ValueError(
-                f"residual_mode must be 'incremental' or 'full', got {residual_mode!r}"
-            )
         if schedule.n != self.n:
             raise ShapeError(
                 f"schedule is for n={schedule.n}, matrix has n={self.n}"
@@ -164,9 +163,9 @@ class BatchedAsyncJacobiModel:
             if X.shape != (n, T):
                 raise ShapeError(f"X0 must have shape {(n, T)}, got {X.shape}")
             X = X.copy()
-        incremental = residual_mode == "incremental"
         scaled = self.method.is_scaled
         sequential = self.method.kind == "sequential"
+        drift_free = recompute_every == 1
         beta = self.method.beta
         momentum = self.method.kind == "momentum"
 
@@ -231,11 +230,16 @@ class BatchedAsyncJacobiModel:
                     break
                 rows = step.rows
                 if rows.size:
-                    if incremental:
-                        if scaled:
-                            DX = dinv[rows, None] * Rw[rows]
-                            Xw[rows] += DX
-                        elif sequential:
+                    if scaled:
+                        DX = dinv[rows, None] * Rw[rows]
+                        Xw[rows] += DX
+                    elif sequential:
+                        if drift_free:
+                            # Each trial sweeps with the 1-D kernel itself,
+                            # so its row sums match the sequential executor.
+                            for t in range(Xw.shape[1]):
+                                sor_step_dense(A, Bw[:, t], dinv, Xw[:, t], rows)
+                        else:
                             # Row-at-a-time chain of single-row incremental
                             # steps (all trials advance together); Rw stays
                             # maintained, so no tail scatter below.
@@ -246,53 +250,37 @@ class BatchedAsyncJacobiModel:
                                 A.subtract_columns_update(
                                     Rw, rows[j : j + 1], DXi[None, :]
                                 )
-                        else:
-                            DX = dinv[rows, None] * Rw[rows] + beta * (
-                                Xw[rows] - Xp[rows]
-                            )
-                            Xp[rows] = Xw[rows]
-                            Xw[rows] += DX
-                        if rows.size >= n // 2:
-                            # Dense step: recompute exactly, as the
-                            # sequential executor does.
-                            Rw = Bw - A.matmat(Xw)
-                            since[:] = 0
-                        elif sequential:
-                            since += 1
-                        else:
-                            A.subtract_columns_update(Rw, rows, DX)
-                            since += 1
-                    elif scaled:
-                        RR = Bw[rows] - A.row_matvec(rows, Xw)
-                        Xw[rows] += dinv[rows, None] * RR
-                    elif sequential:
-                        for j in range(rows.size):
-                            i = rows[j]
-                            RRi = Bw[i] - A.row_matvec(rows[j : j + 1], Xw)[0]
-                            Xw[i] += dinv[i] * RRi
                     else:
-                        RR = Bw[rows] - A.row_matvec(rows, Xw)
-                        DX = dinv[rows, None] * RR + beta * (Xw[rows] - Xp[rows])
+                        DX = dinv[rows, None] * Rw[rows] + beta * (
+                            Xw[rows] - Xp[rows]
+                        )
                         Xp[rows] = Xw[rows]
                         Xw[rows] += DX
+                    if rows.size >= n // 2:
+                        # Dense step: recompute exactly, as the
+                        # sequential executor does.
+                        Rw = Bw - A.matmat(Xw)
+                        since[:] = 0
+                    elif sequential or drift_free:
+                        since += 1
+                    else:
+                        A.subtract_columns_update(Rw, rows, DX)
+                        since += 1
                     relax_live += rows.size
                 steps_done += 1
-                if incremental and recompute_every and since.max() >= recompute_every:
+                if recompute_every and since.max() >= recompute_every:
                     stale = np.nonzero(since >= recompute_every)[0]
                     Rw[:, stale] = Bw[:, stale] - A.matmat(Xw[:, stale])
                     since[stale] = 0
                 if steps_done % record_every == 0:
-                    if incremental:
+                    res = live_relnorms(Rw)
+                    hit = np.nonzero(res < tol)[0]
+                    if hit.size:
+                        # Confirm crossings against fresh residuals,
+                        # per trial, exactly as the sequential path.
+                        Rw[:, hit] = Bw[:, hit] - A.matmat(Xw[:, hit])
+                        since[hit] = 0
                         res = live_relnorms(Rw)
-                        hit = np.nonzero(res < tol)[0]
-                        if hit.size:
-                            # Confirm crossings against fresh residuals,
-                            # per trial, exactly as the sequential path.
-                            Rw[:, hit] = Bw[:, hit] - A.matmat(Xw[:, hit])
-                            since[hit] = 0
-                            res = live_relnorms(Rw)
-                    else:
-                        res = live_relnorms(Bw - A.matmat(Xw))
                     step_time = step.time
                     for j, t in enumerate(live_idx):
                         times[t].append(step_time)

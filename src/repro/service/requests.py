@@ -114,7 +114,7 @@ class SolveRequest:
     plan
         Fault-plan spec ``{"events": [...], "seed": ...}`` consumed by
         ``fault_masked`` schedules; ``None`` otherwise.
-    omega, tol, max_steps, record_every, residual_mode, recompute_every
+    omega, tol, max_steps, record_every, recompute_every
         Forwarded to the executors with
         :class:`~repro.core.model.AsyncJacobiModel` semantics
         (``max_steps`` and ``record_every`` positive integers,
@@ -137,7 +137,6 @@ class SolveRequest:
     tol: float = 1e-6
     max_steps: int = 100_000
     record_every: int = 1
-    residual_mode: str = "incremental"
     recompute_every: int = 64
     deadline: float | None = field(default=None, compare=False)
 
@@ -170,8 +169,6 @@ class SolveRequest:
             check_nonnegative_int(getattr(self, name), name, BadRequestError)
         if self.x0_seed is not None:
             check_nonnegative_int(self.x0_seed, "x0_seed", BadRequestError)
-        if self.residual_mode not in ("incremental", "full"):
-            raise BadRequestError(f"bad residual_mode {self.residual_mode!r}")
         if self.deadline is not None and float(self.deadline) <= 0:
             raise BadRequestError(f"deadline must be positive, got {self.deadline}")
         try:
@@ -206,7 +203,6 @@ class SolveRequest:
             "tol": float(self.tol),
             "max_steps": int(self.max_steps),
             "record_every": int(self.record_every),
-            "residual_mode": self.residual_mode,
             "recompute_every": int(self.recompute_every),
         }
 

@@ -278,12 +278,12 @@ class TestIncrementalResiduals:
 
     def test_dense_schedule_is_exact(self, system):
         """Dense steps recompute the residual: histories are bitwise
-        identical between modes, with no drift at any tolerance."""
+        identical between cadences, with no drift at any tolerance."""
         A, b, x0 = system
         model = AsyncJacobiModel(A, b)
         kwargs = dict(x0=x0, tol=1e-8, max_steps=50_000)
-        inc = model.run(SynchronousSchedule(A.nrows), residual_mode="incremental", **kwargs)
-        full = model.run(SynchronousSchedule(A.nrows), residual_mode="full", **kwargs)
+        inc = model.run(SynchronousSchedule(A.nrows), **kwargs)
+        full = model.run(SynchronousSchedule(A.nrows), recompute_every=1, **kwargs)
         assert inc.residual_norms == full.residual_norms
         np.testing.assert_array_equal(inc.x, full.x)
 
@@ -294,10 +294,10 @@ class TestIncrementalResiduals:
 
         A, b, x0 = system
         model = AsyncJacobiModel(A, b)
-        kwargs = dict(x0=x0, tol=1e-4, max_steps=200_000, recompute_every=64)
+        kwargs = dict(x0=x0, tol=1e-4, max_steps=200_000)
         sched = lambda: RandomSubsetSchedule(A.nrows, 0.2, seed=11)
-        inc = model.run(sched(), residual_mode="incremental", **kwargs)
-        full = model.run(sched(), residual_mode="full", **kwargs)
+        inc = model.run(sched(), recompute_every=64, **kwargs)
+        full = model.run(sched(), recompute_every=1, **kwargs)
         a = np.asarray(inc.residual_norms)
         f = np.asarray(full.residual_norms)
         m = min(a.size, f.size)
@@ -305,17 +305,16 @@ class TestIncrementalResiduals:
         assert rel.max() <= 1e-12
 
     def test_periodic_recompute_bounds_drift(self, system):
-        """A tiny recompute_every must agree with full mode even on long
-        sparse-step runs (the safeguard works)."""
+        """A tiny recompute_every must agree with the cadence-1 run even
+        on long sparse-step runs (the safeguard works)."""
         from repro.core.schedules import RandomSubsetSchedule
 
         A, b, x0 = system
         model = AsyncJacobiModel(A, b)
         kwargs = dict(x0=x0, tol=1e-6, max_steps=300_000)
         sched = lambda: RandomSubsetSchedule(A.nrows, 0.1, seed=5)
-        tight = model.run(sched(), residual_mode="incremental",
-                          recompute_every=8, **kwargs)
-        full = model.run(sched(), residual_mode="full", **kwargs)
+        tight = model.run(sched(), recompute_every=8, **kwargs)
+        full = model.run(sched(), recompute_every=1, **kwargs)
         assert tight.converged == full.converged
         np.testing.assert_allclose(tight.x, full.x, rtol=1e-8)
 
@@ -333,8 +332,9 @@ class TestIncrementalResiduals:
         assert abs(res.residual_norms[-1] - exact) <= 1e-12 * max(exact, 1e-300)
 
     def test_rejects_bad_residual_mode(self, system):
+        """The executor has one residual: there is no mode to pick."""
         A, b, x0 = system
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AsyncJacobiModel(A, b).run(
-                SynchronousSchedule(A.nrows), x0=x0, residual_mode="lazy"
+                SynchronousSchedule(A.nrows), x0=x0, residual_mode="full"
             )

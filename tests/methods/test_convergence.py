@@ -70,7 +70,7 @@ def _sync_richardson_residuals(A, alpha, steps):
         tol=np.finfo(float).tiny,
         max_steps=steps,
         residual_norm_ord=2,
-        residual_mode="full",
+        recompute_every=1,
     )
     return np.asarray(result.residual_norms)
 

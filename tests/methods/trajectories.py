@@ -48,10 +48,10 @@ def _problem():
 #: the default rule; for Jacobi scenarios it is simply ``method="jacobi"``.
 SCENARIOS = {
     "model_incremental_w1": (
-        "model", {"omega": 1.0}, {"residual_mode": "incremental"}, {"method": "jacobi"},
+        "model", {"omega": 1.0}, {}, {"method": "jacobi"},
     ),
     "model_full_w075": (
-        "model", {"omega": 0.75}, {"residual_mode": "full"}, {"method": "jacobi"},
+        "model", {"omega": 0.75}, {"recompute_every": 1}, {"method": "jacobi"},
     ),
     "model_dense_steps_w1": (
         "model", {"omega": 1.0}, {"schedule": "sync"}, {"method": "jacobi"},

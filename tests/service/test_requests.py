@@ -60,13 +60,17 @@ class TestValidation:
             ("b_seed", 1.5),
             ("b_seed", -1),
             ("x0_seed", 2.5),
-            ("residual_mode", "exact"),
             ("deadline", 0.0),
         ],
     )
     def test_bad_parameters_rejected(self, field, value):
         with pytest.raises(BadRequestError):
             req(**{field: value})
+
+    def test_residual_mode_is_not_a_field(self):
+        """The residual cadence is ``recompute_every``; there is no mode."""
+        with pytest.raises(TypeError):
+            req(residual_mode="full")
 
     def test_numpy_integers_accepted(self):
         r = req(max_steps=np.int64(7), agents=np.int64(2), b_seed=np.int64(3))
