@@ -11,6 +11,11 @@ speedups the performance work targets:
   loop with full residual recomputation (target >= 3x), again with
   matching histories.
 
+Both baselines run :func:`_full_residual_run`, a copy of the model
+executor's retired from-scratch loop: the executor itself now keeps its
+residual up to date at every cadence, so timing it at
+``recompute_every=1`` would no longer measure the naive path.
+
 Also records the warm-cache replay time of the parallel cached runner on
 the same sweep (the second run of an unchanged config is a pure cache
 read).
@@ -27,6 +32,7 @@ from repro.core.schedules import DelayedRowsSchedule, SynchronousSchedule
 from repro.experiments import fig3
 from repro.matrices.laplacian import paper_fd_matrix
 from repro.perf.cache import ExperimentCache, code_version
+from repro.util.norms import relative_residual_norm
 from repro.util.rng import as_rng
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -71,6 +77,31 @@ def _max_rel_diff(a, b):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def _full_residual_run(A, b, schedule, x0, tol, max_steps):
+    """Jacobi model run that recomputes the residual from scratch each step.
+
+    A row-subset SpMV update per step, then ``||b - A x||_1 / ||b||_1``
+    from a full SpMV at every (recorded) step: the naive loop the model
+    executor ran before it maintained its residual. Returns the residual
+    history, recorded at every step.
+    """
+    dinv = 1.0 / A.diagonal()
+    x = x0.copy()
+    residuals = [relative_residual_norm(A, x, b)]
+    if residuals[0] < tol:
+        return residuals
+    for steps_done, step in enumerate(schedule.steps()):
+        if steps_done >= max_steps:
+            break
+        rows = step.rows
+        if rows.size:
+            x[rows] += dinv[rows] * (b[rows] - A.row_matvec(rows, x))
+        residuals.append(relative_residual_norm(A, x, b))
+        if residuals[-1] < tol:
+            break
+    return residuals
+
+
 def test_incremental_residual_speedup(benchmark):
     """Full-recompute vs incremental residuals in the model executor."""
     A = paper_fd_matrix(4624)
@@ -79,15 +110,13 @@ def test_incremental_residual_speedup(benchmark):
     x0 = rng.uniform(-1, 1, A.nrows)
     model = AsyncJacobiModel(A, b)
     sched = SynchronousSchedule(A.nrows)
-    kwargs = dict(x0=x0, tol=1e-300, max_steps=300, record_every=1)
+    kwargs = dict(x0=x0, tol=1e-300, max_steps=300)
 
-    t_full, r_full = _wall(lambda: model.run(sched, residual_mode="full", **kwargs))
-    t_inc, _ = _wall(lambda: model.run(sched, residual_mode="incremental", **kwargs))
-    r_inc = run_once(
-        benchmark, lambda: model.run(sched, residual_mode="incremental", **kwargs)
-    )
+    t_full, r_full = _wall(lambda: _full_residual_run(A, b, sched, **kwargs))
+    t_inc, _ = _wall(lambda: model.run(sched, **kwargs))
+    r_inc = run_once(benchmark, lambda: model.run(sched, **kwargs))
 
-    drift = _max_rel_diff(r_full.residual_norms, r_inc.residual_norms)
+    drift = _max_rel_diff(r_full, r_inc.residual_norms)
     speedup = t_full / t_inc
     SPEEDUPS["model_executor_incremental"] = {
         "full_seconds": t_full,
@@ -107,7 +136,6 @@ def _sweep_serial_full(tol=1e-3):
         rng = as_rng(int(seed))
         b = rng.uniform(-1, 1, fig3.N_ROWS)
         x0 = rng.uniform(-1, 1, fig3.N_ROWS)
-        model = AsyncJacobiModel(A, b)
         per_seed = []
         for delay in fig3.MODEL_DELAYS:
             sync_sched = SynchronousSchedule(fig3.N_ROWS, delay=float(max(delay, 1)))
@@ -118,10 +146,9 @@ def _sweep_serial_full(tol=1e-3):
                     fig3.N_ROWS, {fig3.DELAYED_ROW: int(delay)}
                 )
             for sched in (sync_sched, async_sched):
-                res = model.run(
-                    sched, x0=x0, tol=tol, max_steps=200_000, residual_mode="full"
-                )
-                per_seed.append(res.residual_norms)
+                per_seed.append(_full_residual_run(
+                    A, b, sched, x0=x0, tol=tol, max_steps=200_000
+                ))
         histories.append(per_seed)
     return histories
 
