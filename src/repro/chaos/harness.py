@@ -265,23 +265,12 @@ def _run_shared(spec: dict, built: dict) -> tuple:
     failures += props.check_theorem1_replay(
         events, built["A"], built["b"], built["omega"], method=built["method"]
     )
-    if result.telemetry is not None:
-        failures += props.check_telemetry(
-            events,
-            result.telemetry,
-            plan_has_crashes=bool(built["plan"].crashes),
-            history_len=len(result.residual_norms),
-        )
-    else:
-        obs = sum(1 for e in events if e.kind == "observe")
-        if obs != len(result.residual_norms) - 1:
-            failures.append(
-                {
-                    "property": "telemetry",
-                    "detail": f"observations vs observe: events {obs} != "
-                    f"history {len(result.residual_norms) - 1}",
-                }
-            )
+    failures += props.check_telemetry(
+        events,
+        result.telemetry,
+        plan_has_crashes=bool(built["plan"].crashes),
+        history_len=len(result.residual_norms),
+    )
     checked = ["finiteness", "liveness", "theorem1", "telemetry"]
     stats = {
         "converged": bool(result.converged),
@@ -335,14 +324,13 @@ def _run_distributed(spec: dict, built: dict) -> tuple:
     failures += props.check_theorem1_replay(
         events, built["A"], built["b"], built["omega"], method=built["method"]
     )
-    if result.telemetry is not None:
-        failures += props.check_telemetry(
-            events,
-            result.telemetry,
-            plan_has_crashes=bool(built["plan"].crashes),
-            duplicates_possible=float(d.get("duplicate_probability", 0.0)) > 0,
-            history_len=len(result.residual_norms),
-        )
+    failures += props.check_telemetry(
+        events,
+        result.telemetry,
+        plan_has_crashes=bool(built["plan"].crashes),
+        duplicates_possible=float(d.get("duplicate_probability", 0.0)) > 0,
+        history_len=len(result.residual_norms),
+    )
     checked = ["finiteness", "liveness", "theorem1", "telemetry"]
     stats = {
         "converged": bool(result.converged),
