@@ -92,9 +92,11 @@ class ExecutionTrace:
         return list(self._per_row[row])
 
     def __len__(self) -> int:
+        """Total relaxations recorded, over all rows."""
         return len(self._all)
 
     def __iter__(self):
+        """Relaxations in recording order."""
         return iter(self._all)
 
 

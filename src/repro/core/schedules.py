@@ -85,6 +85,7 @@ class SynchronousSchedule(Schedule):
         self.delay = float(delay)
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """Every row at times ``delay``, ``2 delay``, ... forever."""
         rows = np.arange(self.n, dtype=np.int64)
         t = 0.0
         while True:
@@ -93,6 +94,7 @@ class SynchronousSchedule(Schedule):
 
     @property
     def is_synchronous(self) -> bool:
+        """Always True: every step relaxes every row."""
         return True
 
 
@@ -121,6 +123,7 @@ class DelayedRowsSchedule(Schedule):
             self.delays[row] = d
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """Unit steps; a row with delay ``d`` joins only every ``d``-th."""
         base = np.ones(self.n, dtype=bool)
         k = 0
         while True:
@@ -146,6 +149,7 @@ class RandomSubsetSchedule(Schedule):
         self.rng = as_rng(seed)
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """Unit steps, each a fresh nonempty random draw of rows."""
         t = 0.0
         while True:
             t += 1.0
@@ -183,6 +187,7 @@ class BlockSequentialSchedule(Schedule):
         self.rng = as_rng(seed)
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """One block per unit step, cycling (optionally reshuffled) rounds."""
         t = 0.0
         while True:
             order = np.arange(len(self.blocks))
@@ -214,6 +219,7 @@ class OverlappedBlockSchedule(Schedule):
         self.rng = as_rng(seed)
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """``concurrency`` blocks per unit step, rows sorted, round by round."""
         t = 0.0
         nb = len(self.blocks)
         while True:
@@ -251,7 +257,9 @@ class TraceSchedule(Schedule):
         self._steps = parsed
 
     def steps(self) -> Iterator[ScheduleStep]:
+        """The recorded steps, once each; the schedule then ends."""
         return iter(self._steps)
 
     def __len__(self) -> int:
+        """Number of recorded steps."""
         return len(self._steps)

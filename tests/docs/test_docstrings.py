@@ -1,8 +1,9 @@
 """Docstring coverage (ruff D1xx equivalent) for the documented subsystems.
 
 CI runs ``ruff check`` with ``pydocstyle`` D1 rules over
-``src/repro/observability``, ``src/repro/perf``, ``src/repro/methods``,
-``src/repro/runtime`` and ``src/repro/service`` (see ``pyproject.toml``);
+``src/repro/core``, ``src/repro/observability``, ``src/repro/perf``,
+``src/repro/methods``, ``src/repro/runtime`` and ``src/repro/service``
+(see ``pyproject.toml``);
 ruff is not available in every environment, so this AST-based check keeps
 the same guarantee enforceable by the plain test suite: every public
 module, class, function and method in those packages carries a docstring.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-PACKAGES = ("observability", "perf", "methods", "runtime", "service")
+PACKAGES = ("core", "observability", "perf", "methods", "runtime", "service")
 
 
 def _public_defs(path: Path):
