@@ -6,9 +6,10 @@ r[rows]``. What lives here are the two non-simultaneous shapes:
 
 * sequential (Gauss-Seidel-ordered) block updates for step-async SOR, in
   three flavors matching how each executor tracks the residual:
-  in-place on the global iterate (model "full" mode, sync sweeps),
-  residual-maintained (model "incremental" mode), and pending-buffer
-  (the shared-memory simulator relaxes into a buffer published later);
+  in-place on the global iterate (the model executors at
+  ``recompute_every=1``, sync sweeps), residual-maintained (the model
+  executors at every other cadence), and pending-buffer (the
+  shared-memory simulator relaxes into a buffer published later);
 * the momentum combination for second-order Richardson, which is simple
   enough that executors inline it — :func:`momentum_dx` is the reference
   used by tests and docs.

@@ -643,9 +643,7 @@ class DistributedJacobi:
         every ``recompute_every`` observations (0: never; 1: the drift-free
         observer, which observes exactly what a from-scratch SpMV per
         observation would) and at any tolerance crossing. It only reads
-        the trajectory. (The propagation model,
-        :class:`~repro.core.model.AsyncJacobiModel`, keeps a residual-mode
-        switch because there its residual drives the update.)
+        the trajectory.
 
         The run has three parts. This method validates the options and
         builds the shared set-up: the iterate, the ranks, one ``local_x``
