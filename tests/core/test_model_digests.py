@@ -20,7 +20,6 @@ Regenerate (only for a deliberate change) with::
     PYTHONPATH=src python -m tests.core.test_model_digests --write
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -37,6 +36,8 @@ from repro.core.schedules import (
 from repro.matrices.laplacian import fd_laplacian_2d
 from repro.matrices.stencil import anisotropic_laplacian_2d
 from repro.perf.batched import BatchedAsyncJacobiModel
+
+from tests.runtime.equivalence import sha
 
 DIGESTS = Path(__file__).with_name("model_digests.json")
 REGENERATE = "PYTHONPATH=src python -m tests.core.test_model_digests --write"
@@ -84,10 +85,6 @@ KEYS = {
 }
 
 
-def _sha(arr) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
 def _run(key):
     name, cadence = KEYS[key]
     executor, mat, kind, sched, variant = CASES[name]
@@ -110,11 +107,11 @@ def _run(key):
             for t in range(T)
         ]
     return {
-        "x": _sha(np.column_stack([tr.x for tr in trials]).astype("<f8")),
-        "residual_norms": _sha(np.asarray(
+        "x": sha(np.column_stack([tr.x for tr in trials]).astype("<f8")),
+        "residual_norms": sha(np.asarray(
             [v for tr in trials for v in tr.residual_norms], dtype="<f8")),
-        "times": _sha(np.asarray([v for tr in trials for v in tr.times], dtype="<f8")),
-        "relaxation_counts": _sha(np.asarray(
+        "times": sha(np.asarray([v for tr in trials for v in tr.times], dtype="<f8")),
+        "relaxation_counts": sha(np.asarray(
             [v for tr in trials for v in tr.relaxation_counts], dtype="<i8")),
     }
 

@@ -15,11 +15,18 @@ dependence), so a divergence is reproducible from the failing seed alone.
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 
 from repro.perf import native
+
+#: The frozen engine corpus (see ``tests/runtime/test_engine_digests.py``).
+ENGINE_DIGESTS = Path(__file__).with_name("engine_digests.json")
 
 
 @contextlib.contextmanager
@@ -41,6 +48,90 @@ def numpy_kernels():
         else:
             os.environ["REPRO_NO_NATIVE"] = old
         native._reset_probe_cache()
+
+
+def sha(arr) -> str:
+    """sha256 hex digest of an array's contiguous bytes."""
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def canon(v):
+    """Hashable, bitwise-faithful form of a result field or trace payload."""
+    if isinstance(v, np.ndarray):
+        return ("nd", v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, np.generic):
+        return ("np", v.dtype.str, v.tobytes())
+    if isinstance(v, (list, tuple)):
+        return tuple(canon(e) for e in v)
+    if isinstance(v, dict):
+        return tuple(sorted((k, canon(x)) for k, x in v.items()))
+    return v
+
+
+def assert_results_identical(a, c):
+    """Two simulation results agree bit for bit in every field."""
+    assert canon(a.x) == canon(c.x)
+    assert a.converged == c.converged
+    assert a.times == c.times
+    assert a.residual_norms == c.residual_norms
+    assert a.relaxation_counts == c.relaxation_counts
+    assert canon(a.iterations) == canon(c.iterations)
+    assert a.total_time == c.total_time
+    ta, tc = a.telemetry, c.telemetry
+    if ta is None or tc is None:
+        assert ta is None and tc is None
+    else:
+        assert canon(vars(ta)) == canon(vars(tc))
+
+
+def _repr_sha(v) -> str:
+    """sha256 of ``repr(canon(v))``: Python float reprs round-trip exactly."""
+    return hashlib.sha256(repr(canon(v)).encode()).hexdigest()
+
+
+def result_digests(res) -> dict:
+    """Digests of every field a bit-identity comparison covers.
+
+    ``x``, the ``times``/``residual_norms``/``relaxation_counts`` history,
+    the per-agent ``iterations``, ``total_time`` and the
+    :class:`~repro.runtime.results.FaultTelemetry` fields (``None`` when
+    the run carries no telemetry); ``converged`` is kept as a plain bool.
+    """
+    tm = res.telemetry
+    return {
+        "x": sha(np.asarray(res.x, dtype="<f8")),
+        "converged": bool(res.converged),
+        "times": sha(np.asarray(res.times, dtype="<f8")),
+        "residual_norms": sha(np.asarray(res.residual_norms, dtype="<f8")),
+        "relaxation_counts": sha(np.asarray(res.relaxation_counts, dtype="<i8")),
+        "iterations": sha(np.asarray(res.iterations, dtype="<i8")),
+        "total_time": sha(np.asarray([res.total_time], dtype="<f8")),
+        "telemetry": None if tm is None else _repr_sha(vars(tm)),
+    }
+
+
+def stream_digest(events) -> str:
+    """Digest of a ``TraceEvent`` stream's ``(kind, time, seq, agent, data)``."""
+    return _repr_sha([(e.kind, e.time, e.seq, e.agent, e.data) for e in events])
+
+
+def run_digests(result, events=None) -> dict:
+    """:func:`result_digests`, plus ``trace`` when a stream is given."""
+    out = result_digests(result)
+    if events is not None:
+        out["trace"] = stream_digest(events)
+    return out
+
+
+@functools.cache
+def engine_corpus() -> dict:
+    """The frozen engine corpus's ``runs`` map (key -> digests)."""
+    return json.loads(ENGINE_DIGESTS.read_text())["runs"]
+
+
+def assert_matches_corpus(key, result, events=None):
+    """One run's digests must equal the corpus entry ``key``."""
+    assert run_digests(result, events) == engine_corpus()[key], key
 
 
 def run_ensemble(run_one, seeds):

@@ -1,17 +1,22 @@
-"""Engine vs legacy bit-identity: trajectories, telemetry, trace streams.
+"""Engine bit-identity: trajectories, telemetry, trace streams.
 
-The fast engine (``repro.runtime.engine`` + the ported simulator loops)
-must produce *exactly* the outputs of the pre-engine implementations kept
-in ``repro.runtime.legacy`` — same RNG call order, same tie-breaking, so
-every float in the x history, residual history, event times, telemetry
-counters, and ``TraceEvent`` stream is byte-for-byte equal. These tests
-run both arms across the feature matrix (fault plans, recovery policies,
-delay models, sweep variants; plain distributed runs take the block loop,
-the rest the general loop) and compare everything. The engine arm runs
-the compiled kernels whenever they load; CI also runs this file under
-``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same oracle.
+Both machine simulators must reproduce, byte for byte, the trajectories
+of their pre-engine implementations: same RNG call order, same
+tie-breaking, so every float in the x history, residual history, event
+times, telemetry counters and ``TraceEvent`` stream is equal. Those
+trajectories are frozen as sha256 digests in ``engine_digests.json``
+(written by ``tests/runtime/test_engine_digests.py``, which refused to
+record a case unless the engine and the pre-engine loops agreed on it).
+These tests run the engine across the feature matrix (fault plans,
+recovery policies, delay models, sweep variants; plain distributed runs
+take the block loop, the rest the general loop) and check each run
+against its corpus entry. The engine runs the compiled kernels whenever
+they load; CI also runs this file under ``REPRO_NO_NATIVE=1`` to pin the
+NumPy kernels to the same corpus.
 """
 
+import contextlib
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +24,9 @@ import pytest
 
 from repro.faults import CorruptBurst, Crash, DropBurst, FaultPlan, PartitionWindow
 from repro.matrices.laplacian import fd_laplacian_2d
+from repro.methods import make_method
 from repro.observability import RingBufferSink, Tracer
+from repro.runtime import distributed as dist
 from repro.runtime.delays import (
     CompositeDelay,
     ConstantDelay,
@@ -29,6 +36,8 @@ from repro.runtime.delays import (
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.machine import HASWELL_CLUSTER, KNL
 from repro.runtime.shared import SharedMemoryJacobi
+
+from tests.runtime.equivalence import assert_matches_corpus
 
 A = fd_laplacian_2d(10, 10)
 N = A.shape[0]
@@ -63,34 +72,6 @@ NO_JITTER = _cluster(0.0, 0.0)
 NET_JITTER_ONLY = _cluster(0.0, HASWELL_CLUSTER.network.jitter_sigma)
 MACHINE_JITTER_ONLY = _cluster(HASWELL_CLUSTER.node.jitter_sigma, 0.0)
 STALL = StochasticStall(0.3, 5e-5)
-
-
-def canon(v):
-    """Hashable, bitwise-faithful form of a result field."""
-    if isinstance(v, np.ndarray):
-        return ("nd", v.dtype.str, v.shape, v.tobytes())
-    if isinstance(v, (list, tuple)):
-        return tuple(canon(e) for e in v)
-    if isinstance(v, dict):
-        return tuple(sorted((k, canon(x)) for k, x in v.items()))
-    return v
-
-
-def assert_results_identical(a, c):
-    assert canon(a.x) == canon(c.x)
-    assert a.converged == c.converged
-    assert a.times == c.times
-    assert a.residual_norms == c.residual_norms
-    assert a.relaxation_counts == c.relaxation_counts
-    assert canon(a.iterations) == canon(c.iterations)
-    assert a.total_time == c.total_time
-    ta, tc = a.telemetry, c.telemetry
-    if ta is None or tc is None:
-        assert ta is None and tc is None
-    else:
-        assert {k: canon(v) for k, v in vars(ta).items()} == {
-            k: canon(v) for k, v in vars(tc).items()
-        }
 
 
 DIST_ASYNC_CASES = {
@@ -149,18 +130,6 @@ DIST_ASYNC_CASES = {
     ),
 }
 
-
-@pytest.mark.parametrize("case", DIST_ASYNC_CASES)
-def test_distributed_async_bit_identical(case):
-    kwargs, run_kwargs = DIST_ASYNC_CASES[case]
-    run_kwargs = dict({"tol": 1e-6, "max_iterations": 40}, **run_kwargs)
-    outs = []
-    for legacy in (False, True):
-        solver = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs)
-        outs.append(solver.run_async(legacy_engine=legacy, **run_kwargs))
-    assert_results_identical(*outs)
-
-
 DIST_SYNC_CASES = {
     "plain": dict(),
     "gauss_seidel": dict(method="sor"),
@@ -177,19 +146,6 @@ DIST_SYNC_CASES = {
         cluster=MACHINE_JITTER_ONLY, delay=STALL
     ),
 }
-
-
-@pytest.mark.parametrize("case", DIST_SYNC_CASES)
-def test_distributed_sync_bit_identical(case):
-    kwargs = dict(dict(n_ranks=8), **DIST_SYNC_CASES[case])
-    outs = []
-    for legacy in (False, True):
-        solver = DistributedJacobi(A, B, seed=3, **kwargs)
-        outs.append(
-            solver.run_sync(tol=1e-6, max_iterations=60, legacy_engine=legacy)
-        )
-    assert_results_identical(*outs)
-
 
 SHARED_CASES = {
     "plain": (dict(n_threads=8), dict()),
@@ -209,42 +165,150 @@ SHARED_CASES = {
     ),
 }
 
+#: Distributed method kinds beyond Jacobi and SOR, on the async matrix's
+#: default set-up.
+METHOD_CASES = {
+    kind: (dict(method=make_method(kind)), dict())
+    for kind in ("damped_jacobi", "richardson", "richardson2")
+}
+
+
+def run_distributed_async(kwargs, run_kwargs, legacy=False):
+    """One 8-rank ``run_async`` of the shared problem."""
+    run_kwargs = dict({"tol": 1e-6, "max_iterations": 40}, **run_kwargs)
+    solver = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs)
+    return solver.run_async(legacy_engine=legacy, **run_kwargs)
+
+
+def run_distributed_sync(kwargs, legacy=False):
+    """One ``run_sync`` of the shared problem (8 ranks unless overridden)."""
+    solver = DistributedJacobi(A, B, seed=3, **dict(dict(n_ranks=8), **kwargs))
+    return solver.run_sync(tol=1e-6, max_iterations=60, legacy_engine=legacy)
+
+
+def run_shared_async(kwargs, run_kwargs, legacy=False):
+    """One shared-memory ``run_async`` of the shared problem."""
+    run_kwargs = dict({"tol": 1e-6, "max_iterations": 60}, **run_kwargs)
+    solver = SharedMemoryJacobi(A, B, seed=3, **kwargs)
+    return solver.run_async(legacy_engine=legacy, **run_kwargs)
+
+
+def run_traced(make, trace_reads, legacy=False, **run_kwargs):
+    """``(result, TraceEvent list)`` of one traced ``run_async``."""
+    sink = RingBufferSink(capacity=200_000)
+    tracer = Tracer(sinks=[sink], trace_reads=trace_reads)
+    result = make().run_async(tracer=tracer, legacy_engine=legacy, **run_kwargs)
+    return result, list(sink._ring)
+
+
+def _fig3_shared():
+    return SharedMemoryJacobi(A, B, n_threads=8, seed=3)
+
+
+def _fault_plan_distributed():
+    return DistributedJacobi(A, B, n_ranks=8, seed=3, fault_plan=PLAN)
+
+
+def _plain_distributed():
+    return DistributedJacobi(A, B, n_ranks=8, seed=3)
+
+
+@contextlib.contextmanager
+def _twin_generators():
+    """Give ranks 1 and 2 the same generator for the run's duration."""
+    real_spawn = dist.spawn_rngs
+
+    def twin_rngs(seed, n):
+        rngs = real_spawn(seed, n)
+        rngs[2] = copy.deepcopy(rngs[1])
+        return rngs
+
+    dist.spawn_rngs = twin_rngs
+    try:
+        yield
+    finally:
+        dist.spawn_rngs = real_spawn
+
+
+def run_exact_ties(legacy=False):
+    """100 contiguous ranks whose ranks 1 and 2 share one timeline."""
+    A2 = fd_laplacian_2d(32, 50)
+    b2 = np.random.default_rng(0).uniform(-1, 1, A2.nrows)
+    with _twin_generators():
+        return DistributedJacobi(
+            A2, b2, n_ranks=100, partition="contiguous", seed=2
+        ).run_async(tol=1e-30, max_iterations=6, legacy_engine=legacy)
+
+
+def _untraced(fn, *args):
+    return lambda **arm: (fn(*args, **arm), None)
+
+
+def _traced(make, trace_reads, **run_kwargs):
+    return lambda **arm: run_traced(make, trace_reads, **arm, **run_kwargs)
+
+
+#: corpus key -> ``(**arm) -> (result, trace events or None)``.
+RUNS = {
+    **{f"distributed-async/{case}": _untraced(run_distributed_async, *spec)
+       for case, spec in DIST_ASYNC_CASES.items()},
+    **{f"distributed-sync/{case}": _untraced(run_distributed_sync, spec)
+       for case, spec in DIST_SYNC_CASES.items()},
+    **{f"shared-async/{case}": _untraced(run_shared_async, *spec)
+       for case, spec in SHARED_CASES.items()},
+    **{f"methods/{kind}": _untraced(run_distributed_async, *spec)
+       for kind, spec in METHOD_CASES.items()},
+    # Gauss-Seidel sweeps always run the NumPy kernels.
+    "numpy-only/sor": _untraced(
+        run_distributed_async, dict(method="sor"), dict(max_iterations=5)
+    ),
+    "exact-ties/100-ranks": _untraced(run_exact_ties),
+    **{f"traced/shared-fig3{tag}": _traced(
+        _fig3_shared, reads, tol=1e-6, max_iterations=40)
+       for tag, reads in (("", False), ("-reads", True))},
+    **{f"traced/distributed-fault-plan{tag}": _traced(
+        _fault_plan_distributed, reads, tol=1e-6, max_iterations=30)
+       for tag, reads in (("", False), ("-reads", True))},
+    "traced/distributed-plain-reads": _traced(
+        _plain_distributed, True, tol=1e-6, max_iterations=30
+    ),
+}
+
+
+def check(key, **arm):
+    """Run corpus case ``key`` and compare it with its frozen digests."""
+    result, events = RUNS[key](**arm)
+    assert_matches_corpus(key, result, events)
+    return result, events
+
+
+def _both_arms(key):
+    engine = check(key)
+    legacy = RUNS[key](legacy=True)
+    assert_matches_corpus(key, *legacy)
+    return engine
+
+
+@pytest.mark.parametrize("case", DIST_ASYNC_CASES)
+def test_distributed_async_bit_identical(case):
+    _both_arms(f"distributed-async/{case}")
+
+
+@pytest.mark.parametrize("case", DIST_SYNC_CASES)
+def test_distributed_sync_bit_identical(case):
+    _both_arms(f"distributed-sync/{case}")
+
 
 @pytest.mark.parametrize("case", SHARED_CASES)
 def test_shared_async_bit_identical(case):
-    kwargs, run_kwargs = SHARED_CASES[case]
-    run_kwargs = dict({"tol": 1e-6, "max_iterations": 60}, **run_kwargs)
-    outs = []
-    for legacy in (False, True):
-        solver = SharedMemoryJacobi(A, B, seed=3, **kwargs)
-        outs.append(solver.run_async(legacy_engine=legacy, **run_kwargs))
-    assert_results_identical(*outs)
-
-
-def _trace_events(solver_fn, legacy, **run_kwargs):
-    sink = RingBufferSink(capacity=200_000)
-    tracer = Tracer(sinks=[sink], trace_reads=run_kwargs.pop("trace_reads"))
-    solver_fn().run_async(tracer=tracer, legacy_engine=legacy, **run_kwargs)
-    return [
-        (e.kind, e.time, e.seq, e.agent, canon(e.data)) for e in sink._ring
-    ]
+    _both_arms(f"shared-async/{case}")
 
 
 @pytest.mark.parametrize("trace_reads", [False, True])
 def test_tracing_compat_shared_fig3_style(trace_reads):
     """Figure 3-style traced shared-memory run: identical TraceEvent stream."""
-
-    def make():
-        return SharedMemoryJacobi(A, B, n_threads=8, seed=3)
-
-    streams = [
-        _trace_events(
-            make, legacy, tol=1e-6, max_iterations=40, trace_reads=trace_reads
-        )
-        for legacy in (False, True)
-    ]
-    assert len(streams[0]) > 0
-    assert streams[0] == streams[1]
+    _, events = _both_arms(f"traced/shared-fig3{'-reads' if trace_reads else ''}")
+    assert len(events) > 0
 
 
 @pytest.mark.parametrize("trace_reads", [False, True])
@@ -254,21 +318,12 @@ def test_tracing_compat_distributed_fault_plan(trace_reads):
     This is what keeps observability replay and the Theorem 1 residual
     checks valid on the new engine.
     """
-
-    def make():
-        return DistributedJacobi(A, B, n_ranks=8, seed=3, fault_plan=PLAN)
-
-    streams = [
-        _trace_events(
-            make, legacy, tol=1e-6, max_iterations=30, trace_reads=trace_reads
-        )
-        for legacy in (False, True)
-    ]
-    assert len(streams[0]) > 0
-    assert streams[0] == streams[1]
+    tag = "-reads" if trace_reads else ""
+    _, events = _both_arms(f"traced/distributed-fault-plan{tag}")
+    assert len(events) > 0
 
 
-def test_block_loop_exact_ties_bit_identical_to_legacy(monkeypatch):
+def test_block_loop_exact_ties_bit_identical_to_legacy():
     """Exact time ties at 100 ranks: the block loop matches the oracle.
 
     Ranks 1 and 2 of this layout have the same block size, nnz, put sizes
@@ -276,25 +331,5 @@ def test_block_loop_exact_ties_bit_identical_to_legacy(monkeypatch):
     timelines coincide: every commit of one ties the other's exactly, and
     the block loop must order them by their virtual read cursors.
     """
-    import copy
-
-    from repro.runtime import distributed as dist
-
-    real_spawn = dist.spawn_rngs
-
-    def twin_rngs(seed, n):
-        rngs = real_spawn(seed, n)
-        rngs[2] = copy.deepcopy(rngs[1])
-        return rngs
-
-    monkeypatch.setattr(dist, "spawn_rngs", twin_rngs)
-    A2 = fd_laplacian_2d(32, 50)
-    b2 = np.random.default_rng(0).uniform(-1, 1, A2.nrows)
-    outs = [
-        DistributedJacobi(
-            A2, b2, n_ranks=100, partition="contiguous", seed=2
-        ).run_async(tol=1e-30, max_iterations=6, legacy_engine=legacy)
-        for legacy in (False, True)
-    ]
-    assert_results_identical(*outs)
-    assert outs[0].telemetry.puts_delivered > 0
+    result, _ = _both_arms("exact-ties/100-ranks")
+    assert result.telemetry.puts_delivered > 0

@@ -23,16 +23,12 @@ from repro.runtime.distributed import DistributedJacobi
 from repro.util.rng import as_rng
 from tests.runtime.equivalence import (
     assert_envelopes_agree,
+    assert_results_identical,
     assert_times_comparable,
     numpy_kernels,
     run_ensemble,
 )
-from tests.runtime.test_engine_equivalence import (
-    DIST_ASYNC_CASES,
-    A,
-    B,
-    assert_results_identical,
-)
+from tests.runtime.test_engine_equivalence import DIST_ASYNC_CASES, A, B
 
 needs_native = pytest.mark.skipif(
     not native.native_available(),

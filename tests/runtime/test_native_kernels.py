@@ -17,8 +17,7 @@ from repro.matrices.laplacian import fd_laplacian_2d
 from repro.matrices.sparse import CSRMatrix
 from repro.perf import native
 from repro.runtime.distributed import DistributedJacobi
-from tests.runtime.equivalence import numpy_kernels
-from tests.runtime.test_engine_equivalence import assert_results_identical
+from tests.runtime.equivalence import assert_results_identical, numpy_kernels
 
 needs_native = pytest.mark.skipif(
     not native.native_available(),

@@ -19,7 +19,6 @@ tolerance crossing. Regenerate (only for a deliberate change) with::
     PYTHONPATH=src python -m tests.runtime.test_observer_digests --write
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -34,7 +33,7 @@ from repro.runtime.delays import StochasticStall
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.shared import SharedMemoryJacobi
 
-from tests.runtime.equivalence import numpy_kernels
+from tests.runtime.equivalence import numpy_kernels, sha
 
 DIGESTS = Path(__file__).with_name("observer_digests.json")
 REGENERATE = "PYTHONPATH=src python -m tests.runtime.test_observer_digests --write"
@@ -101,10 +100,6 @@ KEYS = {
 CROSSING = ("distributed/jacobi-4", "shared/thread-per-row")
 
 
-def _sha(arr) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
 def _result(name, cadence):
     sim, run_kwargs = CASES[name]()
     return sim.run_async(**{"tol": 1e-6, "max_iterations": 200,
@@ -114,10 +109,10 @@ def _result(name, cadence):
 def _run(key):
     res = _result(*KEYS[key])
     return {
-        "x": _sha(np.asarray(res.x, dtype="<f8")),
-        "residual_norms": _sha(np.asarray(res.residual_norms, dtype="<f8")),
-        "times": _sha(np.asarray(res.times, dtype="<f8")),
-        "relaxation_counts": _sha(np.asarray(res.relaxation_counts, dtype="<i8")),
+        "x": sha(np.asarray(res.x, dtype="<f8")),
+        "residual_norms": sha(np.asarray(res.residual_norms, dtype="<f8")),
+        "times": sha(np.asarray(res.times, dtype="<f8")),
+        "relaxation_counts": sha(np.asarray(res.relaxation_counts, dtype="<i8")),
     }
 
 

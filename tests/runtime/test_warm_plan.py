@@ -16,7 +16,8 @@ from repro.experiments import scale
 from repro.matrices.laplacian import fd_laplacian_2d
 from repro.runtime.delays import ConstantDelay
 from repro.runtime.distributed import DistributedJacobi
-from tests.runtime.test_engine_equivalence import A, B, assert_results_identical
+from tests.runtime.equivalence import assert_results_identical
+from tests.runtime.test_engine_equivalence import A, B
 
 #: One solver's run schedule: async and sync interleaved, with the
 #: options that change which warm buffers a run touches.
