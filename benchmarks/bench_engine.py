@@ -35,7 +35,11 @@ rep), so the ratios isolate pure engine and kernel overhead: queue,
 dispatch, RNG streaming, and relax/commit buffering. Arms are interleaved
 round-robin and each takes its best-of-N, so slow drift hits both alike;
 absolute times are machine-dependent, only the ratios are gated by
-``benchmarks/compare.py``.
+``benchmarks/compare.py``. Every round also times a calibration kernel
+(the ``matvec_fd4624`` SpMV of ``kernels.json``), and each workload's
+``*_calibrated_speedup`` is an arm's events per second times the best
+calibration time: events simulated per SpMV on the same host, in the
+same run.
 """
 
 import contextlib
@@ -57,6 +61,13 @@ from repro.runtime.shared import SharedMemoryJacobi
 from repro.util.rng import as_rng
 
 REPS = 5  # best-of-N per arm, interleaved
+#: Calibration kernel, timed in every round next to the arms: the
+#: ``matvec_fd4624`` SpMV of ``kernels.json``. An arm's events per second
+#: times its best matvec time (events simulated per matvec) is the gated
+#: ``*_calibrated_speedup``: a throughput in units of this host's speed.
+CAL_A = paper_fd_matrix(4624)
+CAL_X = np.random.default_rng(0).standard_normal(CAL_A.nrows)
+CAL_MATVECS = 100  # per round; the best round's mean is the calibration
 FIG8_RANKS = (4, 16, 64, 256)  # the fig8 experiment's scaled grid
 FIG8_GRID = (63, 63)
 FIG8_REDUCTION = 10.0
@@ -96,6 +107,14 @@ def _kernels(numpy_only):
         native.native_kernels()
 
 
+def _matvec_seconds():
+    """Mean seconds of one calibration SpMV over ``CAL_MATVECS`` calls."""
+    start = time.perf_counter()
+    for _ in range(CAL_MATVECS):
+        CAL_A.matvec(CAL_X)
+    return (time.perf_counter() - start) / CAL_MATVECS
+
+
 def _interleaved_best(runs, reps=REPS):
     """Best-of-``reps`` for each (name, fn, numpy_only) with round-robin
     interleaving.
@@ -103,13 +122,18 @@ def _interleaved_best(runs, reps=REPS):
     Every ``fn`` returns its result object; per-rep results are checked
     bitwise against the first rep so the arms provably did the same work.
     ``numpy_only`` arms run with the native probe disabled (:func:`_kernels`).
+    Every round also times the calibration SpMV; its best is returned
+    under ``"matvec"``.
     """
     best = {name: float("inf") for name, _, _ in runs}
+    best["matvec"] = float("inf")
     reference = {}
+    _matvec_seconds()
     for name, fn, numpy_only in runs:
         with _kernels(numpy_only):
             fn()  # warm-up: imports, allocator, lazy compile steps
     for _ in range(reps):
+        best["matvec"] = min(best["matvec"], _matvec_seconds())
         for name, fn, numpy_only in runs:
             with _kernels(numpy_only):
                 start = time.perf_counter()
@@ -144,26 +168,35 @@ def _shared_sim(delay_us):
 
 
 def _bench_shared(delays_us):
-    """Best-of-REPS over the summed delay sweep, new vs legacy."""
-    sims = [_shared_sim(d) for d in delays_us]
+    """Best-of-REPS over the summed delay sweep, new vs legacy.
 
-    def run(legacy):
+    Returns the best times plus the sweep's commit count (identical in
+    both arms), for events-per-second reporting.
+    """
+    sims = [_shared_sim(d) for d in delays_us]
+    events = 0
+
+    def run(legacy, count=False):
         def fn():
+            nonlocal events
             last = None
             for sim, x0 in sims:
                 last = sim.run_async(
                     x0=x0, tol=TOL_NEVER, max_iterations=SHARED_BUDGET,
                     observe_every=N_THREADS, legacy_engine=legacy,
                 )
+                if count:
+                    events += int(np.sum(last.iterations))
             return last
 
         return fn
 
+    run(False, count=True)()  # one counted pass, outside the timing loop
     best, ref = _interleaved_best(
         [("new", run(False), False), ("legacy", run(True), False)]
     )
     _assert_arms_match(ref, "new", "legacy")
-    return best
+    return best, events
 
 
 def _bench_fig8():
@@ -276,12 +309,14 @@ def test_engine_speedups(benchmark):
     }
     payload, rows = {}, []
     for name, bench in workloads.items():
-        best = bench()
+        best, events = bench()
         speedup = best["legacy"] / best["new"]
         payload[name] = {
             "new_seconds": best["new"],
             "legacy_seconds": best["legacy"],
             "speedup": speedup,
+            "matvec_seconds": best["matvec"],
+            "new_calibrated_speedup": events / best["new"] * best["matvec"],
         }
         rows.append(
             f"{name:>16} {best['new']:>10.4f} {best['legacy']:>10.4f} "
@@ -302,6 +337,8 @@ def test_engine_speedups(benchmark):
         # (rates are machine-dependent, the speedup carries the gate).
         "new_events_per_second": events / best["new"],
         "legacy_events_per_second": events / best["legacy"],
+        "matvec_seconds": best["matvec"],
+        "new_calibrated_speedup": events / best["new"] * best["matvec"],
     }
     rows.append(
         f"{'fig8':>16} {best['new']:>10.4f} {best['legacy']:>10.4f} "
@@ -335,6 +372,10 @@ def test_engine_speedups(benchmark):
                     "native_speedup_vs_block": native_vs_block,
                     "native_speedup_vs_legacy": best["legacy"] / best["native"],
                     "native_events_per_second": events / best["native"],
+                    "matvec_seconds": best["matvec"],
+                    "native_calibrated_speedup": (
+                        events / best["native"] * best["matvec"]
+                    ),
                 },
                 "build": {
                     "compiler": info.get("compiler"),
