@@ -1,9 +1,8 @@
-"""Event-engine benchmark: new simulator loops vs the legacy oracle.
+"""Event-engine benchmark: simulator event rates on a calibrated scale.
 
-Times the simulator-dominated paper workloads through the fast engine
-(``repro.runtime.engine``) and through the pre-engine implementations kept
-in ``repro.runtime.legacy`` (the ``legacy_engine=True`` escape hatch), and
-archives the speedups in ``benchmarks/results/engine.json``:
+Times the simulator-dominated paper workloads through the event engine
+(``repro.runtime.engine``) and archives their event rates in
+``benchmarks/results/engine.json``:
 
 * ``fig3_simulator`` — the Figure 3 shared-memory scenario (FD-68, one
   thread per row, a constant-delay sleeper mid-domain), fixed iteration
@@ -13,15 +12,13 @@ archives the speedups in ``benchmarks/results/engine.json``:
 * ``fig8`` — the Figure 8 distributed scaling grid (2-D FD Laplacian,
   4..256 ranks, synchronous and asynchronous to a 10x residual
   reduction). The ``new`` arm runs the engine with the native probe
-  disabled in-process (the NumPy kernels) and both arms report
-  events-per-second so delivery-bound regressions show up directly, not
-  just in the ratio. When a C toolchain is present a third ``native``
-  arm runs the engine as shipped (compiled kernels) over the same grid —
-  bit-identical to the other two arms on every rep — and the measured
-  ``native_speedup_vs_block`` (native over the NumPy ``new`` arm) is
-  archived to ``benchmarks/results/native.json`` (plus build
-  provenance), so the honest compiled-kernel number lives next to the
-  engine ratios;
+  disabled in-process (the NumPy kernels). When a C toolchain is
+  present a second ``native`` arm runs the engine as shipped (compiled
+  kernels) over the same grid — bit-identical to the ``new`` arm on every
+  rep — and the measured ``native_speedup_vs_block`` (native over the
+  NumPy ``new`` arm) is archived to ``benchmarks/results/native.json``
+  (plus build provenance), so the honest compiled-kernel number lives
+  next to the engine's;
 * ``scaling`` — the size-scaling curve (n = 10^4 -> 10^6 stencil rows,
   fixed rank count and iteration budget) of the block loop with the
   NumPy kernels (``block`` columns) and, when the toolchain probe
@@ -30,16 +27,15 @@ archives the speedups in ``benchmarks/results/engine.json``:
   ungated) under ``REPRO_BENCH_SMOKE=1``, which the CI benchmarks job
   sets.
 
-All arms compute *bit-identical trajectories* (asserted here on every
-rep), so the ratios isolate pure engine and kernel overhead: queue,
-dispatch, RNG streaming, and relax/commit buffering. Arms are interleaved
-round-robin and each takes its best-of-N, so slow drift hits both alike;
-absolute times are machine-dependent, only the ratios are gated by
-``benchmarks/compare.py``. Every round also times a calibration kernel
-(the ``matvec_fd4624`` SpMV of ``kernels.json``), and each workload's
-``*_calibrated_speedup`` is an arm's events per second times the best
-calibration time: events simulated per SpMV on the same host, in the
-same run.
+Every rep's trajectory is asserted bit-identical to the first (and the
+arms to each other), so the arms provably do the same work. Arms are
+interleaved round-robin and each takes its best-of-N, so slow drift hits
+all alike. Absolute times are machine-dependent, so
+``benchmarks/compare.py`` gates only ratios. Every round also times a
+calibration kernel (the ``matvec_fd4624`` SpMV of ``kernels.json``), and
+each workload's ``*_calibrated_speedup`` is an arm's events per second
+times the best calibration time: events simulated per SpMV on the same
+host, in the same run.
 """
 
 import contextlib
@@ -60,7 +56,7 @@ from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.shared import SharedMemoryJacobi
 from repro.util.rng import as_rng
 
-REPS = 5  # best-of-N per arm, interleaved
+REPS = 15  # best-of-N per arm, interleaved
 #: Calibration kernel, timed in every round next to the arms: the
 #: ``matvec_fd4624`` SpMV of ``kernels.json``. An arm's events per second
 #: times its best matvec time (events simulated per matvec) is the gated
@@ -150,9 +146,9 @@ def _interleaved_best(runs, reps=REPS):
     return best, reference
 
 
-def _assert_arms_match(reference, new_name, legacy_name):
-    assert reference[new_name] == reference[legacy_name], (
-        f"{new_name} and {legacy_name} trajectories diverged"
+def _assert_arms_match(reference, name, other):
+    assert reference[name] == reference[other], (
+        f"{name} and {other} trajectories diverged"
     )
 
 
@@ -168,69 +164,55 @@ def _shared_sim(delay_us):
 
 
 def _bench_shared(delays_us):
-    """Best-of-REPS over the summed delay sweep, new vs legacy.
+    """Best-of-REPS over the summed delay sweep.
 
-    Returns the best times plus the sweep's commit count (identical in
-    both arms), for events-per-second reporting.
+    Returns the best times plus the sweep's commit count, for
+    events-per-second reporting.
     """
     sims = [_shared_sim(d) for d in delays_us]
-    events = 0
 
-    def run(legacy, count=False):
-        def fn():
-            nonlocal events
-            last = None
-            for sim, x0 in sims:
-                last = sim.run_async(
-                    x0=x0, tol=TOL_NEVER, max_iterations=SHARED_BUDGET,
-                    observe_every=N_THREADS, legacy_engine=legacy,
-                )
-                if count:
-                    events += int(np.sum(last.iterations))
-            return last
+    def fn():
+        return [
+            sim.run_async(
+                x0=x0, tol=TOL_NEVER, max_iterations=SHARED_BUDGET,
+                observe_every=N_THREADS,
+            )
+            for sim, x0 in sims
+        ]
 
-        return fn
-
-    run(False, count=True)()  # one counted pass, outside the timing loop
-    best, ref = _interleaved_best(
-        [("new", run(False), False), ("legacy", run(True), False)]
-    )
-    _assert_arms_match(ref, "new", "legacy")
+    events = sum(int(np.sum(res.iterations)) for res in fn())
+    best, _ = _interleaved_best([("new", lambda: fn()[-1], False)])
     return best, events
 
 
 def _bench_fig8():
     """The fig8 grid: sync + async to a 10x reduction, all rank counts.
 
-    The new arm runs the engine on the NumPy kernels; trajectories stay
-    bitwise the legacy oracle's. A third ``native`` arm (the engine as
-    shipped, compiled kernels) joins when the toolchain probe succeeds,
-    bitwise-asserted against the other two on every rep. Returns the best
-    times plus the composite's block-commit event count (identical in all
-    arms), for events-per-second reporting.
+    The new arm runs the engine on the NumPy kernels. A second ``native``
+    arm (the engine as shipped, compiled kernels) joins when the toolchain
+    probe succeeds, bitwise-asserted against the new arm on every rep.
+    Returns the best times plus the composite's block-commit event count
+    (identical in both arms), for events-per-second reporting.
     """
     A = fd_laplacian_2d(*FIG8_GRID)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     configs = []
     for n_ranks in FIG8_RANKS:
         sim = DistributedJacobi(A, b, n_ranks=n_ranks, seed=1)
-        probe = sim.run_sync(max_iterations=1, legacy_engine=True)
+        probe = sim.run_sync(max_iterations=1)
         tol = probe.residual_norms[0] / FIG8_REDUCTION
         configs.append((sim, n_ranks, tol))
 
     events = 0
 
-    def run(legacy, count=False):
+    def run(count=False):
         def fn():
             nonlocal events
             last = None
             for sim, n_ranks, tol in configs:
-                rs = sim.run_sync(
-                    tol=tol, max_iterations=5000, legacy_engine=legacy
-                )
+                rs = sim.run_sync(tol=tol, max_iterations=5000)
                 last = sim.run_async(
                     tol=tol, max_iterations=5000, observe_every=n_ranks,
-                    legacy_engine=legacy,
                 )
                 if count:
                     events += int(np.sum(rs.iterations))
@@ -239,12 +221,11 @@ def _bench_fig8():
 
         return fn
 
-    run(False, count=True)()  # one counted pass, outside the timing loop
-    arms = [("new", run(False), True), ("legacy", run(True), False)]
+    run(count=True)()  # one counted pass, outside the timing loop
+    arms = [("new", run(), True)]
     if native_available():
-        arms.insert(0, ("native", run(False), False))
+        arms.insert(0, ("native", run(), False))
     best, ref = _interleaved_best(arms)
-    _assert_arms_match(ref, "new", "legacy")
     if "native" in best:
         _assert_arms_match(ref, "native", "new")
     return best, events
@@ -302,51 +283,36 @@ def _bench_scaling():
     return out
 
 
+def _rates(best, events, arm):
+    """``arm``'s seconds, events per second and calibrated event rate."""
+    return {
+        f"{arm}_seconds": best[arm],
+        f"{arm}_events_per_second": events / best[arm],
+        f"{arm}_calibrated_speedup": events / best[arm] * best["matvec"],
+    }
+
+
+def _row(name, best, events, arm):
+    return (
+        f"{name:>16} {best[arm]:>10.4f} {events / best[arm]:>12,.0f} "
+        f"{best['matvec'] * 1e6:>10.1f} "
+        f"{events / best[arm] * best['matvec']:>11.2f}"
+    )
+
+
 def test_engine_speedups(benchmark):
     workloads = {
         "fig3_simulator": lambda: _bench_shared((250,)),
         "fig4": lambda: _bench_shared((0, 1000, 10000)),
+        "fig8": _bench_fig8,
     }
     payload, rows = {}, []
     for name, bench in workloads.items():
         best, events = bench()
-        speedup = best["legacy"] / best["new"]
-        payload[name] = {
-            "new_seconds": best["new"],
-            "legacy_seconds": best["legacy"],
-            "speedup": speedup,
-            "matvec_seconds": best["matvec"],
-            "new_calibrated_speedup": events / best["new"] * best["matvec"],
-        }
-        rows.append(
-            f"{name:>16} {best['new']:>10.4f} {best['legacy']:>10.4f} "
-            f"{speedup:>8.2f}x"
-        )
-        # Loose sanity floor only — the committed baseline plus
-        # compare.py's 20% gate carries the real regression check.
-        assert speedup > 1.2, f"{name}: engine slower than legacy oracle"
+        payload[name] = {"matvec_seconds": best["matvec"], **_rates(best, events, "new")}
+        rows.append(_row(name, best, events, "new"))
 
-    best, events = _bench_fig8()
-    speedup = best["legacy"] / best["new"]
-    payload["fig8"] = {
-        "new_seconds": best["new"],
-        "legacy_seconds": best["legacy"],
-        "speedup": speedup,
-        # Absolute event rates make delivery-bound regressions visible
-        # directly; the names dodge the _seconds timing gate on purpose
-        # (rates are machine-dependent, the speedup carries the gate).
-        "new_events_per_second": events / best["new"],
-        "legacy_events_per_second": events / best["legacy"],
-        "matvec_seconds": best["matvec"],
-        "new_calibrated_speedup": events / best["new"] * best["matvec"],
-    }
-    rows.append(
-        f"{'fig8':>16} {best['new']:>10.4f} {best['legacy']:>10.4f} "
-        f"{speedup:>8.2f}x   ({events / best['new']:,.0f} vs "
-        f"{events / best['legacy']:,.0f} events/s)"
-    )
-    assert speedup > 1.2, "fig8: engine slower than legacy oracle"
-
+    # ``best`` and ``events`` are fig8's, the one workload with a native arm.
     if "native" in best:
         # Compiled-kernel arm: bit-identical to the NumPy arm (asserted
         # in _bench_fig8), so the ratio isolates pure relax/commit kernel
@@ -356,26 +322,16 @@ def test_engine_speedups(benchmark):
         payload["fig8"]["native_seconds"] = best["native"]
         payload["fig8"]["native_events_per_second"] = events / best["native"]
         payload["fig8"]["native_speedup_vs_block"] = native_vs_block
-        rows.append(
-            f"{'fig8 (native)':>16} {best['native']:>10.4f} "
-            f"{best['new']:>10.4f} {native_vs_block:>8.2f}x   "
-            f"({events / best['native']:,.0f} events/s, vs NumPy arm)"
-        )
+        rows.append(_row("fig8 (native)", best, events, "native"))
         info = build_info()
         publish_json(
             "native",
             {
                 "fig8": {
-                    "native_seconds": best["native"],
                     "block_seconds": best["new"],
-                    "legacy_seconds": best["legacy"],
-                    "native_speedup_vs_block": native_vs_block,
-                    "native_speedup_vs_legacy": best["legacy"] / best["native"],
-                    "native_events_per_second": events / best["native"],
                     "matvec_seconds": best["matvec"],
-                    "native_calibrated_speedup": (
-                        events / best["native"] * best["matvec"]
-                    ),
+                    "native_speedup_vs_block": native_vs_block,
+                    **_rates(best, events, "native"),
                 },
                 "build": {
                     "compiler": info.get("compiler"),
@@ -396,10 +352,11 @@ def test_engine_speedups(benchmark):
 
     report = "\n".join(
         [
-            "Event-engine speedups vs legacy oracle "
-            f"(bit-identical trajectories, best of {REPS}, interleaved):",
+            "Event-engine event rates, calibrated by the matvec_fd4624 SpMV "
+            f"(best of {REPS}, interleaved):",
             "",
-            f"{'workload':>16} {'new (s)':>10} {'legacy (s)':>10} {'speedup':>9}",
+            f"{'workload':>16} {'time (s)':>10} {'events/s':>12} "
+            f"{'SpMV (us)':>10} {'events/SpMV':>11}",
             *rows,
         ]
     )

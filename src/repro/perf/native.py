@@ -13,7 +13,8 @@ Bit-identity contract
 ---------------------
 Every kernel reproduces the exact floating-point operand order of the
 NumPy path it replaces, so trajectories stay byte-for-byte equal to the
-``repro.runtime.legacy`` oracle:
+NumPy kernels' and to the frozen engine corpus
+(``tests/runtime/engine_digests.json``):
 
 * ``repro_residual`` computes ``r = b - A x`` with a CSR row loop: each
   row's products ``data[k] * x[indices[k]]`` are added in storage order

@@ -24,7 +24,6 @@ from repro.runtime.engine import (
     NormalStream,
     PatternJitterStream,
 )
-from repro.runtime.events import EventQueue
 from repro.runtime.machine import (
     ARIES,
     CPU20,
@@ -53,7 +52,6 @@ __all__ = [
     "StochasticStall",
     "StragglerDelay",
     "DistributedJacobi",
-    "EventQueue",
     "HeapEventQueue",
     "JitterStream",
     "NormalStream",

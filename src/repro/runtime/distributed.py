@@ -59,6 +59,7 @@ from repro.runtime.engine import (
     HeapEventQueue,
     NormalStream,
     PatternJitterStream,
+    refuse_legacy_engine,
 )
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.observer import ResidualObserver
@@ -553,29 +554,6 @@ class DistributedJacobi:
             return self.delay.slowdown(rank)
         return 1.0
 
-    def _compute_time(self, rk: _Rank) -> float:
-        """Read-to-write span: the local SpMV + correction."""
-        node = self.cluster.node
-        base = node.compute_duration(rk.local.nnz, rk.rows.size, 1, rk.rng)
-        return base * self._slowdown(rk.rank)
-
-    def _overhead_time(self, rk: _Rank) -> float:
-        """Off-span per-iteration work: put initiation, norms, bookkeeping."""
-        node = self.cluster.node
-        base = node.overhead_duration(1, rk.rng)
-        base += len(rk.send_plan) * self.cluster.network.put_overhead
-        return base * self._slowdown(rk.rank) + self.delay.extra_time(
-            rk.rank, rk.iterations, rk.rng
-        )
-
-    def _cycle_time(self, rk: _Rank) -> float:
-        """Full iteration duration (sync mode)."""
-        return self._compute_time(rk) + self._overhead_time(rk)
-
-    def _same_node(self, p: int, q: int) -> bool:
-        """Whether two ranks share a node (consecutive-rank placement)."""
-        return p // self.ranks_per_node == q // self.ranks_per_node
-
     def _relax_block(self, rk: _Rank, x: np.ndarray, mom_prev=None) -> np.ndarray:
         """One local relaxation of ``rk``'s block from the current view.
 
@@ -651,8 +629,10 @@ class DistributedJacobi:
         the relax kernels, the packed native rows, the observer and the
         queue with the initial START/RESTART events. It then runs one of
         two loops and builds the result. Trajectories are bit-identical to
-        the pre-engine loop, kept as ``legacy_engine=True`` (the
-        equivalence-test oracle).
+        the deleted pre-engine loop's, frozen as digests in
+        ``tests/runtime/engine_digests.json``; ``legacy_engine=True``
+        raises ``ValueError`` (the keyword stays for the ``bench/``
+        harness, which passes ``False``).
 
         * **The block loop** (:meth:`_block_loop`) takes every plain run —
           no faults or loss rolls, no tracer, no reliable puts, no
@@ -734,15 +714,7 @@ class DistributedJacobi:
             observe_every = check_positive_int(observe_every, "observe_every")
         report_every = check_positive_int(report_every, "report_every")
         recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
-        if legacy_engine:
-            from repro.runtime.legacy import distributed_run_async
-
-            return distributed_run_async(
-                self, x0=x0, tol=tol, max_iterations=max_iterations,
-                observe_every=observe_every, eager=eager,
-                termination=termination, report_every=report_every,
-                recompute_every=recompute_every, tracer=tracer,
-            )
+        refuse_legacy_engine(legacy_engine)
         check_positive(tol, "tol")
         if termination not in ("count", "detect"):
             raise ValueError(
@@ -1463,8 +1435,8 @@ class DistributedJacobi:
                     outstanding.setdefault(ch, {})[seq] = rec
                     transmit(ch, seq, rec, t)
                 return
-            # Fire-and-forget RMA puts (RNG call order kept bit-identical to
-            # the legacy loop; an inactive network jitter's factor is 1.0).
+            # Fire-and-forget RMA puts (RNG call order pinned by the engine
+            # digest corpus; an inactive network jitter's factor is 1.0).
             for q, slots_q, local_rows, mb in entries:
                 tm.puts_sent += 1
                 if trc is not None:
@@ -1888,17 +1860,13 @@ class DistributedJacobi:
         the sweep costs are reduced as arrays; otherwise every rank draws
         scalar lognormals in the order compute, overhead, delay, messages.
         Both sources feed the same sweep and are bit-identical to the
-        pre-engine scalar loop, which ``legacy_engine=True`` runs (kept in
-        :mod:`repro.runtime.legacy`). ``max_iterations`` must be a
-        positive integer (``ValueError`` otherwise).
+        deleted pre-engine scalar loop, whose trajectories
+        ``tests/runtime/engine_digests.json`` freezes; ``legacy_engine=True``
+        raises ``ValueError``. ``max_iterations`` must be a positive
+        integer (``ValueError`` otherwise).
         """
         max_iterations = check_positive_int(max_iterations, "max_iterations")
-        if legacy_engine:
-            from repro.runtime import legacy
-
-            return legacy.distributed_run_sync(
-                self, x0=x0, tol=tol, max_iterations=max_iterations
-            )
+        refuse_legacy_engine(legacy_engine)
         check_positive(tol, "tol")
         dinv = self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
@@ -1907,8 +1875,9 @@ class DistributedJacobi:
         node = self.cluster.node
         allreduce = net.allreduce_cost(self.n_ranks)
 
-        # Per-rank constants of the sweep-timing recurrence (exact legacy
-        # arithmetic: ``(cbase*jit)*slow + (ovbase*jit + puts)*slow + extra``).
+        # Per-rank constants of the sweep-timing recurrence (the arithmetic
+        # the engine corpus pins: ``(cbase*jit)*slow + (ovbase*jit + puts)*slow
+        # + extra``).
         thr = node.smt_throughput(1)
         sigma_m = node.effective_jitter(1)
         sigma_net = net.jitter_sigma
@@ -1923,8 +1892,8 @@ class DistributedJacobi:
         puts_const = [
             len(rk.send_plan) * net.put_overhead for rk in ranks
         ]
-        # Sync-mode messages always pay the inter-node latency (the legacy
-        # loop never passed ``intra_node``).
+        # Sync-mode messages always pay the inter-node latency, as the
+        # pre-engine loop did and the engine corpus pins.
         msg_bases = [
             [lat + local_rows.size * tpv for _, _, local_rows in rk.send_plan]
             for rk in ranks

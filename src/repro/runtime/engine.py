@@ -1,20 +1,18 @@
 """High-performance typed discrete-event engine.
 
-The seed's :class:`~repro.runtime.events.EventQueue` stores ``(time, seq,
-payload)`` tuples in a ``heapq``, where ``payload`` is an ad-hoc Python
-tuple allocated per event. This module replaces it on the simulators' hot
-path with *typed* events — an int-coded kind, an int agent id, and an
-optional object slot for the rare payload-carrying messages:
+The simulators' hot path runs on *typed* events — an int-coded kind, an
+int agent id, and an optional object slot for the rare payload-carrying
+messages — rather than an ad-hoc payload tuple allocated per event:
 
 :class:`HeapEventQueue`
-    The same C-implemented ``heapq`` underneath, but holding flat typed
-    tuples ``(time, seq, kind, agent, obj)`` — no nested payload tuple per
+    CPython's C-implemented ``heapq`` holding flat typed tuples
+    ``(time, seq, kind, agent, obj)`` — no nested payload tuple per
     event. At the pending-set sizes the machine simulators reach (one
     in-flight event per thread/rank plus in-flight messages, i.e. tens to
     a few thousand), CPython's C heap beats any Python-level structure.
     Events pop sorted by ``(time, seq)`` with ``seq`` the global push
     counter, so equal-time events pop in push order. NaN and past-time
-    pushes are rejected exactly like the legacy queue.
+    pushes are rejected.
 
 Jitter streams
 --------------
@@ -83,8 +81,8 @@ class HeapEventQueue:
         """Schedule a typed event at ``time``.
 
         NaN times and times before the last popped event raise
-        :class:`SimulationError` (same contract as the legacy queue: a NaN
-        would silently poison the heap invariant).
+        :class:`SimulationError` (a NaN would silently poison the heap
+        invariant).
         """
         if math.isnan(time):
             raise SimulationError(
@@ -108,11 +106,26 @@ class HeapEventQueue:
     def pending_payloads(self):
         """Iterate ``(kind, agent, obj)`` of all pending events.
 
-        Heap order, not time-sorted — same contract as the legacy queue's
-        ``pending_payloads`` (used for "can anything still happen?" checks,
-        which are order-independent).
+        Heap order, not time-sorted (used for "can anything still happen?"
+        checks, which are order-independent).
         """
         return ((item[2], item[3], item[4]) for item in self._heap)
+
+
+def refuse_legacy_engine(legacy_engine: bool) -> None:
+    """Raise ``ValueError`` on a true ``legacy_engine``.
+
+    The pre-engine simulator loops are deleted; the trajectories they
+    produced are frozen in ``tests/runtime/engine_digests.json``. The
+    keyword stays on both simulators' run methods only because the
+    ``bench/`` harness passes ``legacy_engine=False``.
+    """
+    if legacy_engine:
+        raise ValueError(
+            "legacy_engine=True is retired: the pre-engine loops are deleted "
+            "and their trajectories are frozen in "
+            "tests/runtime/engine_digests.json"
+        )
 
 
 def make_event_queue(backend: str = "auto", size_hint: int = 0) -> HeapEventQueue:

@@ -48,7 +48,7 @@ from repro.methods import make_method
 from repro.methods.kernels import sor_block_pending, sor_step_dense
 from repro.observability.tracer import resolve as resolve_tracer
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
-from repro.runtime.engine import HeapEventQueue, JitterStream
+from repro.runtime.engine import HeapEventQueue, JitterStream, refuse_legacy_engine
 from repro.runtime.machine import KNL, MachineModel
 from repro.runtime.observer import ResidualObserver
 from repro.runtime.results import FaultTelemetry, SimulationResult
@@ -258,9 +258,11 @@ class SharedMemoryJacobi:
         :class:`~repro.runtime.engine.JitterStream` that prefetches unless
         the thread's delay model draws from the same generator; a zero
         sigma yields 1.0 without a draw), and one event per pop.
-        Trajectories are bit-identical to the pre-engine implementation,
-        which remains available for one release as ``legacy_engine=True``
-        (the equivalence-test oracle).
+        Trajectories are bit-identical to the deleted pre-engine
+        implementation's, frozen as digests in
+        ``tests/runtime/engine_digests.json``; ``legacy_engine=True``
+        raises ``ValueError`` (the keyword stays for the ``bench/``
+        harness, which passes ``False``).
 
         ``observe_every`` (default: one per thread) counts commits between
         residual observations; for it and ``max_iterations`` anything but
@@ -271,15 +273,7 @@ class SharedMemoryJacobi:
         if observe_every is not None:
             observe_every = check_positive_int(observe_every, "observe_every")
         recompute_every = check_nonnegative_int(recompute_every, "recompute_every")
-        if legacy_engine:
-            from repro.runtime.legacy import shared_run_async
-
-            return shared_run_async(
-                self, x0=x0, tol=tol, max_iterations=max_iterations,
-                observe_every=observe_every,
-                run_until_all_reach=run_until_all_reach,
-                recompute_every=recompute_every, tracer=tracer,
-            )
+        refuse_legacy_engine(legacy_engine)
         check_positive(tol, "tol")
         A, b, dinv = self.A, self.b, self.dinv
         x = np.zeros(self.n) if x0 is None else check_vector(x0, self.n, "x0").copy()
@@ -325,7 +319,8 @@ class SharedMemoryJacobi:
         # A constant injected delay lets a thread's jitter stream prefetch
         # (its RNG then serves jitter only); a stochastic model draws from
         # the same RNG, so that thread's stream draws one factor per call
-        # and delay and jitter draws interleave in exactly the legacy order.
+        # and delay and jitter draws interleave in the order the engine
+        # corpus pins.
         const_extra = [self.delay.constant_extra(tid) for tid in range(T)]
         delay_hung = type(self.delay).is_hung is not DelayModel.is_hung
 

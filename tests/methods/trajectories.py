@@ -59,17 +59,11 @@ SCENARIOS = {
     "batched_w1": ("batched", {"omega": 1.0}, {}, {"method": "jacobi"}),
     "shared_engine_w1": ("shared", {"omega": 1.0}, {}, {"method": "jacobi"}),
     "shared_engine_w075": ("shared", {"omega": 0.75}, {}, {"method": "jacobi"}),
-    "shared_legacy_w1": (
-        "shared", {"omega": 1.0}, {"legacy_engine": True}, {"method": "jacobi"},
-    ),
     "shared_sync_w1": ("shared", {"omega": 1.0}, {"sync": True}, {"method": "jacobi"}),
     # A plain async run: the block loop (native kernels when the library
     # loads; CI also runs this file under REPRO_NO_NATIVE=1).
     "dist_block_w1": (
         "distributed", {"omega": 1.0}, {}, {"method": "jacobi"},
-    ),
-    "dist_legacy_w1": (
-        "distributed", {"omega": 1.0}, {"legacy_engine": True}, {"method": "jacobi"},
     ),
     "dist_sync_w1": ("distributed", {"omega": 1.0}, {"sync": True}, {"method": "jacobi"}),
     # Gauss-Seidel block-sweep goldens: the step-async SOR oracle.

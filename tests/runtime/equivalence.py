@@ -1,12 +1,15 @@
-"""Statistical-equivalence helpers for large-n backend comparisons.
+"""Bit-identity and statistical-equivalence helpers for the simulators.
 
-At small n the engine is held to bit-identity against the legacy oracle
-(``test_engine_equivalence``): every float in every trajectory must match
-byte for byte. At paper scale that comparison is unaffordable — the
-oracle's per-event Python loop takes minutes per arm — so large-n
-coverage asserts *statistical* equivalence instead: seeded ensembles of
-runs from two configurations must trace overlapping residual envelopes
-and reach tolerance in comparable simulated time.
+At small n the engine is held to bit-identity against a frozen corpus:
+``engine_digests.json`` pins sha256 digests of every result field (and
+trace stream) of each case in ``test_engine_equivalence``, and
+:func:`assert_matches_corpus` checks a run against its entry; the
+observer and model-executor digest tests hash with the same :func:`sha`.
+At paper scale a frozen case per configuration is
+not worth its cost, so large-n coverage asserts *statistical*
+equivalence instead: seeded ensembles of runs from two configurations
+must trace overlapping residual envelopes and reach tolerance in
+comparable simulated time.
 
 The helpers are deterministic end to end (fixed seed lists, no wall-clock
 dependence), so a divergence is reproducible from the failing seed alone.
@@ -15,7 +18,6 @@ dependence), so a divergence is reproducible from the failing seed alone.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
@@ -59,8 +61,6 @@ def canon(v):
     """Hashable, bitwise-faithful form of a result field or trace payload."""
     if isinstance(v, np.ndarray):
         return ("nd", v.dtype.str, v.shape, v.tobytes())
-    if isinstance(v, np.generic):
-        return ("np", v.dtype.str, v.tobytes())
     if isinstance(v, (list, tuple)):
         return tuple(canon(e) for e in v)
     if isinstance(v, dict):
@@ -89,16 +89,18 @@ def _repr_sha(v) -> str:
     return hashlib.sha256(repr(canon(v)).encode()).hexdigest()
 
 
-def result_digests(res) -> dict:
-    """Digests of every field a bit-identity comparison covers.
+def run_digests(res, events=None) -> dict:
+    """Digests of every field :func:`assert_results_identical` compares.
 
     ``x``, the ``times``/``residual_norms``/``relaxation_counts`` history,
     the per-agent ``iterations``, ``total_time`` and the
     :class:`~repro.runtime.results.FaultTelemetry` fields (``None`` when
     the run carries no telemetry); ``converged`` is kept as a plain bool.
+    Given a ``TraceEvent`` stream, ``trace`` digests its
+    ``(kind, time, seq, agent, data)`` tuples.
     """
     tm = res.telemetry
-    return {
+    out = {
         "x": sha(np.asarray(res.x, dtype="<f8")),
         "converged": bool(res.converged),
         "times": sha(np.asarray(res.times, dtype="<f8")),
@@ -108,30 +110,17 @@ def result_digests(res) -> dict:
         "total_time": sha(np.asarray([res.total_time], dtype="<f8")),
         "telemetry": None if tm is None else _repr_sha(vars(tm)),
     }
-
-
-def stream_digest(events) -> str:
-    """Digest of a ``TraceEvent`` stream's ``(kind, time, seq, agent, data)``."""
-    return _repr_sha([(e.kind, e.time, e.seq, e.agent, e.data) for e in events])
-
-
-def run_digests(result, events=None) -> dict:
-    """:func:`result_digests`, plus ``trace`` when a stream is given."""
-    out = result_digests(result)
     if events is not None:
-        out["trace"] = stream_digest(events)
+        out["trace"] = _repr_sha(
+            [(e.kind, e.time, e.seq, e.agent, e.data) for e in events]
+        )
     return out
 
 
-@functools.cache
-def engine_corpus() -> dict:
-    """The frozen engine corpus's ``runs`` map (key -> digests)."""
-    return json.loads(ENGINE_DIGESTS.read_text())["runs"]
-
-
 def assert_matches_corpus(key, result, events=None):
-    """One run's digests must equal the corpus entry ``key``."""
-    assert run_digests(result, events) == engine_corpus()[key], key
+    """One run's digests must equal the engine corpus entry ``key``."""
+    frozen = json.loads(ENGINE_DIGESTS.read_text())["runs"][key]
+    assert run_digests(result, events) == frozen, key
 
 
 def run_ensemble(run_one, seeds):

@@ -221,14 +221,15 @@ class TestStreamsBitIdentical:
 class TestNoPerRelaxationConcatenate:
     """The relax hot path must not rebuild ``local_x`` per relaxation.
 
-    The legacy loop called ``np.concatenate((x[rows], ghosts))`` for every
-    relaxation *and* every residual report; the engine writes into
-    preallocated per-rank buffers instead. Counting ``np.concatenate``
+    A relax that called ``np.concatenate((x[rows], ghosts))`` for every
+    relaxation *and* every residual report (as the pre-engine loop did)
+    would allocate per event; the engine writes into preallocated
+    per-rank buffers instead. Counting ``np.concatenate``
     calls across two run lengths pins this down: any per-iteration use
     would scale with ``max_iterations``, setup-only use would not.
     """
 
-    def _concat_count(self, monkeypatch, max_iterations, legacy):
+    def _concat_count(self, monkeypatch, max_iterations):
         A = fd_laplacian_2d(8, 8)
         b = np.random.default_rng(0).standard_normal(A.shape[0])
         solver = DistributedJacobi(A, b, n_ranks=4, seed=1)
@@ -241,7 +242,7 @@ class TestNoPerRelaxationConcatenate:
         monkeypatch.setattr(np, "concatenate", counting)
         try:
             solver.run_async(
-                tol=1e-300, max_iterations=max_iterations, legacy_engine=legacy,
+                tol=1e-300, max_iterations=max_iterations,
                 termination="detect", report_every=4,
             )
         finally:
@@ -249,16 +250,9 @@ class TestNoPerRelaxationConcatenate:
         return calls[0]
 
     def test_engine_concatenate_is_setup_only(self, monkeypatch):
-        short = self._concat_count(monkeypatch, 8, legacy=False)
-        long = self._concat_count(monkeypatch, 32, legacy=False)
+        short = self._concat_count(monkeypatch, 8)
+        long = self._concat_count(monkeypatch, 32)
         assert long == short  # O(ranks) setup, independent of iterations
-
-    def test_legacy_scales_with_iterations(self, monkeypatch):
-        # The oracle still concatenates per relaxation — the contrast that
-        # makes the test above meaningful.
-        short = self._concat_count(monkeypatch, 8, legacy=True)
-        long = self._concat_count(monkeypatch, 32, legacy=True)
-        assert long > short + 48
 
     def test_peak_memory_does_not_scale_with_iterations(self):
         import tracemalloc

@@ -11,10 +11,12 @@ bit-identity comparison covers: ``x``, ``times``, ``residual_norms``,
 ``converged`` kept as a bool. Traced cases also pin the
 ``(kind, time, seq, agent, data)`` stream of their ``TraceEvent`` s.
 
-The writer runs each case on the engine with the compiled kernels, on
-the engine with the NumPy kernels and on the pre-engine loops
-(``legacy_engine=True``), and refuses to write unless every arm gives
-the same digests. Regenerate (only for a deliberate change) with::
+The corpus was recorded while the pre-engine loops still existed: the
+writer ran every case on the engine and on those loops and wrote nothing
+unless both gave the same digests, so the corpus carries their
+authority now that they are deleted. The writer still runs two arms, the
+engine on the compiled kernels and on the NumPy kernels, and refuses to
+write unless they agree. Regenerate (only for a deliberate change) with::
 
     PYTHONPATH=src python -m tests.runtime.test_engine_digests --write
 """
@@ -25,6 +27,8 @@ import sys
 import pytest
 
 from repro.perf.native import native_available
+from repro.runtime.distributed import DistributedJacobi
+from repro.runtime.shared import SharedMemoryJacobi
 
 from tests.runtime.equivalence import (
     ENGINE_DIGESTS,
@@ -32,7 +36,7 @@ from tests.runtime.equivalence import (
     numpy_kernels,
     run_digests,
 )
-from tests.runtime.test_engine_equivalence import RUNS
+from tests.runtime.test_engine_equivalence import RUNS, A, B
 
 REGENERATE = "PYTHONPATH=src python -m tests.runtime.test_engine_digests --write"
 #: Corpus cases no test of ``test_engine_equivalence.py`` runs: they are
@@ -44,13 +48,12 @@ NATIVE_SUITE_ONLY = [k for k in RUNS if k.startswith("methods/")] + [
 
 
 def _record(key):
-    engine = run_digests(*RUNS[key]())
+    compiled = run_digests(*RUNS[key]())
     with numpy_kernels():
         numpy_arm = run_digests(*RUNS[key]())
-    legacy = run_digests(*RUNS[key](legacy=True))
-    if not engine == numpy_arm == legacy:
-        sys.exit(f"{key}: the arms disagree; nothing written")
-    return engine
+    if compiled != numpy_arm:
+        sys.exit(f"{key}: the compiled and NumPy kernels disagree; nothing written")
+    return compiled
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,30 @@ def frozen():
 def test_digest_file_names_its_regeneration_command(frozen):
     assert frozen["regenerate"] == REGENERATE
     assert set(frozen["runs"]) == set(RUNS)
+
+
+#: Each entry point that keeps the ``legacy_engine`` keyword, with the
+#: corpus case its ``legacy_engine=False`` call reproduces.
+ENTRY_POINTS = {
+    "distributed-async/plain": lambda: DistributedJacobi(
+        A, B, n_ranks=8, seed=3).run_async,
+    "distributed-sync/plain": lambda: DistributedJacobi(
+        A, B, n_ranks=8, seed=3).run_sync,
+    "shared-async/plain": lambda: SharedMemoryJacobi(
+        A, B, n_threads=8, seed=3).run_async,
+}
+
+
+@pytest.mark.parametrize("key", ENTRY_POINTS)
+def test_legacy_engine_keyword_is_refused(key):
+    """``legacy_engine=True`` raises and names the corpus; ``False`` (the
+    ``bench/`` harness's call) runs the corpus trajectory."""
+    run = ENTRY_POINTS[key]()
+    max_iterations = 40 if key.startswith("distributed-async") else 60
+    with pytest.raises(ValueError, match="engine_digests.json"):
+        run(tol=1e-6, max_iterations=max_iterations, legacy_engine=True)
+    result = run(tol=1e-6, max_iterations=max_iterations, legacy_engine=False)
+    assert_matches_corpus(key, result)
 
 
 @pytest.mark.parametrize("key", NATIVE_SUITE_ONLY)

@@ -4,15 +4,14 @@ Both machine simulators must reproduce, byte for byte, the trajectories
 of their pre-engine implementations: same RNG call order, same
 tie-breaking, so every float in the x history, residual history, event
 times, telemetry counters and ``TraceEvent`` stream is equal. Those
-trajectories are frozen as sha256 digests in ``engine_digests.json``
-(written by ``tests/runtime/test_engine_digests.py``, which refused to
-record a case unless the engine and the pre-engine loops agreed on it).
-These tests run the engine across the feature matrix (fault plans,
-recovery policies, delay models, sweep variants; plain distributed runs
-take the block loop, the rest the general loop) and check each run
-against its corpus entry. The engine runs the compiled kernels whenever
-they load; CI also runs this file under ``REPRO_NO_NATIVE=1`` to pin the
-NumPy kernels to the same corpus.
+trajectories are frozen as sha256 digests in ``engine_digests.json``,
+recorded while the pre-engine loops still existed (see
+``test_engine_digests.py``). These tests run the engine once per case
+across the feature matrix (fault plans, recovery policies, delay models,
+sweep variants; plain distributed runs take the block loop, the rest the
+general loop) and check each run against its corpus entry. The engine
+runs the compiled kernels whenever they load; CI also runs this file
+under ``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same corpus.
 """
 
 import contextlib
@@ -173,31 +172,29 @@ METHOD_CASES = {
 }
 
 
-def run_distributed_async(kwargs, run_kwargs, legacy=False):
+def run_distributed_async(kwargs, run_kwargs):
     """One 8-rank ``run_async`` of the shared problem."""
     run_kwargs = dict({"tol": 1e-6, "max_iterations": 40}, **run_kwargs)
-    solver = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs)
-    return solver.run_async(legacy_engine=legacy, **run_kwargs)
+    return DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(**run_kwargs)
 
 
-def run_distributed_sync(kwargs, legacy=False):
+def run_distributed_sync(kwargs):
     """One ``run_sync`` of the shared problem (8 ranks unless overridden)."""
     solver = DistributedJacobi(A, B, seed=3, **dict(dict(n_ranks=8), **kwargs))
-    return solver.run_sync(tol=1e-6, max_iterations=60, legacy_engine=legacy)
+    return solver.run_sync(tol=1e-6, max_iterations=60)
 
 
-def run_shared_async(kwargs, run_kwargs, legacy=False):
+def run_shared_async(kwargs, run_kwargs):
     """One shared-memory ``run_async`` of the shared problem."""
     run_kwargs = dict({"tol": 1e-6, "max_iterations": 60}, **run_kwargs)
-    solver = SharedMemoryJacobi(A, B, seed=3, **kwargs)
-    return solver.run_async(legacy_engine=legacy, **run_kwargs)
+    return SharedMemoryJacobi(A, B, seed=3, **kwargs).run_async(**run_kwargs)
 
 
-def run_traced(make, trace_reads, legacy=False, **run_kwargs):
+def run_traced(make, trace_reads, **run_kwargs):
     """``(result, TraceEvent list)`` of one traced ``run_async``."""
     sink = RingBufferSink(capacity=200_000)
     tracer = Tracer(sinks=[sink], trace_reads=trace_reads)
-    result = make().run_async(tracer=tracer, legacy_engine=legacy, **run_kwargs)
+    result = make().run_async(tracer=tracer, **run_kwargs)
     return result, list(sink._ring)
 
 
@@ -230,25 +227,25 @@ def _twin_generators():
         dist.spawn_rngs = real_spawn
 
 
-def run_exact_ties(legacy=False):
+def run_exact_ties():
     """100 contiguous ranks whose ranks 1 and 2 share one timeline."""
     A2 = fd_laplacian_2d(32, 50)
     b2 = np.random.default_rng(0).uniform(-1, 1, A2.nrows)
     with _twin_generators():
         return DistributedJacobi(
             A2, b2, n_ranks=100, partition="contiguous", seed=2
-        ).run_async(tol=1e-30, max_iterations=6, legacy_engine=legacy)
+        ).run_async(tol=1e-30, max_iterations=6)
 
 
 def _untraced(fn, *args):
-    return lambda **arm: (fn(*args, **arm), None)
+    return lambda: (fn(*args), None)
 
 
 def _traced(make, trace_reads, **run_kwargs):
-    return lambda **arm: run_traced(make, trace_reads, **arm, **run_kwargs)
+    return lambda: run_traced(make, trace_reads, **run_kwargs)
 
 
-#: corpus key -> ``(**arm) -> (result, trace events or None)``.
+#: corpus key -> ``() -> (result, trace events or None)``.
 RUNS = {
     **{f"distributed-async/{case}": _untraced(run_distributed_async, *spec)
        for case, spec in DIST_ASYNC_CASES.items()},
@@ -275,39 +272,32 @@ RUNS = {
 }
 
 
-def check(key, **arm):
+def check(key):
     """Run corpus case ``key`` and compare it with its frozen digests."""
-    result, events = RUNS[key](**arm)
+    result, events = RUNS[key]()
     assert_matches_corpus(key, result, events)
     return result, events
 
 
-def _both_arms(key):
-    engine = check(key)
-    legacy = RUNS[key](legacy=True)
-    assert_matches_corpus(key, *legacy)
-    return engine
-
-
 @pytest.mark.parametrize("case", DIST_ASYNC_CASES)
 def test_distributed_async_bit_identical(case):
-    _both_arms(f"distributed-async/{case}")
+    check(f"distributed-async/{case}")
 
 
 @pytest.mark.parametrize("case", DIST_SYNC_CASES)
 def test_distributed_sync_bit_identical(case):
-    _both_arms(f"distributed-sync/{case}")
+    check(f"distributed-sync/{case}")
 
 
 @pytest.mark.parametrize("case", SHARED_CASES)
 def test_shared_async_bit_identical(case):
-    _both_arms(f"shared-async/{case}")
+    check(f"shared-async/{case}")
 
 
 @pytest.mark.parametrize("trace_reads", [False, True])
 def test_tracing_compat_shared_fig3_style(trace_reads):
     """Figure 3-style traced shared-memory run: identical TraceEvent stream."""
-    _, events = _both_arms(f"traced/shared-fig3{'-reads' if trace_reads else ''}")
+    _, events = check(f"traced/shared-fig3{'-reads' if trace_reads else ''}")
     assert len(events) > 0
 
 
@@ -319,17 +309,17 @@ def test_tracing_compat_distributed_fault_plan(trace_reads):
     checks valid on the new engine.
     """
     tag = "-reads" if trace_reads else ""
-    _, events = _both_arms(f"traced/distributed-fault-plan{tag}")
+    _, events = check(f"traced/distributed-fault-plan{tag}")
     assert len(events) > 0
 
 
 def test_block_loop_exact_ties_bit_identical_to_legacy():
-    """Exact time ties at 100 ranks: the block loop matches the oracle.
+    """Exact time ties at 100 ranks: the block loop matches the corpus.
 
     Ranks 1 and 2 of this layout have the same block size, nnz, put sizes
     and node, so giving them the same generator makes their whole
     timelines coincide: every commit of one ties the other's exactly, and
     the block loop must order them by their virtual read cursors.
     """
-    result, _ = _both_arms("exact-ties/100-ranks")
+    result, _ = check("exact-ties/100-ranks")
     assert result.telemetry.puts_delivered > 0

@@ -1,10 +1,11 @@
 """Compiled relax kernels (:mod:`repro.perf.native`): identity and fallback.
 
 Distributed runs use the compiled kernels whenever the library loads, and
-their contract is the strongest the repo offers: at small n they must be
-*bit-identical* to the legacy oracle across the same feature matrix the
-engine-equivalence suite covers (methods, fault plans, tracing), and at
-10^4 rows bit-identical to the NumPy kernels. When the toolchain probe fails — no
+their contract is the strongest the repo offers: at small n they must
+reproduce the frozen engine corpus (``engine_digests.json``, the
+pre-engine loops' trajectories) bit for bit across the same feature
+matrix the engine-equivalence suite covers (methods, fault plans,
+tracing), and at 10^4 rows be bit-identical to the NumPy kernels. When the toolchain probe fails — no
 ``cc``, or ``REPRO_NO_NATIVE=1`` — every entry point must fall back
 silently and reproduce the same trajectories exactly.
 
@@ -23,12 +24,13 @@ from repro.runtime.distributed import DistributedJacobi
 from repro.util.rng import as_rng
 from tests.runtime.equivalence import (
     assert_envelopes_agree,
+    assert_matches_corpus,
     assert_results_identical,
     assert_times_comparable,
     numpy_kernels,
     run_ensemble,
 )
-from tests.runtime.test_engine_equivalence import DIST_ASYNC_CASES, A, B
+from tests.runtime.test_engine_equivalence import DIST_ASYNC_CASES, A, B, check
 
 needs_native = pytest.mark.skipif(
     not native.native_available(),
@@ -41,23 +43,11 @@ needs_native = pytest.mark.skipif(
 NATIVE_CASES = {k: v for k, v in DIST_ASYNC_CASES.items() if k != "gauss_seidel"}
 
 
-def _run_pair(kwargs, run_kwargs):
-    """(engine run, legacy-oracle run) for one configuration."""
-    run_kwargs = dict({"tol": 1e-6, "max_iterations": 40}, **run_kwargs)
-    engine_run = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
-        **run_kwargs
-    )
-    legacy_run = DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
-        legacy_engine=True, **run_kwargs
-    )
-    return engine_run, legacy_run
-
-
 @needs_native
 @pytest.mark.parametrize("case", NATIVE_CASES)
 def test_native_bit_identical_to_legacy(case):
-    kwargs, run_kwargs = NATIVE_CASES[case]
-    assert_results_identical(*_run_pair(kwargs, run_kwargs))
+    """The compiled kernels reproduce the pre-engine loops' frozen digests."""
+    check(f"distributed-async/{case}")
 
 
 @needs_native
@@ -67,35 +57,18 @@ def test_native_bit_identical_to_legacy(case):
 )
 def test_native_bit_identical_all_legal_methods(method):
     """Scaled and momentum method kinds run the compiled kernels bitwise."""
-    kwargs = {"method": make_method(method)}
-    assert_results_identical(*_run_pair(kwargs, {}))
+    check(f"methods/{method}")
 
 
 @needs_native
 def test_native_traced_run_matches_untraced_trajectory():
-    """A traced native run yields the same trajectory as the oracle's.
+    """A traced native run yields the corpus's trajectory and stream.
 
     Tracing forces the general event loop; the native relax closure must
     keep the bitwise contract there too.
     """
-    from repro.observability import RingBufferSink, Tracer
-
-    run_kwargs = {"tol": 1e-6, "max_iterations": 30}
-    streams = []
-    results = []
-    for legacy in (False, True):
-        sink = RingBufferSink(capacity=200_000)
-        tracer = Tracer(sinks=[sink], trace_reads=True)
-        sim = DistributedJacobi(A, B, n_ranks=8, seed=3)
-        results.append(
-            sim.run_async(tracer=tracer, legacy_engine=legacy, **run_kwargs)
-        )
-        streams.append(
-            [(e.kind, e.time, e.seq, e.agent) for e in sink._ring]
-        )
-    assert len(streams[0]) > 0
-    assert streams[0] == streams[1]
-    assert_results_identical(*results)
+    _, events = check("traced/distributed-plain-reads")
+    assert len(events) > 0
 
 
 SEEDS = (1, 2, 3)
@@ -120,8 +93,7 @@ def _large_run(seed):
 def test_native_statistically_equivalent_at_large_n():
     """10^4 rows, 128 ranks: native traces the NumPy kernels' envelope.
 
-    Bit-identity against the legacy oracle is unaffordable here; the
-    ensemble contract (envelope overlap + comparable time-to-tolerance)
+    No corpus entry exists at this size; the ensemble contract (envelope overlap + comparable time-to-tolerance)
     is the paper-scale check, and per-seed bit-identity against the NumPy
     kernels rides along because it is nearly free.
     """
@@ -195,22 +167,19 @@ class TestFallbackAndValidation:
         assert kernel_calls["relax_commit"] == 0
 
     @staticmethod
-    def _assert_numpy_only(kernel_calls, **kwargs):
+    def _assert_numpy_only(kernel_calls, method):
         """The native_ok rule: Gauss-Seidel sweeps silently run NumPy."""
-        runs = [
-            DistributedJacobi(A, B, n_ranks=8, seed=3, **kwargs).run_async(
-                tol=1e-6, max_iterations=5, legacy_engine=legacy,
-            )
-            for legacy in (False, True)
-        ]
+        result = DistributedJacobi(A, B, n_ranks=8, seed=3, method=method).run_async(
+            tol=1e-6, max_iterations=5,
+        )
         assert kernel_calls == NO_CALLS
-        assert_results_identical(*runs)
+        assert_matches_corpus("numpy-only/sor", result)
 
     def test_gauss_seidel_sweep_rejects_native(self, kernel_calls):
-        self._assert_numpy_only(kernel_calls, method="sor")
+        self._assert_numpy_only(kernel_calls, "sor")
 
     def test_sor_method_rejects_native(self, kernel_calls):
-        self._assert_numpy_only(kernel_calls, method=make_method("sor"))
+        self._assert_numpy_only(kernel_calls, make_method("sor"))
 
     def test_run_async_has_no_path_knobs(self):
         params = inspect.signature(DistributedJacobi.run_async).parameters

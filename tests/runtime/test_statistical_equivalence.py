@@ -1,6 +1,6 @@
 """Large-n statistical equivalence between engine configurations.
 
-Bit-identity vs the legacy oracle is only affordable at small n
+Bit-identity is pinned by a frozen digest corpus at small n
 (``test_engine_equivalence``); these tests cover the paper-scale regime
 with the ensemble helpers from :mod:`tests.runtime.equivalence`: a
 10^4-row stencil across 128 ranks, compared over seeded ensembles by

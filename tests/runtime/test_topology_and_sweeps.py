@@ -18,11 +18,21 @@ def system(rng):
 
 class TestNodeTopology:
     def test_same_node_mapping(self, system):
+        """Consecutive-rank placement: each put of the warm plan pays the
+        intra-node latency exactly when both ranks sit on one node."""
         A, b, _ = system
         dj = DistributedJacobi(A, b, n_ranks=8, ranks_per_node=4, seed=0)
-        assert dj._same_node(0, 3)
-        assert not dj._same_node(3, 4)
-        assert dj._same_node(4, 7)
+        net = dj.cluster.network
+        assert net.intra_node_latency < net.latency
+        plan = dj._warm_plan(dj._compile_ranks()).put_plan
+        same_node = set()
+        for p, puts in enumerate(plan):
+            for q, _, local_rows, base in puts:
+                same = p // 4 == q // 4
+                lat = net.intra_node_latency if same else net.latency
+                assert base == lat + local_rows.size * net.time_per_value, (p, q)
+                same_node.add(same)
+        assert same_node == {True, False}
 
     def test_default_from_cluster(self, system):
         A, b, _ = system

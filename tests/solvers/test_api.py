@@ -113,7 +113,6 @@ def test_executors_have_no_instrumentation_knobs(system):
     """The tracer is the only hook: no ``instrument``/``record_trace``."""
     from repro.core.model import AsyncJacobiModel
     from repro.perf.batched import BatchedAsyncJacobiModel
-    from repro.runtime import legacy
     from repro.runtime.distributed import DistributedJacobi
     from repro.runtime.shared import SharedMemoryJacobi
 
@@ -122,8 +121,6 @@ def test_executors_have_no_instrumentation_knobs(system):
         SharedMemoryJacobi.run_async,
         AsyncJacobiModel.run,
         BatchedAsyncJacobiModel.run,
-        legacy.shared_run_async,
-        legacy.distributed_run_async,
     ]
     for fn in entry_points:
         params = inspect.signature(fn).parameters
