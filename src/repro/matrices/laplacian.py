@@ -20,6 +20,8 @@ the test suite.)
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.matrices.sparse import CSRMatrix
@@ -34,6 +36,44 @@ PAPER_FD_GRIDS = {
 }
 
 
+def _stencil_csr(dims, legs, diag: float, scaled: bool) -> CSRMatrix:
+    """CSR matrix of a symmetric constant-coefficient stencil (Dirichlet).
+
+    Node ``(i_0, ..., i_{d-1})`` of the ``dims`` grid is row
+    ``(i_0 * dims[1] + i_1) * dims[2] + ...``; it carries ``diag`` and, for
+    each forward offset ``o`` (per-axis steps) in ``legs``, the coupling
+    ``legs[o]`` to its on-grid neighbours at ``+o`` and ``-o``. One pass
+    writes every row: each stencil slot is a fixed column offset under a
+    validity mask, visited in lexicographic offset order, so columns come
+    out ascending. ``scaled=True`` multiplies every entry by
+    ``1 / sqrt(diag)`` twice, rows then columns, as
+    :meth:`CSRMatrix.unit_diagonal_scaled` does.
+    """
+    dims = tuple(int(k) for k in dims)
+    if min(dims) < 1:
+        raise ShapeError(f"grid dimensions must be >= 1, got {dims}")
+    n, strides = math.prod(dims), [math.prod(dims[a + 1:]) for a in range(len(dims))]
+    mirrored = [(tuple(-k for k in o), v) for o, v in legs.items()]
+    slots = sorted([((0,) * len(dims), diag), *legs.items(), *mirrored])
+    valid = np.ones(dims + (len(slots),), dtype=bool)
+    for k, (o, _) in enumerate(slots):
+        for axis, step in enumerate(o):
+            if step:  # nodes whose neighbour along ``axis`` is off the grid
+                cut = [slice(None)] * len(dims) + [k]
+                cut[axis] = slice(0, -step) if step < 0 else slice(max(dims[axis] - step, 0), None)
+                valid[tuple(cut)] = False
+    valid = valid.reshape(n, len(slots))
+    offsets = np.array([np.dot(o, strides) for o, _ in slots], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    indices = (np.arange(n, dtype=np.int64)[:, None] + offsets)[valid]
+    data = np.broadcast_to(np.array([v for _, v in slots]), valid.shape)[valid]
+    if scaled:
+        s = 1.0 / np.sqrt(np.float64(diag))
+        data *= s
+        data *= s
+    return CSRMatrix(indptr, indices, data, (n, n))
+
+
 def fd_laplacian_1d(n: int, scaled: bool = True) -> CSRMatrix:
     """Tridiagonal [-1, 2, -1] Laplacian on ``n`` interior points.
 
@@ -42,14 +82,7 @@ def fd_laplacian_1d(n: int, scaled: bool = True) -> CSRMatrix:
     """
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
-    i = np.arange(n, dtype=np.int64)
-    rows = np.concatenate((i, i[:-1], i[1:]))
-    cols = np.concatenate((i, i[1:], i[:-1]))
-    vals = np.concatenate((np.full(n, 2.0), np.full(2 * (n - 1), -1.0)))
-    A = CSRMatrix.from_coo(rows, cols, vals, (n, n))
-    if scaled:
-        A, _ = A.unit_diagonal_scaled()
-    return A
+    return _stencil_csr((n,), {(1,): -1.0}, 2.0, scaled)
 
 
 def fd_laplacian_2d(nx: int, ny: int, scaled: bool = True) -> CSRMatrix:
@@ -60,32 +93,7 @@ def fd_laplacian_2d(nx: int, ny: int, scaled: bool = True) -> CSRMatrix:
     each of the up-to-four grid neighbors; with ``scaled=True`` it is
     symmetrically scaled to unit diagonal (diagonal 1, off-diagonals -1/4).
     """
-    if nx < 1 or ny < 1:
-        raise ShapeError(f"grid dimensions must be >= 1, got ({nx}, {ny})")
-    n = nx * ny
-    ix, iy = np.divmod(np.arange(n, dtype=np.int64), ny)
-
-    rows = [np.arange(n, dtype=np.int64)]
-    cols = [np.arange(n, dtype=np.int64)]
-    vals = [np.full(n, 4.0)]
-
-    # Horizontal neighbors (ix +- 1) and vertical neighbors (iy +- 1).
-    right = ix < nx - 1
-    rows.append(np.nonzero(right)[0])
-    cols.append(np.nonzero(right)[0] + ny)
-    up = iy < ny - 1
-    rows.append(np.nonzero(up)[0])
-    cols.append(np.nonzero(up)[0] + 1)
-    # Symmetrize by mirroring the two forward stencil legs.
-    fr, fc = np.concatenate(rows[1:]), np.concatenate(cols[1:])
-    all_rows = np.concatenate((rows[0], fr, fc))
-    all_cols = np.concatenate((cols[0], fc, fr))
-    all_vals = np.concatenate((vals[0], np.full(2 * fr.size, -1.0)))
-
-    A = CSRMatrix.from_coo(all_rows, all_cols, all_vals, (n, n))
-    if scaled:
-        A, _ = A.unit_diagonal_scaled()
-    return A
+    return _stencil_csr((nx, ny), {(1, 0): -1.0, (0, 1): -1.0}, 4.0, scaled)
 
 
 def fd_laplacian_3d(nx: int, ny: int, nz: int, scaled: bool = True) -> CSRMatrix:
@@ -93,30 +101,8 @@ def fd_laplacian_3d(nx: int, ny: int, nz: int, scaled: bool = True) -> CSRMatrix
 
     Used by the apache2 stand-in (a 3-D structured-mesh problem).
     """
-    if min(nx, ny, nz) < 1:
-        raise ShapeError(f"grid dimensions must be >= 1, got ({nx}, {ny}, {nz})")
-    n = nx * ny * nz
-    idx = np.arange(n, dtype=np.int64)
-    ix, rem = np.divmod(idx, ny * nz)
-    iy, iz = np.divmod(rem, nz)
-
-    fr, fc = [], []
-    for mask, stride in (
-        (ix < nx - 1, ny * nz),
-        (iy < ny - 1, nz),
-        (iz < nz - 1, 1),
-    ):
-        src = np.nonzero(mask)[0]
-        fr.append(src)
-        fc.append(src + stride)
-    fr, fc = np.concatenate(fr), np.concatenate(fc)
-    rows = np.concatenate((idx, fr, fc))
-    cols = np.concatenate((idx, fc, fr))
-    vals = np.concatenate((np.full(n, 6.0), np.full(2 * fr.size, -1.0)))
-    A = CSRMatrix.from_coo(rows, cols, vals, (n, n))
-    if scaled:
-        A, _ = A.unit_diagonal_scaled()
-    return A
+    legs = {(1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): -1.0}
+    return _stencil_csr((nx, ny, nz), legs, 6.0, scaled)
 
 
 def paper_fd_matrix(rows: int, scaled: bool = True) -> CSRMatrix:

@@ -21,18 +21,15 @@ from repro.util.errors import ShapeError, SingularMatrixError
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Vectorized ``np.concatenate([np.arange(s, s+c) ...])``.
 
-    Standard cumsum trick: total length is ``counts.sum()``; within each
-    segment we add an offset resetting the running index to ``starts[k]``.
+    Each output entry is its own output position plus its segment's shift
+    (the segment's start minus its offset in the output): one ``arange``
+    and one ``repeat`` of the per-segment shifts.
     """
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg_ids = np.repeat(np.arange(len(counts)), counts)
-    # Position within the concatenated output.
-    pos = np.arange(total, dtype=np.int64)
-    # Start position of each segment in the output.
-    seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return starts[seg_ids] + (pos - seg_starts[seg_ids])
+    out = np.arange(total, dtype=np.int64)
+    if total:
+        out += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return out
 
 
 class ColumnScatterPlan:
@@ -281,10 +278,9 @@ class CSRMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Extract the main diagonal as a dense vector (zeros where absent)."""
-        n = min(self.shape)
-        diag = np.zeros(n)
-        on_diag = (self._row_of_nnz == self.indices) & (self._row_of_nnz < n)
-        diag[self._row_of_nnz[on_diag]] = self.data[on_diag]
+        diag = np.zeros(min(self.shape))
+        on_diag = np.flatnonzero(self._row_of_nnz == self.indices)
+        diag[self.indices[on_diag]] = self.data[on_diag]
         return diag
 
     def transpose(self) -> "CSRMatrix":

@@ -26,18 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.matrices.laplacian import _stencil_csr
 from repro.matrices.sparse import CSRMatrix
 from repro.util.errors import ShapeError
 from repro.util.rng import as_rng
 from repro.util.validation import check_positive
-
-
-def _grid_index(nx: int, ny: int):
-    if nx < 1 or ny < 1:
-        raise ShapeError(f"grid dimensions must be >= 1, got ({nx}, {ny})")
-    idx = np.arange(nx * ny, dtype=np.int64)
-    ix, iy = np.divmod(idx, ny)
-    return idx, ix, iy
 
 
 def anisotropic_laplacian_2d(
@@ -48,25 +41,8 @@ def anisotropic_laplacian_2d(
     ``eps = 1`` reproduces :func:`~repro.matrices.laplacian.fd_laplacian_2d`.
     """
     check_positive(eps, "eps")
-    n = nx * ny
-    idx, ix, iy = _grid_index(nx, ny)
-    fr, fc, fv = [], [], []
-    right = idx[ix < nx - 1]
-    fr.append(right)
-    fc.append(right + ny)
-    fv.append(np.full(right.size, -float(eps)))
-    up = idx[iy < ny - 1]
-    fr.append(up)
-    fc.append(up + 1)
-    fv.append(np.full(up.size, -1.0))
-    fr, fc, fv = np.concatenate(fr), np.concatenate(fc), np.concatenate(fv)
-    rows = np.concatenate((idx, fr, fc))
-    cols = np.concatenate((idx, fc, fr))
-    vals = np.concatenate((np.full(n, 2.0 * (eps + 1.0)), fv, fv))
-    A = CSRMatrix.from_coo(rows, cols, vals, (n, n))
-    if scaled:
-        A, _ = A.unit_diagonal_scaled()
-    return A
+    legs = {(1, 0): -float(eps), (0, 1): -1.0}
+    return _stencil_csr((nx, ny), legs, 2.0 * (eps + 1.0), scaled)
 
 
 def variable_coefficient_laplacian_2d(
@@ -85,8 +61,11 @@ def variable_coefficient_laplacian_2d(
     Face conductances use the harmonic mean of the adjacent cells, giving a
     symmetric M-matrix with positive diagonal.
     """
+    if nx < 1 or ny < 1:
+        raise ShapeError(f"grid dimensions must be >= 1, got ({nx}, {ny})")
     n = nx * ny
-    idx, ix, iy = _grid_index(nx, ny)
+    idx = np.arange(n, dtype=np.int64)
+    ix, iy = np.divmod(idx, ny)
     if coefficient is None:
         rng = as_rng(seed)
         a = np.exp(contrast * rng.standard_normal(n))
@@ -138,25 +117,6 @@ def nine_point_laplacian_2d(nx: int, ny: int, scaled: bool = True) -> CSRMatrix:
     couplings make the matrix graph non-bipartite (greedy coloring needs
     4 colors) and thicken partition ghost layers.
     """
-    n = nx * ny
-    idx, ix, iy = _grid_index(nx, ny)
-    fr, fc, fv = [], [], []
-
-    def add(mask_src, stride, value):
-        src = idx[mask_src]
-        fr.append(src)
-        fc.append(src + stride)
-        fv.append(np.full(src.size, value))
-
-    add(ix < nx - 1, ny, -4.0 / 6.0)
-    add(iy < ny - 1, 1, -4.0 / 6.0)
-    add((ix < nx - 1) & (iy < ny - 1), ny + 1, -1.0 / 6.0)
-    add((ix < nx - 1) & (iy > 0), ny - 1, -1.0 / 6.0)
-    fr, fc, fv = np.concatenate(fr), np.concatenate(fc), np.concatenate(fv)
-    rows = np.concatenate((idx, fr, fc))
-    cols = np.concatenate((idx, fc, fr))
-    vals = np.concatenate((np.full(n, 20.0 / 6.0), fv, fv))
-    A = CSRMatrix.from_coo(rows, cols, vals, (n, n))
-    if scaled:
-        A, _ = A.unit_diagonal_scaled()
-    return A
+    edge, corner = -4.0 / 6.0, -1.0 / 6.0
+    legs = {(1, 0): edge, (0, 1): edge, (1, 1): corner, (1, -1): corner}
+    return _stencil_csr((nx, ny), legs, 20.0 / 6.0, scaled)

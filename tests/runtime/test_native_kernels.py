@@ -123,7 +123,7 @@ def test_compact_relax_and_commit_match_numpy_closures(partition, method):
     ranks = sim._compile_ranks()
     tab = sim._warm_native(ranks)
     wp = sim._plan
-    splans = sim._warm_splans(ranks)
+    splans = sim._warm_splans()
     kernels = native.native_kernels()
     col = native.ROW_FIELDS.index
     momentum = sim.method.kind == "momentum"
