@@ -245,11 +245,14 @@ def _bench_scaling():
         n = grid[0] * grid[1]
         smoke_point = SMOKE and n >= 10**6
         budget = 2 if smoke_point else SCALING_BUDGET
+        start = time.perf_counter()
         A = fd_laplacian_2d(*grid)
+        built = time.perf_counter()
         b = np.random.default_rng(0).standard_normal(n)
         sim = DistributedJacobi(
             A, b, n_ranks=SCALING_RANKS, partition="contiguous", seed=1
         )
+        constructed = time.perf_counter()
 
         def fn():
             return sim.run_async(
@@ -257,6 +260,8 @@ def _bench_scaling():
                 observe_every=SCALING_RANKS,
             )
 
+        fn()  # the first run builds the warm plan
+        first = time.perf_counter() - constructed
         arms = [("block", fn, True)]
         if native_available():
             arms.insert(0, ("native", fn, False))
@@ -264,15 +269,24 @@ def _bench_scaling():
         if "native" in best:
             _assert_arms_match(ref, "native", "block")
         events = SCALING_RANKS * budget
+        # Set-up at 10^6 rows, one sample each. Info only: the names avoid
+        # the _seconds/speedup gating suffixes.
+        setup = {} if n < 10**6 else {
+            "build_s": built - start,
+            "construct_s": constructed - built,
+            "first_run_extra_s": first - best[arms[0][0]],
+        }
         if smoke_point:
             # Info only — names avoid the _seconds/speedup gating suffixes.
-            out[f"n{n}"] = {"smoke_only": True, "block_wall": best["block"]}
+            out[f"n{n}"] = {
+                "smoke_only": True, "block_wall": best["block"], **setup}
             if "native" in best:
                 out[f"n{n}"]["native_wall"] = best["native"]
         else:
             out[f"n{n}"] = {
                 "block_seconds": best["block"],
                 "block_events_per_second": events / best["block"],
+                **setup,
             }
             if "native" in best:
                 out[f"n{n}"]["native_seconds"] = best["native"]
@@ -385,6 +399,11 @@ def test_engine_scaling(benchmark):
             f"{entry['block_events_per_second']:>12,.0f} ev/s{native}"
         )
 
+    setup = [
+        f"{key:>10} build {e['build_s']:.3f}s  construct {e['construct_s']:.3f}s"
+        f"  first-run extra {e['first_run_extra_s']:.3f}s"
+        for key, e in payload.items() if "build_s" in e
+    ]
     gated = [k for k, e in payload.items() if not e.get("smoke_only")]
 
     def measured():  # largest gated size's block time
@@ -400,6 +419,9 @@ def test_engine_scaling(benchmark):
             "",
             f"{'size':>10} {'numpy (s)':>10} {'throughput':>17}",
             *rows,
+            "",
+            "Set-up (one sample, ungated):",
+            *setup,
         ]
     )
     publish("engine_scaling", report)

@@ -10,8 +10,10 @@ recorded while the pre-engine loops still existed (see
 across the feature matrix (fault plans, recovery policies, delay models,
 sweep variants; plain distributed runs take the block loop, the rest the
 general loop) and check each run against its corpus entry. The engine
-runs the compiled kernels whenever they load; CI also runs this file
-under ``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same corpus.
+runs the compiled kernels whenever they load, except in the distributed
+asynchronous cases, which force the NumPy kernels (``test_native_backend.py``
+runs them on the compiled ones); CI also runs this file under
+``REPRO_NO_NATIVE=1`` to pin the NumPy kernels to the same corpus.
 """
 
 import contextlib
@@ -36,7 +38,7 @@ from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.machine import HASWELL_CLUSTER, KNL
 from repro.runtime.shared import SharedMemoryJacobi
 
-from tests.runtime.equivalence import assert_matches_corpus
+from tests.runtime.equivalence import assert_matches_corpus, numpy_kernels
 
 A = fd_laplacian_2d(10, 10)
 N = A.shape[0]
@@ -281,7 +283,10 @@ def check(key):
 
 @pytest.mark.parametrize("case", DIST_ASYNC_CASES)
 def test_distributed_async_bit_identical(case):
-    check(f"distributed-async/{case}")
+    """On the NumPy kernels: ``test_native_backend.py`` runs the same cases
+    on the compiled ones, so tier-1 pins both families to the corpus."""
+    with numpy_kernels():
+        check(f"distributed-async/{case}")
 
 
 @pytest.mark.parametrize("case", DIST_SYNC_CASES)
