@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matrices.sparse import CSRMatrix, _concat_ranges
+from repro.matrices.sparse import CSRMatrix, _concat_ranges, _sorted_unique
 from repro.util.errors import ShapeError
 
 
@@ -115,9 +115,9 @@ def connected_components(A: CSRMatrix) -> list:
             counts = A.indptr[frontier + 1] - starts
             nz = _concat_ranges(starts, counts)
             nbrs = A.indices[nz]
-            nbrs = np.unique(nbrs[comp[nbrs] < 0])
+            nbrs = nbrs[comp[nbrs] < 0]
             comp[nbrs] = current
-            frontier = nbrs
+            frontier = _sorted_unique(nbrs)
         current += 1
     return [np.nonzero(comp == c)[0] for c in range(current)]
 

@@ -82,13 +82,13 @@ def is_irreducible(A: CSRMatrix) -> bool:
         if counts.sum() == 0:
             break
         # Gather all neighbor column ids of the frontier rows.
-        from repro.matrices.sparse import _concat_ranges
+        from repro.matrices.sparse import _concat_ranges, _sorted_unique
 
         nz = _concat_ranges(starts, counts)
         nbrs = A.indices[nz]
-        nbrs = np.unique(nbrs[~visited[nbrs]])
+        nbrs = nbrs[~visited[nbrs]]
         visited[nbrs] = True
-        frontier = nbrs
+        frontier = _sorted_unique(nbrs)
     return bool(visited.all())
 
 

@@ -32,6 +32,16 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for an integer array, by one sort and a neighbour
+    compare (NumPy 2.4's hash-based ``np.unique`` is several times slower
+    on the BFS frontiers this serves)."""
+    a = np.sort(a)
+    if a.size > 1:
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a
+
+
 class ColumnScatterPlan:
     """Precompiled in-place ``r -= A[:, cols] @ dx`` for a fixed column set.
 

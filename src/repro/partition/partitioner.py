@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matrices.sparse import CSRMatrix, _concat_ranges
+from repro.matrices.sparse import CSRMatrix, _concat_ranges, _sorted_unique
 from repro.util.errors import PartitionError
 from repro.util.validation import check_positive_int
 
@@ -64,8 +64,9 @@ def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
         level += 1
         starts = indptr[frontier]
         nbrs = indices[_concat_ranges(starts, indptr[frontier + 1] - starts)]
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
-        dist[frontier] = level
+        nbrs = nbrs[dist[nbrs] < 0]
+        dist[nbrs] = level
+        frontier = _sorted_unique(nbrs)
     return dist
 
 

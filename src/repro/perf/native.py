@@ -33,6 +33,28 @@ NumPy kernels' and to the frozen engine corpus
   full-span subtract). It is one whole block iteration of the block
   loop; ``repro_relax`` alone serves the general loop, which commits in
   NumPy.
+* ``repro_block_loop`` runs ``DistributedJacobi._block_loop`` for a
+  plain run, in the same operation order: a binary heap of events
+  ordered by ``(time, seq)`` with the seq counter advanced at the same
+  points (one stamp per put, one per virtual START, one per push);
+  same-time batches sorted by read cursor ``(ts, sv)``, a convergence
+  stopping the rest of its batch; mailboxes flushed at the cursor,
+  where every record with ``(arrival, stamp) < (ts, sv)`` counts as
+  delivered and only the newest is written to the ghost slots;
+  ``repro_relax_commit`` per commit; put arrivals ``t + mb * f[j]``, the
+  next START ``t + ((ovbase * f[-1] + puts_const) * slow + extra)`` and
+  COMMIT ``nts + (cbase * f[0]) * slow``. Its jitter factors are libm
+  ``exp`` of scaled normals Python draws exactly as
+  ``PatternJitterStream`` does, and it returns to Python at each
+  observation (so the residual 1-norm keeps NumPy's pairwise sum), when
+  a rank's chunk of normals runs out, when the mailbox pool must grow,
+  and at the end; a call resumes where the last one returned. Its state
+  is the C ``loop_t``, mirrored by :class:`BlockLoopState`. A plain run
+  takes it whenever the library loads, the method is not the sequential
+  kind and every rank's ``delay.constant_extra`` is known (nothing else
+  draws from a rank's generator, so its normals can be drawn ahead);
+  every other plain run keeps the Python block loop, the reference the
+  compiled one is tested against (``SimulationResult.loop`` names it).
 
 Packed argument row
 -------------------
@@ -106,7 +128,9 @@ from pathlib import Path
 import numpy as np
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* r = b - A x over a CSR matrix, bit-identical to b - A.matvec(x):
@@ -224,12 +248,271 @@ void repro_relax_commit(const int64_t *row, double beta)
                P(const double *, F_VALS), row[F_BASE], row[F_SPAN],
                P(double *, F_BINC), P(double *, F_RVEC));
 }
+
+/* ---- The plain distributed block loop ------------------------------
+ * A heap event: START (a rank's initial wake-up) or COMMIT carrying its
+ * virtual read cursor (ts, sv); a START's cursor is its own (t, s). */
+typedef struct { double t; int64_t s, kind, rid; double ts; int64_t sv; } ev_t;
+
+enum { EV_START, EV_COMMIT };
+enum { BL_DONE, BL_OBSERVE, BL_REFILL, BL_GROW };
+enum { PH_NEXT, PH_EVENT, PH_OBSERVED, PH_REFILLED };
+
+/* One run's loop state. Python owns every buffer; its mirror is
+ * BlockLoopState, field for field. */
+typedef struct {
+    int64_t n_ranks, max_iter, observe_every, row_stride, W;
+    double beta, ovbase;
+    int64_t *nat_tab;
+    double *cbase, *slow, *cextra, *puts_const;
+    int64_t *nrows, *iters;
+    int64_t *out_ptr, *in_ptr, *in_edges, *e_lo, *e_w, *e_slots, *e_gbase;
+    int64_t *row_off, *cat_ptr;
+    double *e_mb, *pend, *loc;
+    int64_t *width, *fac_off;
+    double *fac;
+    int64_t *ch_ptr, *ch_len, *ch_pos;
+    ev_t *heap, *batch;
+    int64_t heap_n, batch_n, batch_i;
+    int64_t n_edges, *edge_head, *slot_s, *slot_next, *free_stack, *slot_ptr;
+    double *slot_t;
+    int64_t free_top;
+    int64_t seq, relaxations, commits_since_obs, delivered, puts_sent;
+    int64_t converged, conv_set, conv_s, phase, need, nsv;
+    double t_end, nts, conv_t;
+    ev_t cur;
+} loop_t;
+
+int64_t repro_block_loop_state_size(void) { return (int64_t) sizeof(loop_t); }
+
+static int ev_before(const ev_t *a, const ev_t *b)
+{
+    return a->t < b->t || (a->t == b->t && a->s < b->s);
+}
+
+static void heap_push(ev_t *h, int64_t *n, const ev_t *e)
+{
+    int64_t i = (*n)++;
+    while (i > 0) {
+        int64_t p = (i - 1) >> 1;
+        if (!ev_before(e, &h[p]))
+            break;
+        h[i] = h[p];
+        i = p;
+    }
+    h[i] = *e;
+}
+
+static ev_t heap_pop(ev_t *h, int64_t *n)
+{
+    ev_t top = h[0], last = h[--(*n)];
+    int64_t i = 0, m = *n;
+    if (m == 0)
+        return top;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= m)
+            break;
+        if (c + 1 < m && ev_before(&h[c + 1], &h[c]))
+            c++;
+        if (!ev_before(&h[c], &last))
+            break;
+        h[i] = h[c];
+        i = c;
+    }
+    h[i] = last;
+    return top;
+}
+
+/* Same-time batch order: by read cursor (seqs are unique, so no ties). */
+static int cursor_cmp(const void *pa, const void *pb)
+{
+    const ev_t *a = pa, *b = pb;
+    if (a->ts != b->ts)
+        return a->ts < b->ts ? -1 : 1;
+    return (a->sv > b->sv) - (a->sv < b->sv);
+}
+
+/* Deliver, on every edge into rank rid, the records that arrival-precede
+ * the read cursor (ts, sv): count each, write only the newest by
+ * (arrival, stamp) into the ghost slots, free their pool slots. Edge e
+ * writes e_w[e] values to loc[e_gbase[e] + slots[i]], slots being the
+ * int64 array at address e_slots[e]. */
+static void flush(loop_t *L, int64_t rid, double ts, int64_t sv)
+{
+    int64_t k, j;
+    for (k = L->in_ptr[rid]; k < L->in_ptr[rid + 1]; k++) {
+        int64_t e = L->in_edges[k], best = -1, i;
+        int64_t *link = &L->edge_head[e];
+        while ((i = *link) >= 0) {
+            double a = L->slot_t[i];
+            if (a < ts || (a == ts && L->slot_s[i] < sv)) {
+                L->delivered++;
+                *link = L->slot_next[i];
+                if (best < 0 || a > L->slot_t[best]
+                    || (a == L->slot_t[best] && L->slot_s[i] > L->slot_s[best])) {
+                    if (best >= 0)
+                        L->free_stack[L->free_top++] = best;
+                    best = i;
+                } else
+                    L->free_stack[L->free_top++] = i;
+            } else
+                link = &L->slot_next[i];
+        }
+        if (best >= 0) {
+            const double *v = (const double *) (intptr_t) L->slot_ptr[best];
+            const int64_t *slots = (const int64_t *) (intptr_t) L->e_slots[e];
+            double *ghosts = L->loc + L->e_gbase[e];
+            for (j = 0; j < L->e_w[e]; j++)
+                ghosts[slots[j]] = v[j];
+            L->free_stack[L->free_top++] = best;
+        }
+    }
+}
+
+/* Records still boxed at exit: after a convergence, those that
+ * arrival-precede the converging event (conv_t, conv_s); after a drained
+ * heap, all of them. */
+static void exit_tails(loop_t *L)
+{
+    int64_t e, i;
+    if (!L->conv_set && L->converged)
+        return;
+    for (e = 0; e < L->n_edges; e++)
+        for (i = L->edge_head[e]; i >= 0; i = L->slot_next[i])
+            if (!L->conv_set || L->slot_t[i] < L->conv_t
+                || (L->slot_t[i] == L->conv_t && L->slot_s[i] < L->conv_s))
+                L->delivered++;
+}
+
+/* Runs the block loop until the heap drains or the run converges
+ * (BL_DONE), or until Python is needed: an observation point
+ * (BL_OBSERVE; Python records it and sets `converged`), a rank whose
+ * factor chunk ran out (BL_REFILL; rank `need`), or a pool too small
+ * for the next commit's puts (BL_GROW; `need` free slots). Calling it
+ * again resumes at `phase`. */
+int64_t repro_block_loop(loop_t *L)
+{
+    ev_t *ev = &L->cur;
+    int64_t rid, e, j, k, i, w;
+    double t, *fac;
+
+    switch (L->phase) {
+    case PH_EVENT: goto event;
+    case PH_OBSERVED: goto observed;
+    case PH_REFILLED: goto refilled;
+    default: break;
+    }
+next:
+    if (L->converged)
+        goto done;
+    if (L->batch_i == L->batch_n) {
+        if (L->heap_n == 0)
+            goto done;
+        L->batch[0] = heap_pop(L->heap, &L->heap_n);
+        L->batch_n = 1;
+        while (L->heap_n && L->heap[0].t == L->batch[0].t)
+            L->batch[L->batch_n++] = heap_pop(L->heap, &L->heap_n);
+        if (L->batch_n > 1)
+            qsort(L->batch, (size_t) L->batch_n, sizeof(ev_t), cursor_cmp);
+        L->batch_i = 0;
+    }
+    *ev = L->batch[L->batch_i++];
+event:
+    rid = ev->rid;
+    if (ev->kind == EV_START) {
+        L->nts = ev->t;
+        L->nsv = ev->s;
+        goto draw;
+    }
+    k = L->out_ptr[rid + 1] - L->out_ptr[rid];
+    if (L->free_top < k) {
+        L->phase = PH_EVENT;
+        L->need = k;
+        return BL_GROW;
+    }
+    flush(L, rid, ev->ts, ev->sv);
+    repro_relax_commit(L->nat_tab + rid * L->row_stride, L->beta);
+    L->iters[rid]++;
+    L->relaxations += L->nrows[rid];
+    t = L->t_end = ev->t;
+    fac = L->fac + L->fac_off[rid];
+    /* Put e copies the rank's pending rows cat_rows[e_lo[e]:][:e_w[e]],
+     * cat_rows being the int64 array at address cat_ptr[rid]. */
+    for (e = L->out_ptr[rid], j = 1; e < L->out_ptr[rid + 1]; e++, j++) {
+        const int64_t *src = (const int64_t *) (intptr_t) L->cat_ptr[rid] + L->e_lo[e];
+        const double *pend = L->pend + L->row_off[rid];
+        double *v;
+        i = L->free_stack[--L->free_top];
+        L->slot_t[i] = t + L->e_mb[e] * fac[j];
+        L->slot_s[i] = L->seq++;
+        v = (double *) (intptr_t) L->slot_ptr[i];
+        for (w = 0; w < L->e_w[e]; w++)
+            v[w] = pend[src[w]];
+        L->slot_next[i] = L->edge_head[e];
+        L->edge_head[e] = i;
+    }
+    L->puts_sent += k;
+    if (++L->commits_since_obs >= L->observe_every) {
+        L->commits_since_obs = 0;
+        L->phase = PH_OBSERVED;
+        return BL_OBSERVE;
+    }
+observed:
+    rid = ev->rid;
+    if (L->converged) {
+        L->conv_set = 1;
+        L->conv_t = ev->t;
+        L->conv_s = ev->s;
+        goto next;
+    }
+    if (L->iters[rid] >= L->max_iter)
+        goto next;
+    fac = L->fac + L->fac_off[rid];
+    w = L->width[rid];
+    L->nts = ev->t + ((L->ovbase * fac[w - 1] + L->puts_const[rid]) * L->slow[rid]
+                      + L->cextra[rid]);
+    L->nsv = L->seq++;
+draw:
+    rid = ev->rid;
+    if (L->ch_pos[rid] >= L->ch_len[rid]) {
+        L->phase = PH_REFILLED;
+        L->need = rid;
+        return BL_REFILL;
+    }
+refilled:
+    rid = ev->rid;
+    {
+        const double *z = (const double *) (intptr_t) L->ch_ptr[rid] + L->ch_pos[rid];
+        ev_t nx;
+        w = L->width[rid];
+        fac = L->fac + L->fac_off[rid];
+        for (i = 0; i < w; i++)
+            fac[i] = exp(z[i]);
+        L->ch_pos[rid] += w;
+        nx.t = L->nts + (L->cbase[rid] * fac[0]) * L->slow[rid];
+        nx.s = L->seq++;
+        nx.kind = EV_COMMIT;
+        nx.rid = rid;
+        nx.ts = L->nts;
+        nx.sv = L->nsv;
+        heap_push(L->heap, &L->heap_n, &nx);
+    }
+    goto next;
+done:
+    exit_tails(L);
+    L->phase = PH_NEXT;
+    return BL_DONE;
+}
 """
 
 #: Compile flags. ``-ffp-contract=off`` is load-bearing: contraction into
 #: FMAs would round the relax chain differently from NumPy's separate
 #: multiply/add kernels and break the bit-identity contract.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Libraries linked after the source: libm for the jitter factors' ``exp``.
+_LDLIBS = ("-lm",)
 
 _PFX = "repro_native_"
 
@@ -258,6 +541,53 @@ ROW_FIELDS = (
     "r_vec",
 )
 
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+#: ``repro_block_loop``'s return codes: done, observe, refill, grow.
+BL_DONE, BL_OBSERVE, BL_REFILL, BL_GROW = range(4)
+
+
+class _Event(ctypes.Structure):
+    """The C ``ev_t``: ``kind`` 0 is a rank's initial START, 1 a COMMIT
+    with read cursor ``(ts, sv)``; a START's cursor is its own ``(t, s)``."""
+
+    _fields_ = [("t", _F64), ("s", _I64), ("kind", _I64), ("rid", _I64),
+                ("ts", _F64), ("sv", _I64)]
+
+
+#: One heap or batch event of ``repro_block_loop``, as a NumPy record.
+EVENT_DTYPE = np.dtype(_Event)
+
+
+class BlockLoopState(ctypes.Structure):
+    """The C ``loop_t`` of ``repro_block_loop``, field for field.
+
+    Pointer fields take raw addresses of run-owned NumPy buffers;
+    ``DistributedJacobi._native_block_loop`` fills them and keeps the
+    buffers alive for the call sequence.
+    """
+
+    _fields_ = [
+        *((f, _I64) for f in ("n_ranks", "max_iter", "observe_every",
+                              "row_stride", "W")),
+        ("beta", _F64), ("ovbase", _F64),
+        *((f, _PTR) for f in (
+            "nat_tab", "cbase", "slow", "cextra", "puts_const", "nrows",
+            "iters", "out_ptr", "in_ptr", "in_edges", "e_lo", "e_w",
+            "e_slots", "e_gbase", "row_off", "cat_ptr", "e_mb", "pend",
+            "loc", "width", "fac_off", "fac",
+            "ch_ptr", "ch_len", "ch_pos", "heap", "batch")),
+        *((f, _I64) for f in ("heap_n", "batch_n", "batch_i", "n_edges")),
+        *((f, _PTR) for f in ("edge_head", "slot_s", "slot_next",
+                              "free_stack", "slot_ptr", "slot_t")),
+        *((f, _I64) for f in (
+            "free_top", "seq", "relaxations", "commits_since_obs",
+            "delivered", "puts_sent", "converged", "conv_set", "conv_s",
+            "phase", "need", "nsv")),
+        *((f, _F64) for f in ("t_end", "nts", "conv_t")),
+        ("cur", _Event),
+    ]
+
 
 def int32_index(idx, extent: int, what: str) -> np.ndarray:
     """``idx`` (indices into ``range(extent)``) as a fresh int32 array.
@@ -278,7 +608,7 @@ class NativeKernels:
     """A loaded native kernel library plus its build provenance."""
 
     __slots__ = ("lib", "path", "build_ms", "residual_fn", "relax",
-                 "relax_commit")
+                 "relax_commit", "block_loop")
 
     def __init__(self, lib: ctypes.CDLL, path: Path, build_ms: float):
         self.lib = lib
@@ -299,6 +629,14 @@ class NativeKernels:
         fn.restype = None
         fn.argtypes = [ptr, dbl]
         self.relax_commit = fn
+        size = lib.repro_block_loop_state_size
+        size.restype = i64
+        if size() != ctypes.sizeof(BlockLoopState):
+            raise NativeBuildError("BlockLoopState does not match the C loop_t")
+        fn = lib.repro_block_loop
+        fn.restype = i64
+        fn.argtypes = [ptr]
+        self.block_loop = fn
 
     def residual(self, A, x, b, out) -> np.ndarray:
         """``out[:] = b - A x``, bit-identical to ``b - A.matvec(x)``.
@@ -352,7 +690,7 @@ def source_hash() -> str:
     """Content hash naming the compiled library (source + flags)."""
     h = hashlib.sha256()
     h.update(_C_SOURCE.encode())
-    h.update(" ".join(_CFLAGS).encode())
+    h.update(" ".join(_CFLAGS + _LDLIBS).encode())
     return h.hexdigest()[:16]
 
 
@@ -365,7 +703,7 @@ def _build(cc: str, directory: Path) -> Path:
     src = directory / f"{_PFX}{source_hash()}.c"
     src.write_text(_C_SOURCE)
     tmp = directory / f"{_PFX}{source_hash()}.{os.getpid()}.tmp.so"
-    cmd = [cc, *_CFLAGS, str(src), "-o", str(tmp)]
+    cmd = [cc, *_CFLAGS, str(src), "-o", str(tmp), *_LDLIBS]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     log = directory / "build.log"
     log.write_text(

@@ -41,6 +41,7 @@ restarts). Per-run recovery telemetry lands in
 from __future__ import annotations
 
 import copy
+import ctypes
 import heapq
 import math
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ from repro.runtime.engine import (
     NormalStream,
     PatternJitterStream,
     refuse_legacy_engine,
+    scaled_normals,
+    split_sigmas,
 )
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.observer import ResidualObserver
@@ -144,7 +147,7 @@ class _WarmPlan:
     __slots__ = (
         "templates", "nrows_loc", "lb_off", "row_off", "nnz_off", "b_loc",
         "dinv_loc", "b_norm1", "put_plan", "cat_rows",
-        "splans", "native",
+        "splans", "native", "loop",
     )
 
     def __init__(self):
@@ -548,6 +551,67 @@ class DistributedJacobi:
         wp.native = (keep, tab)
         return tab
 
+    def _warm_loop(self, ranks) -> SimpleNamespace:
+        """The compiled block loop's run-invariant tables, built on first use.
+
+        Edges are numbered by sender, each sender's in put-plan order:
+        rank ``p``'s puts are edges ``out_ptr[p]:out_ptr[p + 1]``, and its
+        ``j``-th put takes factor ``j + 1`` of the step. ``in_edges``
+        lists each receiver's edges in (sender, plan) order. No put entry
+        is copied: edge ``e`` reads ``e_w[e]`` of the sender's pending rows
+        from ``cat_rows[p][e_lo[e]:]`` (``cat_ptr`` holds each rank's
+        array address, ``row_off`` its pending-buffer offset) and writes
+        them to the receiver's ghost slots ``slots_q`` (address
+        ``e_slots[e]``) past ``e_gbase[e]`` in the ``local_x`` parent.
+        Each rank's jitter pattern is ``[sigma_m] + [sigma_net] * puts +
+        [sigma_m]``, split by :func:`~repro.runtime.engine.split_sigmas`.
+        """
+        wp = self._warm_plan(ranks)
+        if wp.loop is not None:
+            return wp.loop
+        flat = [
+            (p, q, slots, rows, mb)
+            for p, plan in enumerate(wp.put_plan)
+            for q, slots, rows, mb in plan
+        ]
+        i64 = np.int64
+
+        def ptr(counts):
+            return np.concatenate(([0], np.cumsum(counts, dtype=i64))).astype(i64)
+
+        n_out = [len(plan) for plan in wp.put_plan]
+        recv = np.array([e[1] for e in flat], dtype=i64)
+        widths = np.array([e[3].size for e in flat], dtype=i64)
+        out_ptr = ptr(n_out)
+        width = np.array(n_out, dtype=i64) + 2
+        sm = self.cluster.node.effective_jitter(1)
+        sn = self.cluster.network.jitter_sigma
+        fac_off = ptr(width)
+        wp.loop = SimpleNamespace(
+            out_ptr=out_ptr,
+            in_ptr=ptr(np.bincount(recv, minlength=self.n_ranks)),
+            in_edges=np.argsort(recv, kind="stable").astype(i64),
+            e_lo=(np.cumsum(widths) - widths
+                  - np.repeat(ptr(widths)[out_ptr[:-1]], n_out)).astype(i64),
+            e_w=widths,
+            e_slots=np.array([e[2].ctypes.data for e in flat], dtype=i64),
+            e_gbase=np.array(
+                [wp.lb_off[q] + wp.nrows_loc[q] for _, q, _, _, _ in flat], dtype=i64
+            ),
+            row_off=np.array(wp.row_off[:-1], dtype=i64),
+            cat_ptr=np.array([c.ctypes.data for c in wp.cat_rows], dtype=i64),
+            e_mb=np.array([e[4] for e in flat], dtype=np.float64),
+            n_edges=len(flat),
+            max_puts=max(n_out),
+            W=int(widths.max(initial=1)),
+            width=width,
+            fac_off=fac_off[:-1].copy(),
+            fac_size=int(fac_off[-1]),
+            nrows=np.array(wp.nrows_loc, dtype=i64),
+            jitter=[split_sigmas([sm] + [sn] * k + [sm]) for k in n_out],
+        )
+        return wp.loop
+
     def _residual_fn(self):
         """``(x, out) -> out``: the residual ``b - A x`` written into ``out``.
 
@@ -655,7 +719,10 @@ class DistributedJacobi:
           read-relax-commit span at its virtual read cursor (with the
           native library, one compiled call), and each iteration's jitter
           factors are one :class:`~repro.runtime.engine.PatternJitterStream`
-          step per rank.
+          step per rank. When the library loads, the method is not the
+          sequential kind and every rank's ``delay.constant_extra`` is
+          known, the whole loop runs in C instead
+          (:meth:`_native_block_loop`), with the same bits.
         * **The general loop** (:meth:`_general_loop`) takes everything
           else: one START and one COMMIT event per block iteration plus the
           protocol traffic, one event per pop, jitter from a
@@ -831,7 +898,7 @@ class DistributedJacobi:
             self._residual_fn(), x, wp.b_norm1, tol, recompute_every, trc
         )
 
-        nat_rows = nat_relax_commit = None
+        nat_tab = nat_rows = nat_relax_commit = None
         nat_beta = float(mom_beta) if momentum_m else 0.0
         if nat is not None:
             # One packed argument row per rank (``ROW_FIELDS`` in
@@ -899,7 +966,8 @@ class DistributedJacobi:
             splans=self._warm_splans(),
             block_residual=block_residual, relax=relax,
             gauss_seidel=gauss_seidel, nat_rows=nat_rows, nat_beta=nat_beta,
-            nat_relax_commit=nat_relax_commit,
+            nat_relax_commit=nat_relax_commit, nat_tab=nat_tab,
+            loc_parent=loc_parent, pend_parent=pend_parent,
         )
         if trc is not None:
             trc.run_start(
@@ -922,10 +990,15 @@ class DistributedJacobi:
             or trc is not None or self.reliable or eager
             or termination == "detect" or heartbeats_on or may_hang
         )
-        if plain:
-            loop = self._block_loop(run)
+        # The compiled block loop needs the library and per-rank jitter
+        # that can be drawn ahead: no delay model drawing from the rank's
+        # generator (``constant_extra`` known for every rank).
+        if plain and nat is not None and None not in run.const_extra:
+            loop_name, loop = "native-block", self._native_block_loop(run, nat)
+        elif plain:
+            loop_name, loop = "block", self._block_loop(run)
         else:
-            loop = self._general_loop(
+            loop_name, loop = "general", self._general_loop(
                 run, trc, eager, termination, report_every, heartbeats_on,
                 may_hang,
             )
@@ -945,7 +1018,129 @@ class DistributedJacobi:
             total_time=t_end,
             mode="eager" if eager else "async",
             telemetry=run.tm,
+            loop=loop_name,
         )
+
+    def _native_block_loop(self, run: _AsyncRun, nat) -> tuple:
+        """:meth:`_block_loop` as one compiled call (``repro_block_loop``).
+
+        The C loop keeps the Python loop's operation order exactly (the
+        contract is in :mod:`repro.perf.native`): the same heap order, tie
+        sort, seq stamps, mailbox flush, relax-commit kernel and time
+        arithmetic. Its heap, batch and mailbox pool are run-owned NumPy
+        buffers. It returns here only to record an observation (so the
+        observer's NumPy sum stays the one norm), to refill a rank's
+        chunk of scaled normals (drawn exactly as
+        :class:`~repro.runtime.engine.PatternJitterStream` draws them),
+        to grow the pool, and at the end.
+
+        Returns ``(converged, t_end, relaxations, commits_since_obs)``.
+        """
+        from repro.perf.native import (
+            BL_GROW, BL_OBSERVE, BL_REFILL, EVENT_DTYPE, BlockLoopState,
+        )
+        ranks = run.ranks
+        n_ranks = len(ranks)
+        lp = self._warm_loop(ranks)
+        i64, f64 = np.int64, np.float64
+        heap = np.zeros(n_ranks, dtype=EVENT_DTYPE)
+        h = run.queue._heap  # the initial STARTs: a valid (t, s) heap
+        heap[: len(h)] = [(t, s, kind, r, t, s) for t, s, kind, r, _ in h]
+        cap = max(lp.max_puts, 1)
+        buf = dict(
+            nat_tab=run.nat_tab, cbase=np.array(run.cbase, dtype=f64),
+            slow=np.array(run.slow, dtype=f64),
+            cextra=np.array(run.const_extra, dtype=f64),
+            puts_const=np.array(run.puts_const, dtype=f64), nrows=lp.nrows,
+            iters=np.zeros(n_ranks, dtype=i64), out_ptr=lp.out_ptr,
+            in_ptr=lp.in_ptr, in_edges=lp.in_edges, e_lo=lp.e_lo, e_w=lp.e_w,
+            e_slots=lp.e_slots, e_gbase=lp.e_gbase, row_off=lp.row_off,
+            cat_ptr=lp.cat_ptr, e_mb=lp.e_mb,
+            pend=run.pend_parent, loc=run.loc_parent, width=lp.width,
+            fac_off=lp.fac_off, fac=np.empty(lp.fac_size),
+            ch_ptr=np.zeros(n_ranks, dtype=i64),
+            ch_len=np.zeros(n_ranks, dtype=i64),
+            ch_pos=np.zeros(n_ranks, dtype=i64),
+            heap=heap, batch=np.empty(n_ranks, dtype=EVENT_DTYPE),
+            edge_head=np.full(lp.n_edges, -1, dtype=i64),
+            # The mailbox pool: one slot per in-flight put, with room for
+            # the widest edge's values at address ``slot_ptr[i]``. It
+            # starts with room for one commit's puts and doubles whenever
+            # a commit could not fire its puts, so it tracks the records
+            # in flight.
+            slot_s=np.empty(cap, dtype=i64), slot_next=np.empty(cap, dtype=i64),
+            free_stack=np.arange(cap, dtype=i64), slot_t=np.empty(cap),
+            slot_ptr=np.empty(cap, dtype=i64),
+        )
+        # Slot values live in segments, one per growth, so growing copies
+        # only the per-slot tables, never a value.
+        segments: list = []
+
+        def add_segment(first: int, n: int) -> None:
+            seg = np.empty(n * lp.W)
+            segments.append(seg)
+            buf["slot_ptr"][first:] = seg.ctypes.data + 8 * lp.W * np.arange(n)
+
+        add_segment(0, cap)
+        st = BlockLoopState(
+            n_ranks=n_ranks, max_iter=run.max_iterations,
+            observe_every=run.observe_every, row_stride=run.nat_tab.shape[1],
+            W=lp.W, beta=run.nat_beta, ovbase=run.ovbase, heap_n=len(h),
+            n_edges=lp.n_edges, free_top=cap, seq=run.queue._seq,
+            converged=run.obs.residuals[0] < run.tol,
+        )
+
+        def bind(names):
+            for name in names:
+                setattr(st, name, buf[name].ctypes.data)
+
+        bind(buf)
+        ch_ptr, ch_len, ch_pos = buf["ch_ptr"], buf["ch_len"], buf["ch_pos"]
+        chunks: list = [None] * n_ranks  # keeps each rank's chunk alive
+        steps = [8] * n_ranks
+
+        def refill(r: int) -> None:
+            """The next chunk of rank ``r``'s scaled normals: 8 steps first,
+            growing 4x per refill to 64 (PatternJitterStream's rule)."""
+            k = steps[r]
+            steps[r] = min(k * 4, 64)
+            c = chunks[r] = scaled_normals(ranks[r].rng, *lp.jitter[r], k)
+            ch_ptr[r], ch_len[r], ch_pos[r] = c.ctypes.data, c.size, 0
+
+        def grow() -> None:
+            """Double the mailbox pool, keeping every record in place."""
+            n = buf["slot_t"].size
+            for name in ("slot_t", "slot_s", "slot_next", "slot_ptr"):
+                a = buf[name]
+                buf[name] = np.concatenate((a, np.empty(n, dtype=a.dtype)))
+            add_segment(n, n)
+            top = st.free_top
+            fs = np.empty(2 * n, dtype=i64)
+            fs[:top] = buf["free_stack"][:top]
+            fs[top : top + n] = np.arange(n, 2 * n)
+            buf["free_stack"] = fs
+            st.free_top = top + n
+            bind(("slot_t", "slot_s", "slot_next", "slot_ptr", "free_stack"))
+
+        for r in range(n_ranks):
+            refill(r)
+        call, ref = nat.block_loop, ctypes.addressof(st)
+        observe, tol = run.obs.observe, run.tol
+        while True:
+            code = call(ref)
+            if code == BL_OBSERVE:
+                st.converged = observe(st.t_end, st.relaxations) < tol
+            elif code == BL_REFILL:
+                refill(st.need)
+            elif code == BL_GROW:
+                grow()
+            else:
+                break
+        for rk, it in zip(ranks, buf["iters"].tolist()):
+            rk.iterations = it
+        run.tm.puts_sent += st.puts_sent
+        run.tm.puts_delivered += st.delivered
+        return bool(st.converged), st.t_end, st.relaxations, st.commits_since_obs
 
     def _block_loop(self, run: _AsyncRun) -> tuple:
         """A plain run's event loop: one heap event per block iteration.
@@ -2057,6 +2252,7 @@ class DistributedJacobi:
             iterations=np.full(self.n_ranks, k),
             total_time=t,
             mode="sync",
+            loop="sync",
         )
 
     def run(self, mode: str, **kwargs) -> SimulationResult:

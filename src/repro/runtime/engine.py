@@ -51,6 +51,8 @@ __all__ = [
     "JitterStream",
     "NormalStream",
     "PatternJitterStream",
+    "scaled_normals",
+    "split_sigmas",
 ]
 
 
@@ -228,6 +230,37 @@ class NormalStream:
         return buf[i]
 
 
+def split_sigmas(sigmas) -> tuple:
+    """``(pattern, nz, width)`` of a per-step sigma pattern, for
+    :func:`scaled_normals`: ``nz`` is ``None`` when every position draws
+    (``pattern`` then holds all ``width`` sigmas); otherwise it indexes
+    the drawing positions and ``pattern`` holds only their sigmas."""
+    pattern = np.asarray(sigmas, dtype=np.float64)
+    if all(s > 0 for s in pattern.tolist()):
+        return pattern, None, int(pattern.size)
+    nz = np.flatnonzero(pattern > 0)
+    return pattern[nz], nz, int(pattern.size)
+
+
+def scaled_normals(rng, pattern, nz, width: int, steps: int) -> np.ndarray:
+    """Fresh ``sigma * z`` for ``steps`` steps of a split sigma pattern.
+
+    Shape ``(steps, width)``, C-contiguous; zero-sigma positions hold
+    ``0.0`` and draw nothing (see :func:`split_sigmas`). The draw is one
+    ``standard_normal`` call of ``steps`` times the drawing width. This is
+    :class:`PatternJitterStream`'s refill, shared with the compiled block
+    loop, which applies ``exp`` per consumed position.
+    """
+    if nz is None:
+        z = rng.standard_normal(steps * width)
+        return z.reshape(steps, width) * pattern
+    out = np.zeros((steps, width))
+    if nz.size:
+        z = rng.standard_normal(steps * nz.size)
+        out[:, nz] = z.reshape(steps, nz.size) * pattern
+    return out
+
+
 class PatternJitterStream:
     """One agent's lognormal jitter factors for a fixed per-step sigma pattern.
 
@@ -276,16 +309,7 @@ class PatternJitterStream:
 
     def __init__(self, rng, sigmas, steps: int = 64):
         self._rng = rng
-        pattern = np.asarray(sigmas, dtype=np.float64)
-        self._width = int(pattern.size)
-        # ``_nz`` is None when every position draws (no scatter needed);
-        # otherwise it indexes the drawing positions, and ``_pattern``
-        # holds only their sigmas.
-        self._nz = None
-        self._pattern = pattern
-        if not all(s > 0 for s in pattern.tolist()):
-            self._nz = np.flatnonzero(pattern > 0)
-            self._pattern = pattern[self._nz]
+        self._pattern, self._nz, self._width = split_sigmas(sigmas)
         self._max_steps = max(int(steps), 1)
         self._steps = min(8, self._max_steps)
         self._size = 0
@@ -293,17 +317,8 @@ class PatternJitterStream:
         self._i = 0
 
     def _scaled(self, steps: int) -> np.ndarray:
-        """Fresh ``sigma * z`` for ``steps`` steps, shape ``(steps, width)``;
-        zero-sigma positions hold ``0.0`` and draw nothing."""
-        nz = self._nz
-        if nz is None:
-            z = self._rng.standard_normal(steps * self._width)
-            return z.reshape(steps, self._width) * self._pattern
-        out = np.zeros((steps, self._width))
-        if nz.size:
-            z = self._rng.standard_normal(steps * nz.size)
-            out[:, nz] = z.reshape(steps, nz.size) * self._pattern
-        return out
+        """Fresh ``sigma * z`` for ``steps`` steps (see :func:`scaled_normals`)."""
+        return scaled_normals(self._rng, self._pattern, self._nz, self._width, steps)
 
     def next_step(self) -> list:
         """Factors for one step, in pattern order (a list of floats)."""

@@ -127,6 +127,12 @@ class SimulationResult:
     telemetry
         Optional :class:`FaultTelemetry` with recovery counters/timelines
         (recorded whenever fault machinery was active).
+    loop
+        Which event loop produced the run: ``"native-block"`` (the
+        distributed block loop compiled in C), ``"block"`` (the same loop
+        in Python), ``"general"`` (the loop that handles every run option,
+        one event per pop; the shared-memory simulator's asynchronous
+        loop) or ``"sync"`` (a synchronous sweep loop).
     """
 
     x: np.ndarray
@@ -138,6 +144,7 @@ class SimulationResult:
     total_time: float = 0.0
     mode: str = "async"
     telemetry: FaultTelemetry = None
+    loop: str = None
 
     @property
     def final_residual(self) -> float:

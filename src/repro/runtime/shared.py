@@ -588,6 +588,7 @@ class SharedMemoryJacobi:
             total_time=t_end,
             mode="async",
             telemetry=tm,
+            loop="general",
         )
 
     # ------------------------------------------------------------------
@@ -661,6 +662,7 @@ class SharedMemoryJacobi:
             iterations=np.full(self.n_threads, k),
             total_time=t,
             mode="sync",
+            loop="sync",
         )
 
     def run(self, mode: str, **kwargs) -> SimulationResult:

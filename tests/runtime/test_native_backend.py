@@ -109,12 +109,12 @@ def test_native_statistically_equivalent_at_large_n():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count calls into the compiled packed-row relax and relax-commit entries.
+    """Count calls into the compiled relax, relax-commit and block-loop entries.
 
     Wraps the ``NativeKernels`` slots class-wide, so every loaded library
     instance — including one re-probed during the test — is counted.
     """
-    calls = {"relax": 0, "relax_commit": 0}
+    calls = {"relax": 0, "relax_commit": 0, "block_loop": 0}
     for name in calls:
         slot = getattr(native.NativeKernels, name)
 
@@ -133,7 +133,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-NO_CALLS = {"relax": 0, "relax_commit": 0}
+NO_CALLS = {"relax": 0, "relax_commit": 0, "block_loop": 0}
 
 
 class TestFallbackAndValidation:
@@ -143,9 +143,10 @@ class TestFallbackAndValidation:
             tol=1e-6, max_iterations=40
         )
         if native.native_available():
-            # A plain run takes the block loop: one fused call per commit.
-            assert kernel_calls["relax_commit"] > 0
-            assert kernel_calls["relax"] == 0
+            # A plain run takes the compiled block loop, which calls the
+            # fused relax-commit kernel from C rather than through ctypes.
+            assert kernel_calls["block_loop"] > 0
+            assert kernel_calls["relax"] == kernel_calls["relax_commit"] == 0
         kernel_calls.update(NO_CALLS)
         with numpy_kernels():
             assert native.native_available() is False
@@ -164,7 +165,7 @@ class TestFallbackAndValidation:
             tol=1e-6, max_iterations=10, eager=True
         )
         assert kernel_calls["relax"] > 0
-        assert kernel_calls["relax_commit"] == 0
+        assert kernel_calls["relax_commit"] == kernel_calls["block_loop"] == 0
 
     @staticmethod
     def _assert_numpy_only(kernel_calls, method):
